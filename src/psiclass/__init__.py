@@ -24,7 +24,6 @@ from .dvv import (
     c_value,
     cache_load,
     cache_save,
-    canonical_key,
     canonical_tuple,
     chat_value,
     default_cache,
@@ -59,7 +58,6 @@ __all__ = [
     "c_value",
     "cache_load",
     "cache_save",
-    "canonical_key",
     "canonical_tuple",
     "chat_poly",
     "chat_value",

@@ -52,26 +52,6 @@ from .series import SeriesInvX
 # Stirling machinery.
 # ----------------------------------------------------------------------
 
-STIRLING_CAP = 20
-
-
-def stirling_log_gamma(K: int) -> SeriesInvX:
-    """The 1/z-tail of ln Gamma(z): sum_k B_2k / (2k(2k-1)) z^(1-2k).
-
-    Returned as a SeriesInvX in u = 1/z up to order K (so the coefficient
-    at index 2k-1 is B_2k/(2k(2k-1))); the (z-1/2)ln z - z + ln(2pi)/2
-    front matter is handled by log_gamma_expansion.
-    """
-    if not 1 <= K <= STIRLING_CAP:
-        raise ValueError(f"stirling_log_gamma supports 1 <= K <= {STIRLING_CAP}")
-    coeffs = [ZERO] * (K + 1)
-    k = 1
-    while 2 * k - 1 <= K:
-        coeffs[2 * k - 1] = bernoulli(2 * k) / (2 * k * (2 * k - 1))
-        k += 1
-    return SeriesInvX(coeffs)
-
-
 _BASIS = ("1", "ln2", "ln3", "ln5", "lnpi")
 
 
@@ -153,10 +133,6 @@ class LogExpansion:
                 f"const_leftover={leftover}"
             )
         return self.tail
-
-
-def _zero_expansion(K: int) -> LogExpansion:
-    return LogExpansion(ZERO, ZERO, {}, {}, SeriesInvX.zero(K))
 
 
 def _const_expansion(d: Dict, K: int) -> LogExpansion:
@@ -248,27 +224,6 @@ def one_point_series(K: int) -> SeriesInvX:
     )
     tail = E.pure_tail_or_raise(allow_const={"lnpi": -ONE})
     return tail.exp()
-
-
-def one_point_series_by_ratio(K: int) -> SeriesInvX:
-    """The same series recovered without any Stirling machinery.
-
-    The exact ratio R(g) = C(3g+1)/C(3g-2) = (6g+3)(6g+1)(6g-1) /
-    (54 (g+1) 2g (2g-1)) forces s(1/(g+1)) = s(1/g) R(g); matching
-    coefficients with s(0) = 1 determines every s_j.  Serves as an
-    independent oracle for one_point_series.
-    """
-    Kp = K + 1
-    num = SeriesInvX([Q(216), Q(108), Q(-6), Q(-3)], Kp)
-    den = SeriesInvX([Q(216), Q(108), Q(-108)], Kp)
-    R = num / den
-    inner = SeriesInvX([ZERO] + [(-ONE) ** j for j in range(Kp)], Kp)  # x/(1+x)
-    s = [ONE] + [ZERO] * K
-    for J in range(1, K + 1):
-        ser = SeriesInvX(s, Kp)
-        resid = ser.compose(inner) - ser * R
-        s[J] = resid.coeffs[J + 1] / J
-    return SeriesInvX(s, K)
 
 
 def largest_series(K: int) -> SeriesInvX:

@@ -28,7 +28,6 @@ from .dvv import (
     genus_of,
     intersection_number,
     u_value,
-    x_int,
     x_of,
 )
 from .exact import rat_str, to_decimal
@@ -54,10 +53,6 @@ def _parse_dvec(text: str) -> tuple:
 
 def _vec_str(d) -> str:
     return ",".join(map(str, d))
-
-
-def _dec(hp) -> Dict[str, object]:
-    return {"value": str(hp.value), "precision": hp.precision}
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +91,7 @@ def _cmd_table(args) -> Tuple[dict, bool]:
 
 
 def _cmd_sweep(args) -> Tuple[dict, bool]:
-    reports = harness.sweep_nesting(args.gmax, threads=args.threads)
+    reports = harness.sweep_nesting(args.gmax)
     rows = []
     ok = True
     for r in reports:
@@ -239,23 +234,12 @@ def _cmd_bounds(args) -> Tuple[dict, bool]:
     return payload, ok6 and ok7
 
 
-def _cmd_cache(args) -> Tuple[dict, bool]:
-    cache = default_cache()
-    if args.action == "save":
-        cache_save(cache, args.path)
-        return {"action": "save", "path": args.path, "entries": len(cache)}, True
-    loaded = cache_load(args.path)
-    cache.table.update(loaded.table)
-    cache.note_x(loaded.max_x)
-    return {"action": "load", "path": args.path, "entries": len(loaded)}, True
-
-
 # ----------------------------------------------------------------------
 # Parser and output plumbing.
 # ----------------------------------------------------------------------
 
 
-_GLOBAL_DEFAULTS = {"threads": 1, "cache": None, "format": "json", "out": None}
+_GLOBAL_DEFAULTS = {"cache": None, "format": "json", "out": None}
 
 
 def _global_flags() -> argparse.ArgumentParser:
@@ -264,7 +248,6 @@ def _global_flags() -> argparse.ArgumentParser:
     # in after parsing) or a subparser would clobber a value already parsed
     # from before the subcommand.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS, help="worker threads for sweeps (results are identical for any value)")
     common.add_argument("--cache", metavar="PATH", default=argparse.SUPPRESS, help="memo file: loaded before the command if present, saved after")
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
     common.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS, help="write output here instead of stdout")
@@ -331,11 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gmax", type=int, default=200, help="cap on X for the envelope sweep")
     p.set_defaults(fn=_cmd_bounds)
 
-    p = add("cache", help="save or load the memo table")
-    p.add_argument("action", choices=("save", "load"))
-    p.add_argument("path")
-    p.set_defaults(fn=_cmd_cache)
-
     return parser
 
 
@@ -373,17 +351,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name, default in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, name):
             setattr(args, name, default)
-    if args.cache and os.path.exists(args.cache) and args.command != "cache":
-        loaded = cache_load(args.cache)
-        default_cache().table.update(loaded.table)
-        default_cache().note_x(loaded.max_x)
     try:
+        if args.cache and os.path.exists(args.cache):
+            default_cache().table.update(cache_load(args.cache).table)
         payload, ok = args.fn(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args)
-    if args.cache and args.command != "cache":
+    if args.cache:
         cache_save(default_cache(), args.cache)
     return 0 if ok else 1
 

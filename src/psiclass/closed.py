@@ -33,9 +33,9 @@ the work depends on the ordering.
 
 from __future__ import annotations
 
-from itertools import permutations, product as _iproduct
-from math import comb, factorial
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from itertools import permutations
+from math import factorial
+from typing import Dict, Sequence, Tuple
 
 from .exact import (
     ONE,
@@ -420,41 +420,6 @@ def n_point(d: Sequence[int]):
     total = ZERO
     perms = _perm_data(n)
     for ks, tr in traces.items():
-        w = 0
-        for sigma, sign, mask in perms:
-            om = _omega(ds, sigma, mask, ks)
-            if om:
-                w += sign * om
-        if w:
-            total += w * tr
-    return total * _c_prefactor(g, n)
-
-
-def n_point_reference(d: Sequence[int]):
-    """Unpruned n_point over the full window k_i in [-1, sum d + n].
-
-    Exponentially slower; exists so tests can confirm that the pruned
-    enumeration drops only zero-weight terms.
-    """
-    n = len(d)
-    ds = tuple(sorted(d))
-    s = sum(ds)
-    if (s - n) % 3:
-        return ZERO
-    g = 1 + (s - n) // 3
-    if g < 0:
-        return ZERO
-    total = ZERO
-    perms = _perm_data(n)
-    window = range(-1, s + n + 1)
-    for head in _iproduct(window, repeat=n - 1):
-        kn = s - sum(head)
-        if kn < -1 or kn > s + n:
-            continue
-        ks = head + (kn,)
-        tr = trace_product(ks)
-        if not tr:
-            continue
         w = 0
         for sigma, sign, mask in perms:
             om = _omega(ds, sigma, mask, ks)

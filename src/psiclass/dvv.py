@@ -23,22 +23,24 @@ whose genus is not a non-negative integer have C = 0.
 The pivot is chosen for speed: 1-entries are removed up front (the dilaton
 specialization C(1, d) = C(d) is built into the canonical key), a 0-entry is
 pivoted when present (the string specialization, which has no quadratic sum),
-and otherwise the maximal entry is used.  Any pivot yields the same value;
-``c_value_with_pivot`` exposes the raw single-step expansion for tests.
+and otherwise the maximal entry is used.  Any pivot yields the same value.
 
 Subset splits are enumerated per distinct sub-multiset with binomial
 multiplicities rather than over raw index subsets, which is the same sum
 term-for-term but exponentially cheaper on vectors with many repeats.
+``multiset_splits`` is that enumerator; the identity checks in ``harness``
+iterate it too.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from itertools import product as _iproduct
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
-from .exact import ONE, Q, ZERO, odd_double_factorial, parse_rat, rat_str
+from .exact import Q, ZERO, odd_double_factorial, parse_rat, rat_str
 
 DVec = Sequence[int]
 
@@ -79,37 +81,16 @@ def canonical_tuple(d: DVec) -> tuple:
     return t
 
 
-def canonical_key(d: DVec) -> bytes:
-    """Compact byte encoding (CSV) of the canonical tuple; round-trips."""
-    return ",".join(map(str, canonical_tuple(d))).encode("ascii")
-
-
-def key_to_dvec(key: bytes) -> tuple:
-    """Inverse of canonical_key."""
-    return tuple(int(part) for part in key.decode("ascii").split(","))
-
-
 class MemoCache:
-    """Table from canonical tuples to exact C-values.
-
-    ``x_threshold``, when set, skips storing values with X(d) below it;
-    a deep sweep is dominated by a sea of tiny entries that are cheaper to
-    recompute than to keep resident.
-    """
+    """Table from canonical tuples to exact C-values."""
 
     VERSION_LINE = "dvvcache v1"
 
-    def __init__(self, x_threshold: Optional[int] = None):
+    def __init__(self):
         self.table: dict = {}
-        self.x_threshold = x_threshold
-        self.max_x = 0
 
     def __len__(self) -> int:
         return len(self.table)
-
-    def note_x(self, x: int) -> None:
-        if x > self.max_x:
-            self.max_x = x
 
 
 _DEFAULT_CACHE = MemoCache()
@@ -121,18 +102,30 @@ def default_cache() -> MemoCache:
 
 
 def cache_save(cache: MemoCache, destination) -> None:
-    """Write the cache as text: header line, then ``d_csv = p/q`` per entry."""
-    own = isinstance(destination, (str, bytes))
-    fh = open(destination, "w", encoding="utf-8") if own else destination
+    """Write the cache as text: header line, then ``d_csv = p/q`` per entry.
+
+    A path destination is replaced atomically: the table goes to a temporary
+    file in the same directory, which is renamed over the target only once
+    it is complete, so a failed save leaves the previous file as it was.
+    """
+    if not isinstance(destination, (str, bytes)):
+        _write_table(cache, destination)
+        return
+    path = os.fsdecode(destination)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        fh.write(MemoCache.VERSION_LINE + "\n")
-        for key in sorted(cache.table):
-            fh.write(
-                ",".join(map(str, key)) + " = " + rat_str(cache.table[key]) + "\n"
-            )
+        with open(tmp, "w", encoding="utf-8") as fh:
+            _write_table(cache, fh)
+        os.replace(tmp, path)
     finally:
-        if own:
-            fh.close()
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_table(cache: MemoCache, fh) -> None:
+    fh.write(MemoCache.VERSION_LINE + "\n")
+    for key in sorted(cache.table):
+        fh.write(",".join(map(str, key)) + " = " + rat_str(cache.table[key]) + "\n")
 
 
 def cache_load(source) -> MemoCache:
@@ -164,13 +157,51 @@ def cache_load(source) -> MemoCache:
             if key in cache.table:
                 raise ValueError(f"line {lineno}: duplicate key {key_s!r}")
             cache.table[key] = value
-            x = x_int(key)
-            if x is not None:
-                cache.note_x(x)
         return cache
     finally:
         if own:
             fh.close()
+
+
+def to_multiplicities(t: DVec) -> Tuple[tuple, tuple]:
+    """The distinct values of ``t`` in increasing order, and their counts."""
+    counts: dict = {}
+    for v in t:
+        counts[v] = counts.get(v, 0) + 1
+    vals = tuple(sorted(counts))
+    return vals, tuple(counts[v] for v in vals)
+
+
+def from_multiplicities(vals: Sequence[int], mults: Sequence[int]) -> tuple:
+    """Inverse of to_multiplicities: each value repeated by its count."""
+    return tuple(v for v, m in zip(vals, mults) for _ in range(m))
+
+
+def multiset_splits(mults: Sequence[int], groups: int = 2) -> Iterator[tuple]:
+    """Every ordered split of a multiset into ``groups`` labelled parts.
+
+    The multiset is given by its multiplicity vector: ``mults[i]`` copies of
+    the i-th distinct value.  Yields ``(parts, ways)``: ``parts`` holds one
+    multiplicity vector per group, summing entrywise to ``mults``, and
+
+        ways = prod_i mults[i]! / (parts[0][i]! ... parts[groups-1][i]!)
+
+    counts the index-subset splits that this multiset split stands for, so
+    the ``ways`` over all splits sum to groups ** sum(mults).
+    """
+    if groups < 1:
+        raise ValueError("multiset_splits needs groups >= 1")
+    if groups == 1:
+        yield (tuple(mults),), 1
+        return
+    comb = math.comb
+    for takes in _iproduct(*(range(m + 1) for m in mults)):
+        ways = 1
+        for m, tk in zip(mults, takes):
+            ways *= comb(m, tk)
+        remaining = tuple(m - tk for m, tk in zip(mults, takes))
+        for parts, more in multiset_splits(remaining, groups - 1):
+            yield (takes,) + parts, ways * more
 
 
 def _expand(t: tuple, pivot_pos: int, cache: MemoCache):
@@ -183,13 +214,11 @@ def _expand(t: tuple, pivot_pos: int, cache: MemoCache):
     p = t[pivot_pos]
     rest = t[:pivot_pos] + t[pivot_pos + 1 :]
     den_lin = 3 * (X - 1)
+    vals, mults = to_multiplicities(rest)
 
     # Linear (merge) terms, grouped by distinct value in rest.
     lin_acc = ZERO
-    counts: dict = {}
-    for v in rest:
-        counts[v] = counts.get(v, 0) + 1
-    for v, m in counts.items():
+    for v, m in zip(vals, mults):
         merged = v + p - 1
         if merged < 0:
             continue  # only possible when p = 0, v = 0: that term vanishes
@@ -203,13 +232,16 @@ def _expand(t: tuple, pivot_pos: int, cache: MemoCache):
     if p < 2:
         return total
 
-    # Quadratic terms: ordered pairs (a, b) with a + b = p - 2.
-    vals = sorted(counts)
-    mults = [counts[v] for v in vals]
+    # The splits of rest do not depend on (a, b): enumerate them once, each
+    # with the 3X-weight of its left part, which fixes X of the left child.
     weights3 = [2 * v + 1 for v in vals]
-    fact_x1 = math.factorial  # local alias
+    splits = [
+        (sum(tk * w for tk, w in zip(left, weights3)), ways, left, right)
+        for (left, right), ways in multiset_splits(mults)
+    ]
     comb = math.comb
     quad_acc = ZERO
+    # Quadratic terms: ordered pairs (a, b) with a + b = p - 2.
     for a in range(p - 1):
         b = p - 2 - a
         # Connected term.
@@ -217,30 +249,18 @@ def _expand(t: tuple, pivot_pos: int, cache: MemoCache):
         if cv:
             quad_acc += 2 * cv / den_lin
         # Separable terms over ordered sub-multiset splits of rest.
-        for takes in _iproduct(*(range(m + 1) for m in mults)):
-            s3 = 2 * a + 1
-            ways = 1
-            for tk, m, w in zip(takes, mults, weights3):
-                s3 += tk * w
-                ways *= comb(m, tk)
+        for w3, ways, left, right in splits:
+            s3 = 2 * a + 1 + w3
             if s3 % 3:
                 continue
             x1 = s3 // 3
             x2 = X - 1 - x1
             if x2 < 1:
                 continue
-            left = (a,) + tuple(
-                v for v, tk in zip(vals, takes) for _ in range(tk)
-            )
-            c_left = c_value(left, cache)
+            c_left = c_value((a,) + from_multiplicities(vals, left), cache)
             if not c_left:
                 continue
-            right = (b,) + tuple(
-                v
-                for v, tk, m in zip(vals, takes, mults)
-                for _ in range(m - tk)
-            )
-            c_right = c_value(right, cache)
+            c_right = c_value((b,) + from_multiplicities(vals, right), cache)
             if not c_right:
                 continue
             quad_acc += (
@@ -272,7 +292,6 @@ def c_value(d: DVec, cache: Optional[MemoCache] = None):
     assert X is not None
     if X < 1:
         return ZERO
-    cache.note_x(X)
     # The recursion descends roughly one unit of sum(d) + len(d) per frame,
     # so a single large entry (or very many entries) can outrun the default
     # interpreter limit.  Only ever raise it, never lower.
@@ -283,29 +302,8 @@ def c_value(d: DVec, cache: Optional[MemoCache] = None):
     # else the maximal entry.  t is sorted ascending.
     pivot_pos = 0 if t[0] == 0 else len(t) - 1
     value = _expand(t, pivot_pos, cache)
-    if cache.x_threshold is None or X >= cache.x_threshold:
-        cache.table[t] = value
+    cache.table[t] = value
     return value
-
-
-def c_value_with_pivot(d: DVec, pivot_pos: int, cache: Optional[MemoCache] = None):
-    """Debug entry point: expand C(d) once at ``d[pivot_pos]``, as given.
-
-    No sorting or dilaton stripping is applied to ``d`` itself, so the pivot
-    index is meaningful; recursive sub-values go through c_value.  Exists to
-    let tests check that every pivot choice yields the same value.
-    """
-    if cache is None:
-        cache = _DEFAULT_CACHE
-    t = tuple(d)
-    g = genus_of(t)
-    if g is None:
-        return ZERO
-    X = x_int(t)
-    if X is not None and X < 2:
-        # X = 1 vectors are the base cases and admit no expansion (X - 1 = 0).
-        return c_value(t, cache)
-    return _expand(t, pivot_pos, cache)
 
 
 def intersection_number(d: DVec, cache: Optional[MemoCache] = None):

@@ -28,7 +28,7 @@ if os.environ.get("PSICLASS_NOGMPY"):
 else:
     try:
         from gmpy2 import mpq as Q  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+    except ImportError:  # gmpy2 is the optional "gmpy" extra
         Q = Fraction
 
 Rational = Union[Fraction, int]  # any exact rational-like value, incl. Q
@@ -124,16 +124,6 @@ def reciprocal_factorial(n: int):
     if n < 0:
         return ZERO
     return Q(1, math.factorial(n))
-
-
-def pochhammer(a, b: int):
-    """Rising factorial a(a+1)...(a+b-1); empty product 1 for b = 0."""
-    if b < 0:
-        raise ValueError("pochhammer length must be >= 0")
-    out = ONE
-    for i in range(b):
-        out *= a + i
-    return out
 
 
 _BERNOULLI: list = [ONE, Q(-1, 2)]

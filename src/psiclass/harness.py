@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from math import comb, factorial
+from math import factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .closed import (
@@ -24,7 +24,16 @@ from .closed import (
     two_point_bdy,
     two_point_zograf,
 )
-from .dvv import MemoCache, c_value, canonical_tuple, genus_of, x_int
+from .dvv import (
+    MemoCache,
+    c_value,
+    canonical_tuple,
+    from_multiplicities,
+    genus_of,
+    multiset_splits,
+    to_multiplicities,
+    x_int,
+)
 from .exact import HPDecimal, Q, ZERO, pi_value, to_decimal
 
 # ----------------------------------------------------------------------
@@ -134,7 +143,6 @@ def sweep_nesting(
     g_max: int,
     digits: int = 50,
     cache: Optional[MemoCache] = None,
-    threads: int = 1,
 ) -> List[SweepReport]:
     """For each genus 2..g_max, scan every primitive class and report the
     extremes, whether they sit at (3g-2) and (2,...,2), and the worst
@@ -150,9 +158,7 @@ def sweep_nesting(
     for g in range(2, g_max + 1):
         t0 = time.time()
         vectors = primitive_vectors(g)
-        values = _map_maybe_threads(
-            lambda d: c_value(d, cache), vectors, threads
-        )
+        values = [c_value(d, cache) for d in vectors]
         min_i = min(range(len(vectors)), key=lambda i: values[i])
         max_i = max(range(len(vectors)), key=lambda i: values[i])
         worst = Decimal(0)
@@ -185,17 +191,6 @@ def sweep_nesting(
             )
         )
     return reports
-
-
-def _map_maybe_threads(fn, items: Sequence, threads: int) -> List:
-    if threads <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    # Results are ordered, and every worker writes through the same memo
-    # cache; values are exact so the outcome is identical to serial runs.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def theta_sweep(X: int, n: int, cache: Optional[MemoCache] = None):
@@ -344,40 +339,12 @@ def _xpart(zeros: int, entries: Tuple[int, ...]) -> Optional[int]:
     return s // 3 if s % 3 == 0 else None
 
 
-def _ordered_splits(entries: Tuple[int, ...], groups: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    """All ordered set splittings of a multiset into ``groups`` labeled parts,
-    with the multiplicity of each distinct split (grouped enumeration)."""
-    distinct = sorted(set(entries))
-    mult = [entries.count(v) for v in distinct]
-
-    def rec(idx: int, remaining: List[int], built: List[List[int]], ways: int):
-        if idx == len(distinct):
-            yield tuple(tuple(b) for b in built), ways
-            return
-        m = remaining[idx]
-        v = distinct[idx]
-        for split in _compositions(m, groups):
-            w = ways
-            left = m
-            for c in split:
-                w *= comb(left, c)
-                left -= c
-            for gi, c in enumerate(split):
-                built[gi].extend([v] * c)
-            yield from rec(idx + 1, remaining, built, w)
-            for gi, c in enumerate(split):
-                del built[gi][len(built[gi]) - c :]
-
-    yield from rec(0, mult, [[] for _ in range(groups)], 1)
-
-
-def _compositions(m: int, k: int) -> Iterator[Tuple[int, ...]]:
-    if k == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _compositions(m - first, k - 1):
-            yield (first,) + rest
+def _splits(t: Tuple[int, ...], groups: int) -> Iterator[Tuple[tuple, int]]:
+    """Ordered splits of the entries of ``t`` into ``groups`` labelled parts,
+    one per distinct sub-multiset split, with its multiplicity."""
+    vals, mults = to_multiplicities(t)
+    for parts, ways in multiset_splits(mults, groups):
+        yield tuple(from_multiplicities(vals, part) for part in parts), ways
 
 
 def check_omega11_identity(d: Sequence[int], cache: Optional[MemoCache] = None) -> bool:
@@ -402,7 +369,7 @@ def check_omega11_identity(d: Sequence[int], cache: Optional[MemoCache] = None) 
 
     def quad(z1: int, z2: int, coeff):
         acc = ZERO
-        for (I, J), ways in _ordered_splits(t, 2):
+        for (I, J), ways in _splits(t, 2):
             x1 = _xpart(z1, I)
             x2 = _xpart(z2, J)
             if x1 is None or x2 is None or x1 < 1 or x2 < 1:
@@ -421,7 +388,7 @@ def check_omega11_identity(d: Sequence[int], cache: Optional[MemoCache] = None) 
     rhs += quad(3, 3, Q(3, 2))
     rhs += quad(2, 4, Q(6))
     cubic = ZERO
-    for (I, J, K), ways in _ordered_splits(t, 3):
+    for (I, J, K), ways in _splits(t, 3):
         xs = [_xpart(2, part) for part in (I, J, K)]
         if any(x is None or x < 1 for x in xs):
             continue
@@ -467,7 +434,7 @@ def check_lemma3(d: Sequence[int], cache: Optional[MemoCache] = None) -> bool:
     acc = ZERO
     for a in range(0, pivot - 1):
         b = pivot - 2 - a
-        for (I, J), ways in _ordered_splits(rest, 2):
+        for (I, J), ways in _splits(rest, 2):
             x1 = _xpart(0, (a,) + I)
             x2 = _xpart(0, (b,) + J)
             if x1 is None or x2 is None or x1 < 1 or x2 < 1:

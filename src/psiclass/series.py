@@ -185,21 +185,3 @@ class SeriesInvX:
                     acc -= k * out[k] * self.coeffs[m - k]
             out[m] = acc / m
         return SeriesInvX(out)
-
-
-def geometric(c, order: int) -> SeriesInvX:
-    """1/(1 - c u) = sum (c u)^j, handy as a composition building block."""
-    q = Q(c)
-    coeffs, cur = [], ONE
-    for _ in range(order + 1):
-        coeffs.append(cur)
-        cur *= q
-    return SeriesInvX(coeffs)
-
-
-def shift_reciprocal(c, order: int) -> SeriesInvX:
-    """The expansion of g/(g - c) in u = 1/g, i.e. 1/(1 - c u).
-
-    Multiply by u to get 1/(g - c) as a 1/g-series shifted one slot.
-    """
-    return geometric(c, order)

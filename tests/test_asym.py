@@ -29,7 +29,6 @@ from psiclass.asym import (
     mult_poly_eval,
     mult_poly_json,
     one_point_series,
-    one_point_series_by_ratio,
     pi_gamma_series,
     solve_linear_exact,
     table2_monomials,
@@ -37,6 +36,8 @@ from psiclass.asym import (
 )
 from psiclass.closed import one_point_c
 from psiclass.exact import ONE, Q, ZERO, pi_value, to_decimal
+
+from oracles import one_point_series_by_ratio
 
 # ----------------------------------------------------------------------
 # Series.

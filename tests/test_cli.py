@@ -9,6 +9,7 @@ import json
 import pytest
 
 from psiclass.cli import main
+from psiclass.dvv import MemoCache, c_value, cache_load
 
 
 def run(capsys, *argv):
@@ -161,28 +162,34 @@ def test_cache_save_and_load(tmp_path, capsys):
     code, out = run(capsys, "--cache", str(path), "compute", "2,2,5")
     assert code == 0
     assert path.exists()
-    code, out = run(capsys, "cache", "load", str(path))
+    loaded = cache_load(str(path))
+    assert len(loaded) > 0
+    assert loaded.table[(2, 2, 5)] == c_value((2, 2, 5), MemoCache())
+    # A warm run reads the file, prints the same value and rewrites it
+    # unchanged.
+    before = path.read_bytes()
+    code, again = run(capsys, "--cache", str(path), "compute", "2,2,5")
     assert code == 0
-    assert json.loads(out)["entries"] > 0
-    code, out = run(capsys, "cache", "save", str(tmp_path / "again.cache"))
-    assert code == 0
+    assert json.loads(again) == json.loads(out)
+    assert path.read_bytes() == before
 
 
 def test_cache_load_rejects_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.cache"
     path.write_text("not a cache\n")
-    code = main(["cache", "load", str(path)])
+    code = main(["--cache", str(path), "compute", "1"])
     assert code == 2
-    assert "line 1" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1:")
+    assert path.read_text() == "not a cache\n"
 
 
-def test_threads_flag_matches_serial(capsys):
-    code, serial = run(capsys, "sweep-nesting", "--gmax", "3")
-    assert code == 0
-    code, threaded = run(capsys, "--threads", "3", "sweep-nesting", "--gmax", "3")
-    assert code == 0
-    a, b = json.loads(serial), json.loads(threaded)
-    for ra, rb in zip(a["rows"], b["rows"]):
-        ra.pop("seconds")
-        rb.pop("seconds")
-    assert a == b
+@pytest.mark.parametrize(
+    "argv", [["--threads", "2", "compute", "1"], ["cache", "save", "x"]]
+)
+def test_removed_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err

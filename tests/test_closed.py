@@ -9,7 +9,6 @@ from psiclass.closed import (
     four_point,
     matrix_coeff,
     n_point,
-    n_point_reference,
     one_point_c,
     three_point,
     trace_product,
@@ -18,6 +17,8 @@ from psiclass.closed import (
 )
 from psiclass.dvv import c_value, gamma_norm, genus_of, intersection_number
 from psiclass.exact import ONE, Q, ZERO
+
+from oracles import n_point_reference
 
 
 def _multisets(n, total, lo=0):

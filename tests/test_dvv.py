@@ -11,22 +11,24 @@ import pytest
 from psiclass.dvv import (
     MemoCache,
     c_value,
-    c_value_with_pivot,
     cache_load,
     cache_save,
-    canonical_key,
     canonical_tuple,
     chat_value,
+    from_multiplicities,
     g_norm,
     gamma_norm,
     genus_of,
     intersection_number,
-    key_to_dvec,
+    multiset_splits,
+    to_multiplicities,
     u_value,
     x_int,
     x_of,
 )
 from psiclass.exact import ONE, Q, ZERO
+
+from oracles import c_value_with_pivot
 
 
 def test_base_cases():
@@ -54,8 +56,6 @@ def test_canonicalization():
     assert canonical_tuple((1,)) == (1,)  # n = 1 never stripped
     assert canonical_tuple((1, 1)) == (1,)
     assert canonical_tuple((4, 0, 2)) == (0, 2, 4)
-    key = canonical_key((3, 1, 2))
-    assert key_to_dvec(key) == (2, 3)
 
 
 def test_dilaton_and_string_consistency():
@@ -177,6 +177,53 @@ def test_cache_load_error_lines():
         cache_load(io.StringIO(good + "2,3 = 1015/3888\n2,3 = 1015/3888\n"))
     with pytest.raises(ValueError, match="line 2"):
         cache_load(io.StringIO(good + "2,3 = 2/4\n"))
+
+
+def test_cache_save_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "memo.cache"
+    cache = MemoCache()
+    c_value((2, 2, 5), cache)
+    cache_save(cache, str(path))
+    before = path.read_bytes()
+    # A different table whose unserializable value sits under the largest
+    # key: the save fails only after its other entries have been written.
+    broken = MemoCache()
+    broken.table[(2, 3)] = c_value((2, 3))
+    broken.table[(99,)] = object()
+    with pytest.raises(AttributeError):
+        cache_save(broken, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["memo.cache"]
+
+
+def test_multiset_splits():
+    """For k = 2, 3: the ways sum to k**n, the parts of every split put
+    back together give the input, and each split's ways equals the number
+    of the k**n labelings of the indices that produce it."""
+    from collections import Counter
+    from itertools import product
+
+    inputs = [(), (3,), (2, 2, 2), (0, 0, 3, 5, 5), (2, 2, 3, 3, 3, 4), (1,) * 4 + (6,)]
+    for entries in inputs:
+        vals, mults = to_multiplicities(entries)
+        assert from_multiplicities(vals, mults) == tuple(sorted(entries))
+        for k in (2, 3):
+            splits = dict(multiset_splits(mults, k))
+            assert sum(splits.values()) == k ** len(entries)
+            for parts in splits:
+                joined = [v for part in parts for v in from_multiplicities(vals, part)]
+                assert sorted(joined) == sorted(entries)
+            brute = Counter(
+                tuple(
+                    tuple(
+                        sum(1 for v, lab in zip(entries, labels) if (v, lab) == (val, j))
+                        for val in vals
+                    )
+                    for j in range(k)
+                )
+                for labels in product(range(k), repeat=len(entries))
+            )
+            assert splits == dict(brute), (entries, k)
 
 
 def test_recursion_limit_bump():

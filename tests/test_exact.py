@@ -19,7 +19,6 @@ from psiclass.exact import (
     parse_rat,
     pi_interval,
     pi_value,
-    pochhammer,
     rat_str,
     reciprocal_factorial,
     to_decimal,
@@ -58,10 +57,8 @@ def test_odd_double_factorial():
         odd_double_factorial(4)
 
 
-def test_reciprocal_factorial_and_pochhammer():
+def test_reciprocal_factorial():
     assert reciprocal_factorial(5) == Q(1, 120)
-    assert pochhammer(Q(1, 2), 3) == Q(1, 2) * Q(3, 2) * Q(5, 2)
-    assert pochhammer(Q(3), 0) == ONE
 
 
 def test_bernoulli_table():

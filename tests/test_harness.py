@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from psiclass.dvv import MemoCache, c_value, x_int
+from psiclass.dvv import c_value, x_int
 from psiclass.exact import Q
 from psiclass.harness import (
     check_c4_inequalities,
@@ -76,15 +76,6 @@ def test_sweep_nesting_small():
     assert r3.min_value == Q(25025, 93312)
     assert r3.max_value == Q(546875, 1889568)
     assert r3.max_scaled_deviation.precision == 50
-
-
-def test_sweep_threads_identical():
-    serial = sweep_nesting(3, threads=1, cache=MemoCache())
-    threaded = sweep_nesting(3, threads=4, cache=MemoCache())
-    for a, b in zip(serial, threaded):
-        assert a.min_value == b.min_value
-        assert a.max_value == b.max_value
-        assert a.max_scaled_deviation.value == b.max_scaled_deviation.value
 
 
 def test_theta_values_and_feasibility():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from psiclass.exact import ONE, Q, ZERO
-from psiclass.series import SeriesInvX, geometric, shift_reciprocal
+from psiclass.series import SeriesInvX
 
 
 def _rand_series(rng: random.Random, order: int, unit: bool = False) -> SeriesInvX:
@@ -41,15 +41,6 @@ def test_inverse_and_division():
         assert (t / s) * s == t
     with pytest.raises(ValueError):
         SeriesInvX([ZERO, ONE]).inverse()
-
-
-def test_geometric_helper():
-    # 1/(1 - c/x) = sum c^j / x^j
-    g = geometric(Q(2), 5)
-    assert g.coeffs == (ONE, Q(2), Q(4), Q(8), Q(16), Q(32))
-    s = shift_reciprocal(Q(3), 4)
-    # x/(x - 3) = 1/(1 - 3/x), so (1 - 3/x) * s = 1
-    assert s * SeriesInvX([ONE, Q(-3)], order=4) == SeriesInvX.one(4)
 
 
 def test_exp_log_inverse_pair():
