@@ -355,12 +355,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.cache and os.path.exists(args.cache):
             default_cache().table.update(cache_load(args.cache).table)
         payload, ok = args.fn(args)
-    except (ValueError, ArithmeticError) as exc:
+        _emit(payload, args)
+        if args.cache:
+            cache_save(default_cache(), args.cache)
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args)
-    if args.cache:
-        cache_save(default_cache(), args.cache)
     return 0 if ok else 1
 
 

@@ -1,52 +1,73 @@
-"""The recursion engine for normalized psi-class intersection numbers.
+"""The recursion engine for psi-class intersection numbers.
 
-The central object is ``C(d)``, a normalization of the intersection number
-of psi-classes with exponent vector ``d = (d_1, ..., d_n)``:
+Write ``I(d)`` for the integral of psi_1^{d_1}...psi_n^{d_n} over the moduli
+space of genus-g stable curves with n markings, where
 
-    C(d) = 2^(2g) * prod_j (2 d_j + 1)!! / (3^(2g-2+n) * (2g-3+n)!) * I(d)
+    g = g(d) = 1 + (|d| - n)/3,    X = X(d) = (1/3) sum (2 d_j + 1) = 2g - 2 + n.
 
-where ``I(d)`` is the integral of psi_1^{d_1}...psi_n^{d_n} over the moduli
-space of genus-g stable curves with n markings, ``g = g(d) = 1 + (|d|-n)/3``.
-``C`` stays O(1) in magnitude at large genus, which keeps the recursion's
-intermediate values small.  Values are computed by the Dijkgraaf-Verlinde-
-Verlinde (DVV) recursion written in C-form: expanding on a pivot entry d_1,
+Vectors whose genus is not a non-negative integer have I = 0.  Two
+normalizations of ``I`` meet in this module.
 
-    C(d) = sum_{j>=2} (2 d_j + 1) / (3(X-1)) * C(..., d_j + d_1 - 1, ...)
-         + sum_{a+b=d_1-2} [ 2/(3(X-1)) * C(a, b, rest)
-              + sum_{I disjoint-union J = rest}
-                (X(a,d_I)-1)! (X(b,d_J)-1)! / (6 (X-1)!) * C(a,d_I) C(b,d_J) ]
+The public face is ``C(d)``, which stays O(1) in magnitude at large genus:
 
-with X = X(d) = (1/3) sum (2 d_j + 1) = 2g - 2 + n, ordered pairs (a, b),
-ordered subset splits, and base cases C(0,0,0) = 1/3, C(1) = 1/6.  Vectors
-whose genus is not a non-negative integer have C = 0.
+    C(d) = 2^(2g) prod_j (2 d_j + 1)!! / (3^X (X-1)!) * I(d).
 
-The pivot is chosen for speed: 1-entries are removed up front (the dilaton
-specialization C(1, d) = C(d) is built into the canonical key), a 0-entry is
-pivoted when present (the string specialization, which has no quadratic sum),
-and otherwise the maximal entry is used.  Any pivot yields the same value.
+The engine recurses on the integer normalization of Liu and Xu ("The n-point
+functions for intersection numbers on moduli spaces of curves"),
+
+    N(d) = 24^g g! prod_j (2 d_j + 1)!! I(d) = 6^g g! 3^X (X-1)! C(d),
+
+on which the Dijkgraaf-Verlinde-Verlinde (DVV) recursion has integer
+coefficients, so no rational is built on the way.  Expanding on a pivot
+entry p = d_1, with rest = (d_2, ..., d_n):
+
+    N(d) = sum_{j>=2} (2 d_j + 1) N(rest with d_j replaced by d_j + p - 1)
+         + sum_{a+b=p-2} [ 12 g N(a, b, rest)
+              + 1/2 sum_{I disjoint-union J = rest}
+                    binom(g, g(a, d_I)) N(a, d_I) N(b, d_J) ]
+
+over ordered pairs (a, b) and ordered subset splits.  The separable sum is
+even, being symmetric under swapping (a, I) with (b, J); the division is
+checked to be exact.  The base cases are N(0,0,0) = 1 and N(1) = 3, and the
+dilaton equation reads N(1, d) = 3 X(d) N(d).
+
+The memo holds N on canonical keys: sorted, with 1-entries stripped (see
+``canonical_tuple``); each stripped 1 is put back by one dilaton factor.  C
+leaves the module only through ``c_value``, which divides N by
+6^g g! 3^X (X-1)! once, at the boundary; ``intersection_number`` and
+``u_value`` divide N by their own scales in the same way.
+
+The pivot is chosen for speed: a 0-entry when present (the string equation,
+which has no quadratic sum), else the maximal entry.  Any pivot yields the
+same value.
 
 Subset splits are enumerated per distinct sub-multiset with binomial
 multiplicities rather than over raw index subsets, which is the same sum
 term-for-term but exponentially cheaper on vectors with many repeats.
 ``multiset_splits`` is that enumerator; the identity checks in ``harness``
-iterate it too.
+iterate it too.  An expansion enumerates the splits of ``rest`` once and
+buckets them by the residue mod 3 of their left part's 3X-weight, so each
+``a`` visits only the splits whose left child has an integral X.
+
+The memo file (format ``dvvcache v2``) is plain text: a header line with
+the entry count and the SHA-256 of the body, then one ``key = N`` line per
+entry in sorted key order, N in hexadecimal.  Files of the older C-valued v1 format are
+refused.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import re
 import sys
 from itertools import product as _iproduct
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .exact import Q, ZERO, odd_double_factorial, parse_rat, rat_str
+from .exact import Q, ZERO, odd_double_factorial
 
 DVec = Sequence[int]
-
-_C_ZERO_ZERO_ZERO = Q(1, 3)
-_C_ONE = Q(1, 6)
-
 
 def x_of(d: DVec):
     """X(d) = (1/3) sum (2 d_j + 1), as an exact rational (= 2g - 2 + n)."""
@@ -75,16 +96,31 @@ def canonical_tuple(d: DVec) -> tuple:
     so the base case (1,) maps to itself: (3,1,2) -> (2,3), (1,1) -> (1,).
     """
     t = tuple(sorted(d))
-    if len(t) >= 2 and t and t[-1] >= 1:
-        stripped = tuple(v for v in t if v != 1)
-        t = stripped if stripped else (1,)
+    if len(t) >= 2 and 1 in t:
+        i = t.index(1)
+        t = t[:i] + t[i + t.count(1) :] or (1,)
     return t
 
 
-class MemoCache:
-    """Table from canonical tuples to exact C-values."""
+@functools.lru_cache(maxsize=None)
+def _c_scale(g: int, X: int) -> int:
+    """N/C = 6^g g! 3^X (X-1)!, the factor crossed at the C boundary."""
+    return 6**g * math.factorial(g) * 3**X * math.factorial(X - 1)
 
-    VERSION_LINE = "dvvcache v1"
+
+# The base cases N(0,0,0) = 1 and N(1) = 3, the latter the image of
+# C(1) = 1/6, the base value as the C-form literature states it.
+_C_ONE = Q(1, 6)
+_N_ONE = _C_ONE * _c_scale(1, 1)
+if _N_ONE.denominator != 1:
+    raise ArithmeticError(f"N(1) = {_N_ONE} is not an integer")
+_N_BASE = {(0, 0, 0): 1, (1,): int(_N_ONE)}
+
+
+class MemoCache:
+    """Table from canonical tuples to the integers N."""
+
+    FORMAT = "dvvcache v2"
 
     def __init__(self):
         self.table: dict = {}
@@ -102,65 +138,118 @@ def default_cache() -> MemoCache:
 
 
 def cache_save(cache: MemoCache, destination) -> None:
-    """Write the cache as text: header line, then ``d_csv = p/q`` per entry.
+    """Write the cache as text: a header line, then ``d_csv = N`` per entry.
 
-    A path destination is replaced atomically: the table goes to a temporary
+    N is written in lower-case hexadecimal, which Python converts in linear
+    time and without the 4300-digit cap on decimal conversion (N(0^n, n+1)
+    has more than 4300 decimal digits from n = 1422 on).  The header is
+    ``dvvcache v2 entries=<count> sha256=<hex digest of the body>``.  The
+    whole text is built before anything is written, so a table holding
+    anything but positive integers raises TypeError and writes nothing.
+
+    A path destination is replaced atomically: the text goes to a temporary
     file in the same directory, which is renamed over the target only once
     it is complete, so a failed save leaves the previous file as it was.
     """
+    text = _table_text(cache)
     if not isinstance(destination, (str, bytes)):
-        _write_table(cache, destination)
+        destination.write(text)
         return
     path = os.fsdecode(destination)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            _write_table(cache, fh)
+            fh.write(text)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
-def _write_table(cache: MemoCache, fh) -> None:
-    fh.write(MemoCache.VERSION_LINE + "\n")
+def _table_text(cache: MemoCache) -> str:
+    lines = []
     for key in sorted(cache.table):
-        fh.write(",".join(map(str, key)) + " = " + rat_str(cache.table[key]) + "\n")
+        value = cache.table[key]
+        if type(value) is not int or value <= 0:
+            raise TypeError(
+                f"memo value for {key} is not a positive integer: {value!r}"
+            )
+        lines.append(f"{','.join(map(str, key))} = {value:x}\n")
+    body = "".join(lines)
+    return f"{MemoCache.FORMAT} entries={len(lines)} sha256={_sha256(body)}\n{body}"
+
+
+def _sha256(body: str) -> str:
+    # Imported on first use: hashlib loads OpenSSL, about 4 ms that every
+    # ``import psiclass`` would pay, while only memo files need it.
+    import hashlib
+
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+_HEADER = re.compile(r"dvvcache v2 entries=(\d+) sha256=([0-9a-f]{64})")
+_HEX = re.compile(r"[1-9a-f][0-9a-f]*")
 
 
 def cache_load(source) -> MemoCache:
-    """Load a cache file, validating version, key canonicity and reduced values.
+    """Load a ``dvvcache v2`` file, rejecting anything a save cannot write.
 
-    Errors carry 1-based line numbers.
+    Checked in order: the header (a v1 file is refused by name), the entry
+    count and the body hash it states, then per entry a canonical key of an
+    expandable geometric vector (X >= 2), a positive hexadecimal integer
+    value, and no duplicate key.  Errors are ValueErrors that start
+    ``line N:``, with the 1-based line number.
     """
     own = isinstance(source, (str, bytes))
     fh = open(source, "r", encoding="utf-8") if own else source
     try:
-        cache = MemoCache()
-        header = fh.readline().rstrip("\n")
-        if header != MemoCache.VERSION_LINE:
-            raise ValueError(f"line 1: bad version header {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            key_s, sep, val_s = line.partition(" = ")
-            if not sep:
-                raise ValueError(f"line {lineno}: malformed entry {line!r}")
-            try:
-                key = tuple(int(p) for p in key_s.split(","))
-                value = parse_rat(val_s)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if key != canonical_tuple(key):
-                raise ValueError(f"line {lineno}: non-canonical key {key_s!r}")
-            if key in cache.table:
-                raise ValueError(f"line {lineno}: duplicate key {key_s!r}")
-            cache.table[key] = value
-        return cache
+        text = fh.read()
     finally:
         if own:
             fh.close()
+    header, _, body = text.partition("\n")
+    if header.startswith("dvvcache v1"):
+        raise ValueError(
+            "line 1: a dvvcache v1 file, which holds C values; psiclass now"
+            " stores integer N values (dvvcache v2) and no longer reads v1"
+            " files: delete it and let the next run rebuild it"
+        )
+    head = _HEADER.fullmatch(header)
+    if head is None:
+        raise ValueError(f"line 1: bad version header {header[:80]!r}")
+    lines = body.split("\n")
+    if lines.pop() != "":
+        raise ValueError(f"line {len(lines) + 2}: the file does not end in a newline")
+    if len(lines) != int(head.group(1)):
+        raise ValueError(
+            f"line 1: the header counts {head.group(1)} entries,"
+            f" the body has {len(lines)}"
+        )
+    if _sha256(body) != head.group(2):
+        raise ValueError("line 1: the body does not match the header's SHA-256")
+    cache = MemoCache()
+    for lineno, line in enumerate(lines, start=2):
+        key_s, sep, val_s = line.partition(" = ")
+        try:
+            if not sep:
+                raise ValueError(f"malformed entry {line[:80]!r}")
+            key = tuple(int(p) for p in key_s.split(","))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if ",".join(map(str, canonical_tuple(key))) != key_s:
+            raise ValueError(f"line {lineno}: non-canonical key {key_s!r}")
+        if min(key) < 0 or genus_of(key) is None or x_int(key) < 2:
+            raise ValueError(
+                f"line {lineno}: key {key_s!r} is not a geometric vector with X >= 2"
+            )
+        if not _HEX.fullmatch(val_s):
+            raise ValueError(
+                f"line {lineno}: value {val_s[:80]!r} is not a positive hex integer"
+            )
+        if key in cache.table:
+            raise ValueError(f"line {lineno}: duplicate key {key_s!r}")
+        cache.table[key] = int(val_s, 16)
+    return cache
 
 
 def to_multiplicities(t: DVec) -> Tuple[tuple, tuple]:
@@ -204,94 +293,106 @@ def multiset_splits(mults: Sequence[int], groups: int = 2) -> Iterator[tuple]:
             yield (takes,) + parts, ways * more
 
 
-def _expand(t: tuple, pivot_pos: int, cache: MemoCache):
-    """One DVV expansion of C(t) at the entry with index ``pivot_pos``.
+def _expand(t: tuple, pivot_pos: int, cache: MemoCache) -> int:
+    """One DVV expansion of N(t) at the entry with index ``pivot_pos``.
 
-    ``t`` must be geometric with X(t) >= 2 (not a base case).
+    ``t`` must be geometric with X(t) >= 2 (not a base case); it need not
+    be sorted or free of 1-entries.
     """
     X = x_int(t)
-    assert X is not None and X >= 2
+    g = genus_of(t)
+    assert X is not None and X >= 2 and g is not None
     p = t[pivot_pos]
     rest = t[:pivot_pos] + t[pivot_pos + 1 :]
-    den_lin = 3 * (X - 1)
     vals, mults = to_multiplicities(rest)
 
     # Linear (merge) terms, grouped by distinct value in rest.
-    lin_acc = ZERO
+    total = 0
     for v, m in zip(vals, mults):
         merged = v + p - 1
         if merged < 0:
             continue  # only possible when p = 0, v = 0: that term vanishes
         idx = rest.index(v)
         child = rest[:idx] + (merged,) + rest[idx + 1 :]
-        cv = c_value(child, cache)
-        if cv:
-            lin_acc += (m * (2 * v + 1)) * cv
-    total = lin_acc / den_lin if lin_acc else ZERO
+        total += m * (2 * v + 1) * n_value(child, cache)
 
     if p < 2:
         return total
 
-    # The splits of rest do not depend on (a, b): enumerate them once, each
-    # with the 3X-weight of its left part, which fixes X of the left child.
+    # Quadratic terms: ordered pairs (a, b) with a + b = p - 2.  First the
+    # connected ones.
+    connected = 0
+    for a in range(p - 1):
+        connected += n_value(rest + (a, p - 2 - a), cache)
+    total += 12 * g * connected
+
+    # The splits of rest do not depend on (a, b): enumerate them once,
+    # bucketed by the residue of their left part's 3X-weight w3, which
+    # fixes X of the left child, X1 = (2a + 1 + w3) / 3.
     weights3 = [2 * v + 1 for v in vals]
-    splits = [
-        (sum(tk * w for tk, w in zip(left, weights3)), ways, left, right)
-        for (left, right), ways in multiset_splits(mults)
-    ]
+    by_residue: Tuple[list, list, list] = ([], [], [])
+    for (left, right), ways in multiset_splits(mults):
+        w3 = sum(tk * w for tk, w in zip(left, weights3))
+        left_t = from_multiplicities(vals, left)
+        right_t = from_multiplicities(vals, right)
+        by_residue[w3 % 3].append((w3, len(left_t), ways, left_t, right_t))
     comb = math.comb
-    quad_acc = ZERO
-    # Quadratic terms: ordered pairs (a, b) with a + b = p - 2.
+    separable = 0
     for a in range(p - 1):
         b = p - 2 - a
-        # Connected term.
-        cv = c_value(rest + (a, b), cache)
-        if cv:
-            quad_acc += 2 * cv / den_lin
-        # Separable terms over ordered sub-multiset splits of rest.
-        for w3, ways, left, right in splits:
-            s3 = 2 * a + 1 + w3
-            if s3 % 3:
+        for w3, n_left, ways, left, right in by_residue[-(2 * a + 1) % 3]:
+            x1 = (2 * a + 1 + w3) // 3
+            if x1 >= X - 1:
+                continue  # X2 = X - 1 - X1 < 1
+            # X1 = 2 g1 - 2 + (n_left + 1); the right child has genus g - g1.
+            g1 = (x1 - n_left + 1) // 2
+            if g1 < 0 or g1 > g:
                 continue
-            x1 = s3 // 3
-            x2 = X - 1 - x1
-            if x2 < 1:
-                continue
-            c_left = c_value((a,) + from_multiplicities(vals, left), cache)
-            if not c_left:
-                continue
-            c_right = c_value((b,) + from_multiplicities(vals, right), cache)
-            if not c_right:
-                continue
-            quad_acc += (
-                ways * c_left * c_right / (6 * x1 * x2 * comb(X - 1, x1))
+            separable += (
+                ways
+                * comb(g, g1)
+                * n_value((a,) + left, cache)
+                * n_value((b,) + right, cache)
             )
-    return total + quad_acc
+    half, odd = divmod(separable, 2)
+    if odd:
+        raise ArithmeticError(f"odd separable sum expanding {t} at {pivot_pos}")
+    return total + half
 
 
-def c_value(d: DVec, cache: Optional[MemoCache] = None):
-    """C(d), exactly; 0 when g(d) is not a non-negative integer.
+def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:
+    """N(d) = 24^g g! prod (2 d_j + 1)!! I(d), an integer; 0 off geometry.
 
-    >>> c_value((4,)) == Q(35, 144)
-    True
+    >>> n_value((4,)), n_value((1, 4))
+    (945, 8505)
     """
     if cache is None:
         cache = _DEFAULT_CACHE
     t = canonical_tuple(d)
-    g = genus_of(t)
-    if g is None:
-        return ZERO
-    if t == (0, 0, 0):
-        return _C_ZERO_ZERO_ZERO
-    if t == (1,):
-        return _C_ONE
-    hit = cache.table.get(t)
-    if hit is not None:
-        return hit
+    n = cache.table.get(t)
+    if n is None:
+        n = _n_canonical(t, cache)
+        if not n:
+            return 0
+    if len(d) > len(t):
+        # Dilaton: each stripped 1 multiplies by 3X of the vector it joins.
+        x = x_int(t)
+        for i in range(len(d) - len(t)):
+            n *= 3 * (x + i)
+    return n
+
+
+def _n_canonical(t: tuple, cache: MemoCache) -> int:
+    """N(t) for a canonical key that is not in the memo; stores it."""
+    if genus_of(t) is None:
+        return 0
+    base = _N_BASE.get(t)
+    if base is not None:
+        return base
     X = x_int(t)
     assert X is not None
     if X < 1:
-        return ZERO
+        return 0
     # The recursion descends roughly one unit of sum(d) + len(d) per frame,
     # so a single large entry (or very many entries) can outrun the default
     # interpreter limit.  Only ever raise it, never lower.
@@ -301,9 +402,22 @@ def c_value(d: DVec, cache: Optional[MemoCache] = None):
     # Pivot strategy: 0-entry if any (string step: no quadratic sum),
     # else the maximal entry.  t is sorted ascending.
     pivot_pos = 0 if t[0] == 0 else len(t) - 1
-    value = _expand(t, pivot_pos, cache)
-    cache.table[t] = value
-    return value
+    n = _expand(t, pivot_pos, cache)
+    cache.table[t] = n
+    return n
+
+
+def c_value(d: DVec, cache: Optional[MemoCache] = None):
+    """C(d), exactly; 0 when g(d) is not a non-negative integer.
+
+    >>> c_value((4,)) == Q(35, 144)
+    True
+    """
+    t = canonical_tuple(d)
+    n = n_value(t, cache)
+    if not n:
+        return ZERO
+    return Q(n, _c_scale(genus_of(t), x_int(t)))
 
 
 def intersection_number(d: DVec, cache: Optional[MemoCache] = None):
@@ -315,25 +429,22 @@ def intersection_number(d: DVec, cache: Optional[MemoCache] = None):
     g = genus_of(d)
     if g is None:
         return ZERO
-    c = c_value(d, cache)
-    if not c:
+    n = n_value(d, cache)
+    if not n:
         return ZERO
-    n = len(d)
-    num = c * Q(3, 1) ** (2 * g - 2 + n) * math.factorial(2 * g - 3 + n)
-    den = Q(4, 1) ** g
-    for dj in d:
-        den *= odd_double_factorial(2 * dj + 1)
-    return num / den
+    double_factorials = math.prod(math.prod(range(2 * dj + 1, 0, -2)) for dj in d)
+    return Q(n, 24**g * math.factorial(g) * double_factorials)
 
 
 def u_value(d: DVec, cache: Optional[MemoCache] = None):
     """prod (2 d_j + 1)!! times the intersection number."""
-    val = intersection_number(d, cache)
-    if not val:
+    g = genus_of(d)
+    if g is None:
         return ZERO
-    for dj in d:
-        val *= odd_double_factorial(2 * dj + 1)
-    return val
+    n = n_value(d, cache)
+    if not n:
+        return ZERO
+    return Q(n, 24**g * math.factorial(g))
 
 
 def g_norm(d: DVec, cache: Optional[MemoCache] = None):

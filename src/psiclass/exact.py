@@ -161,19 +161,6 @@ def rat_str(q) -> str:
     return f"{int(q.numerator)}/{int(q.denominator)}"
 
 
-def parse_rat(text: str):
-    """Parse "p/q" back to an exact rational, insisting on reduced form."""
-    num_s, sep, den_s = text.partition("/")
-    if not sep:
-        raise ValueError(f"expected p/q, got {text!r}")
-    num, den = int(num_s), int(den_s)
-    if den < 1:
-        raise ValueError(f"denominator must be positive in {text!r}")
-    if math.gcd(num, den) != 1:
-        raise ValueError(f"rational {text!r} is not in reduced form")
-    return Q(num, den)
-
-
 def exp_decimal(q, precision: int) -> HPDecimal:
     """exp(q) for exact rational q, to ``precision`` significant digits."""
     num, den = int(q.numerator), int(q.denominator)

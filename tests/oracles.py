@@ -15,6 +15,7 @@ from psiclass.closed import _c_prefactor, _omega, _perm_data, trace_product
 from psiclass.dvv import (
     DVec,
     MemoCache,
+    _c_scale,
     _expand,
     c_value,
     default_cache,
@@ -29,7 +30,8 @@ def c_value_with_pivot(d: DVec, pivot_pos: int, cache: Optional[MemoCache] = Non
     """Debug entry point: expand C(d) once at ``d[pivot_pos]``, as given.
 
     No sorting or dilaton stripping is applied to ``d`` itself, so the pivot
-    index is meaningful; recursive sub-values go through c_value.  Exists to
+    index is meaningful; recursive sub-values go through the memoized
+    engine, and the expansion's N is converted to C at the end.  Exists to
     let tests check that every pivot choice yields the same value.
     """
     if cache is None:
@@ -42,7 +44,7 @@ def c_value_with_pivot(d: DVec, pivot_pos: int, cache: Optional[MemoCache] = Non
     if X is not None and X < 2:
         # X = 1 vectors are the base cases and admit no expansion (X - 1 = 0).
         return c_value(t, cache)
-    return _expand(t, pivot_pos, cache)
+    return Q(_expand(t, pivot_pos, cache), _c_scale(g, X))
 
 
 def n_point_reference(d: Sequence[int]):

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from psiclass.cli import main
-from psiclass.dvv import MemoCache, c_value, cache_load
+from psiclass.dvv import MemoCache, cache_load, n_value
 
 
 def run(capsys, *argv):
@@ -164,7 +164,7 @@ def test_cache_save_and_load(tmp_path, capsys):
     assert path.exists()
     loaded = cache_load(str(path))
     assert len(loaded) > 0
-    assert loaded.table[(2, 2, 5)] == c_value((2, 2, 5), MemoCache())
+    assert loaded.table[(2, 2, 5)] == n_value((2, 2, 5), MemoCache())
     # A warm run reads the file, prints the same value and rewrites it
     # unchanged.
     before = path.read_bytes()
@@ -183,6 +183,29 @@ def test_cache_load_rejects_bad_file(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: line 1:")
     assert path.read_text() == "not a cache\n"
+
+
+def test_cache_load_refuses_v1_file(tmp_path, capsys):
+    path = tmp_path / "old.cache"
+    path.write_text("dvvcache v1\n2,3 = 1015/3888\n")
+    code = main(["--cache", str(path), "compute", "2,3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1: a dvvcache v1 file")
+    assert path.read_text() == "dvvcache v1\n2,3 = 1015/3888\n"
+
+
+@pytest.mark.parametrize("where", ["cache", "out"])
+def test_unusable_path_is_an_error(where, tmp_path, capsys):
+    if where == "cache":
+        argv = ["--cache", str(tmp_path), "compute", "1"]  # a directory
+    else:
+        argv = ["--out", str(tmp_path / "nodir" / "x.json"), "compute", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

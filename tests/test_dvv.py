@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import math
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psiclass.dvv import (
     MemoCache,
@@ -21,11 +25,13 @@ from psiclass.dvv import (
     genus_of,
     intersection_number,
     multiset_splits,
+    n_value,
     to_multiplicities,
     u_value,
     x_int,
     x_of,
 )
+from psiclass.closed import n_point
 from psiclass.exact import ONE, Q, ZERO
 
 from oracles import c_value_with_pivot
@@ -150,33 +156,61 @@ def test_x_helpers():
     assert x_int((2, 2, 3)) is None
 
 
+def _v2(body: str) -> str:
+    """A v2 memo text whose header states the right count and hash."""
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    count = body.count("\n")
+    return f"{MemoCache.FORMAT} entries={count} sha256={digest}\n{body}"
+
+
 def test_cache_round_trip():
     cache = MemoCache()
     c_value((2, 2, 5), cache)
     buf = io.StringIO()
     cache_save(cache, buf)
     text = buf.getvalue()
-    assert text.startswith(MemoCache.VERSION_LINE + "\n")
+    assert text.startswith(MemoCache.FORMAT + " entries=")
+    assert text == _v2(text.partition("\n")[2])
     loaded = cache_load(io.StringIO(text))
     assert loaded.table == cache.table
     # Bytes identical on resave, entries sorted.
     buf2 = io.StringIO()
     cache_save(loaded, buf2)
     assert buf2.getvalue() == text
+    # Values past the 4300-digit cap of decimal int/str conversion, as
+    # N(0^n, n+1) = (2n+3)!! is from n = 1422 on.
+    big = MemoCache()
+    big.table[(0,) * 1500 + (1501,)] = 10**5000 + 1
+    buf3 = io.StringIO()
+    cache_save(big, buf3)
+    assert cache_load(io.StringIO(buf3.getvalue())).table == big.table
 
 
 def test_cache_load_error_lines():
     with pytest.raises(ValueError, match="line 1"):
         cache_load(io.StringIO("wrong header\n"))
-    good = MemoCache.VERSION_LINE + "\n"
     with pytest.raises(ValueError, match="line 2"):
-        cache_load(io.StringIO(good + "garbage\n"))
+        cache_load(io.StringIO(_v2("garbage\n")))
     with pytest.raises(ValueError, match="line 2: non-canonical"):
-        cache_load(io.StringIO(good + "3,2 = 1/2\n"))
+        cache_load(io.StringIO(_v2("3,2 = 23af\n")))
     with pytest.raises(ValueError, match="line 3: duplicate"):
-        cache_load(io.StringIO(good + "2,3 = 1015/3888\n2,3 = 1015/3888\n"))
-    with pytest.raises(ValueError, match="line 2"):
-        cache_load(io.StringIO(good + "2,3 = 2/4\n"))
+        cache_load(io.StringIO(_v2("2,3 = 23af\n2,3 = 23af\n")))
+    with pytest.raises(ValueError, match="line 2: value '2/4' is not a positive hex"):
+        cache_load(io.StringIO(_v2("2,3 = 2/4\n")))
+
+
+def test_cache_load_checks_header_count_and_hash():
+    good = _v2("2,3 = 23af\n4 = 3b1\n")
+    assert cache_load(io.StringIO(good)).table == {(2, 3): 9135, (4,): 945}
+    with pytest.raises(ValueError, match="line 1: a dvvcache v1 file"):
+        cache_load(io.StringIO("dvvcache v1\n2,3 = 1015/3888\n"))
+    header, _, body = good.partition("\n")
+    with pytest.raises(ValueError, match="line 1: the header counts 3 entries"):
+        cache_load(io.StringIO(header.replace("entries=2", "entries=3") + "\n" + body))
+    with pytest.raises(ValueError, match="line 1: the body does not match"):
+        cache_load(io.StringIO(header + "\n" + body.replace("3b1", "3b2")))
+    with pytest.raises(ValueError, match="line 2: key '0,0,0' is not a geometric"):
+        cache_load(io.StringIO(_v2("0,0,0 = 1\n")))
 
 
 def test_cache_save_failure_keeps_previous_file(tmp_path):
@@ -186,11 +220,11 @@ def test_cache_save_failure_keeps_previous_file(tmp_path):
     cache_save(cache, str(path))
     before = path.read_bytes()
     # A different table whose unserializable value sits under the largest
-    # key: the save fails only after its other entries have been written.
+    # key, after an entry that would serialize.
     broken = MemoCache()
-    broken.table[(2, 3)] = c_value((2, 3))
+    broken.table[(2, 3)] = n_value((2, 3))
     broken.table[(99,)] = object()
-    with pytest.raises(AttributeError):
+    with pytest.raises(TypeError):
         cache_save(broken, str(path))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["memo.cache"]
@@ -238,3 +272,75 @@ def test_deep_vector_value_agrees_with_shallow_cache():
     # A fresh cache and the default cache must agree.
     d = (2, 2, 2, 3, 3)
     assert c_value(d, MemoCache()) == c_value(d)
+
+
+# ----------------------------------------------------------------------
+# Properties over random geometric vectors: g <= 5, n <= 5, entries that
+# include 0 and 1.  Derandomized, so every run draws the same examples.
+# ----------------------------------------------------------------------
+
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+@st.composite
+def geometric_vectors(draw, gmax=5, nmax=5):
+    """A random ordering of a random composition of 3g - 3 + n into n parts."""
+    g = draw(st.integers(0, gmax))
+    n = draw(st.integers(3 if g == 0 else 1, nmax))
+    total = 3 * g - 3 + n
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    parts = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+    return tuple(draw(st.permutations(parts)))
+
+
+@_PROPERTY
+@given(geometric_vectors())
+def test_property_n_is_a_positive_integer(d):
+    n = n_value(d)
+    assert type(n) is int and n > 0
+    g, n_marks = genus_of(d), len(d)
+    X = 2 * g - 2 + n_marks
+    scale = 6**g * math.factorial(g) * 3**X * math.factorial(X - 1)
+    assert c_value(d) == Q(n, scale)
+    # One more entry moves |d| - n off the multiples of 3.
+    assert n_value(d + (0,)) == 0 and c_value(d + (2,)) == ZERO
+
+
+@_PROPERTY
+@given(geometric_vectors())
+def test_property_engine_matches_closed_n_point(d):
+    assert c_value(d) == n_point(d)
+
+
+@_PROPERTY
+@given(geometric_vectors())
+def test_property_dilaton_and_string(d):
+    # Dilaton: N(1, d) = 3 X(d) N(d), also when the recursion itself
+    # expands at the 1 instead of stripping it.
+    assert n_value((1,) + d) == 3 * x_int(d) * n_value(d)
+    assert c_value_with_pivot((1,) + d, 0) == c_value(d)
+    # String: the engine pivots at a 0 when d has one; expanding at the
+    # largest entry must agree, and so must the string equation
+    # <tau_0 tau_d'> = sum_j <tau_{d'_j - 1} ...> on the intersection numbers.
+    if 0 in d and x_int(d) >= 2:
+        assert c_value_with_pivot(d, d.index(max(d))) == c_value(d)
+        rest = list(d)
+        rest.remove(0)
+        lowered = [rest[:j] + [v - 1] + rest[j + 1 :] for j, v in enumerate(rest) if v]
+        want = sum((intersection_number(e) for e in lowered), ZERO)
+        assert intersection_number(d) == want
+
+
+@_PROPERTY
+@given(st.lists(geometric_vectors(), min_size=1, max_size=4))
+def test_property_memo_round_trip(vectors):
+    cache = MemoCache()
+    for d in vectors:
+        n_value(d, cache)
+    buf = io.StringIO()
+    cache_save(cache, buf)
+    loaded = cache_load(io.StringIO(buf.getvalue()))
+    assert loaded.table == cache.table
+    again = io.StringIO()
+    cache_save(loaded, again)
+    assert again.getvalue() == buf.getvalue()
