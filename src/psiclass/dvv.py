@@ -111,10 +111,7 @@ def _c_scale(g: int, X: int) -> int:
 # The base cases N(0,0,0) = 1 and N(1) = 3, the latter the image of
 # C(1) = 1/6, the base value as the C-form literature states it.
 _C_ONE = Q(1, 6)
-_N_ONE = _C_ONE * _c_scale(1, 1)
-if _N_ONE.denominator != 1:
-    raise ArithmeticError(f"N(1) = {_N_ONE} is not an integer")
-_N_BASE = {(0, 0, 0): 1, (1,): int(_N_ONE)}
+_N_BASE = {(0, 0, 0): 1, (1,): int(_C_ONE * _c_scale(1, 1))}
 
 
 class MemoCache:
@@ -432,8 +429,8 @@ def intersection_number(d: DVec, cache: Optional[MemoCache] = None):
     n = n_value(d, cache)
     if not n:
         return ZERO
-    double_factorials = math.prod(math.prod(range(2 * dj + 1, 0, -2)) for dj in d)
-    return Q(n, 24**g * math.factorial(g) * double_factorials)
+    double_factorials = math.prod(odd_double_factorial(2 * dj + 1) for dj in d)
+    return Q(n) / (24**g * math.factorial(g) * double_factorials)
 
 
 def u_value(d: DVec, cache: Optional[MemoCache] = None):
