@@ -1,101 +1,73 @@
-"""Exact psi-class intersection numbers and their large-genus asymptotics."""
+"""Exact psi-class intersection numbers and their large-genus asymptotics.
+
+The public names are resolved on first access (PEP 562) from the
+submodule that defines them, so ``import psiclass`` loads none of the
+submodules and each ``psiclass`` command pays only for the ones it runs.
+"""
 
 from __future__ import annotations
 
-from .asym import (
-    chat_poly,
-    corollary1_deviation,
-    ctilde_poly,
-    f_bound,
-    largest_series,
-    lemma6_check,
-    one_point_series,
-    theorem2_product,
-)
-from .closed import (
-    four_point,
-    n_point,
-    one_point_c,
-    three_point,
-    two_point_bdy,
-    two_point_zograf,
-)
-from .dvv import (
-    c_value,
-    cache_load,
-    cache_save,
-    canonical_tuple,
-    chat_value,
-    default_cache,
-    g_norm,
-    gamma_norm,
-    genus_of,
-    intersection_number,
-    u_value,
-    x_of,
-)
-from .exact import Q, pi_value, rat_str
-from .harness import (
-    check_c4_inequalities,
-    check_cross_formulas,
-    check_lemma3,
-    check_omega11_identity,
-    counterexample_suite,
-    partition_count,
-    primitive_vectors,
-    sweep_nesting,
-    theta_sweep,
-)
-from .painleve import (
-    painleve_coeff,
-    painleve_from_intersections,
-    theorem_a_constant,
-    theorem_a_estimate,
-)
+from importlib import import_module
 
-__all__ = [
-    "Q",
-    "c_value",
-    "cache_load",
-    "cache_save",
-    "canonical_tuple",
-    "chat_poly",
-    "chat_value",
-    "check_c4_inequalities",
-    "check_cross_formulas",
-    "check_lemma3",
-    "check_omega11_identity",
-    "corollary1_deviation",
-    "counterexample_suite",
-    "ctilde_poly",
-    "default_cache",
-    "f_bound",
-    "four_point",
-    "g_norm",
-    "gamma_norm",
-    "genus_of",
-    "intersection_number",
-    "largest_series",
-    "lemma6_check",
-    "n_point",
-    "one_point_c",
-    "one_point_series",
-    "painleve_coeff",
-    "painleve_from_intersections",
-    "partition_count",
-    "pi_value",
-    "primitive_vectors",
-    "rat_str",
-    "sweep_nesting",
-    "theorem2_product",
-    "theorem_a_constant",
-    "theorem_a_estimate",
-    "theta_sweep",
-    "three_point",
-    "two_point_bdy",
-    "two_point_zograf",
-    "u_value",
-    "x_of",
-]
+# Public name -> the submodule that defines it.
+_MODULE_OF = {
+    "Q": "exact",
+    "c_value": "dvv",
+    "cache_load": "dvv",
+    "cache_save": "dvv",
+    "canonical_tuple": "dvv",
+    "chat_poly": "asym",
+    "chat_value": "dvv",
+    "check_c4_inequalities": "harness",
+    "check_cross_formulas": "harness",
+    "check_lemma3": "harness",
+    "check_omega11_identity": "harness",
+    "corollary1_deviation": "asym",
+    "counterexample_suite": "harness",
+    "ctilde_poly": "asym",
+    "default_cache": "dvv",
+    "f_bound": "asym",
+    "four_point": "closed",
+    "g_norm": "dvv",
+    "gamma_norm": "dvv",
+    "genus_of": "dvv",
+    "intersection_number": "dvv",
+    "largest_series": "asym",
+    "lemma6_check": "asym",
+    "n_point": "closed",
+    "one_point_c": "closed",
+    "one_point_series": "asym",
+    "painleve_coeff": "painleve",
+    "painleve_from_intersections": "painleve",
+    "partition_count": "harness",
+    "pi_value": "exact",
+    "primitive_vectors": "harness",
+    "rat_str": "exact",
+    "sweep_nesting": "harness",
+    "theorem2_product": "asym",
+    "theorem_a_constant": "painleve",
+    "theorem_a_estimate": "painleve",
+    "theta_sweep": "harness",
+    "three_point": "closed",
+    "two_point_bdy": "closed",
+    "two_point_zograf": "closed",
+    "u_value": "dvv",
+    "x_of": "dvv",
+}
+
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -17,7 +17,8 @@ import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from . import asym, harness, painleve
+# Only the engine is imported here; each handler imports what else it uses,
+# so a command does not pay start-up for modules it never runs.
 from .dvv import (
     c_value,
     cache_load,
@@ -75,6 +76,8 @@ def _cmd_compute(args) -> Tuple[dict, bool]:
 
 
 def _cmd_table(args) -> Tuple[dict, bool]:
+    from . import harness
+
     g = args.genus
     rows = []
     for d in harness.primitive_vectors(g):
@@ -91,6 +94,8 @@ def _cmd_table(args) -> Tuple[dict, bool]:
 
 
 def _cmd_sweep(args) -> Tuple[dict, bool]:
+    from . import harness
+
     reports = harness.sweep_nesting(args.gmax)
     rows = []
     ok = True
@@ -115,11 +120,15 @@ def _cmd_sweep(args) -> Tuple[dict, bool]:
 
 
 def _cmd_theta(args) -> Tuple[dict, bool]:
+    from . import harness
+
     value = harness.theta_sweep(args.x, args.n)
     return {"x": args.x, "n": args.n, "theta": rat_str(value)}, True
 
 
 def _cmd_check_formulas(args) -> Tuple[dict, bool]:
+    from . import harness
+
     rep = harness.check_cross_formulas(args.budget)
     rows = []
     for s in rep.suites:
@@ -134,6 +143,8 @@ def _cmd_check_formulas(args) -> Tuple[dict, bool]:
 
 
 def _cmd_check_identities(args) -> Tuple[dict, bool]:
+    from . import harness
+
     rows: List[dict] = []
     ok = True
 
@@ -155,6 +166,8 @@ def _cmd_check_identities(args) -> Tuple[dict, bool]:
 
 
 def _cmd_counterexamples(_args) -> Tuple[dict, bool]:
+    from . import harness
+
     rep = harness.counterexample_suite()
     rows = []
     for row in rep.rows:
@@ -176,6 +189,8 @@ def _cmd_counterexamples(_args) -> Tuple[dict, bool]:
 
 
 def _cmd_painleve(args) -> Tuple[dict, bool]:
+    from . import painleve
+
     rows = []
     ok = True
     bridge_cap = min(args.gmax, args.bridge_gmax)
@@ -193,6 +208,8 @@ def _cmd_painleve(args) -> Tuple[dict, bool]:
 
 
 def _cmd_asym_fit(args) -> Tuple[dict, bool]:
+    from . import asym
+
     if not 0 <= args.k <= asym.TABLE2_CAP:
         raise ValueError(f"k must be between 0 and {asym.TABLE2_CAP}")
     return (
@@ -206,14 +223,15 @@ def _cmd_asym_fit(args) -> Tuple[dict, bool]:
 
 
 def _cmd_asym_series(args) -> Tuple[dict, bool]:
+    from . import asym
+
     if args.which == "onepoint":
-        cap = asym.ONE_POINT_CAP
-        series = asym.one_point_series(min(args.order, cap))
+        build, cap = asym.one_point_series, asym.ONE_POINT_CAP
     else:
-        cap = asym.LARGEST_CAP
-        series = asym.largest_series(min(args.order, cap))
+        build, cap = asym.largest_series, asym.LARGEST_CAP
     if args.order > cap:
         raise ValueError(f"order capped at {cap} for {args.which}")
+    series = build(args.order)
     rows = [
         {"index": i, "coefficient": rat_str(c)}
         for i, c in enumerate(series.coeffs[: args.order + 1])
@@ -222,6 +240,8 @@ def _cmd_asym_series(args) -> Tuple[dict, bool]:
 
 
 def _cmd_bounds(args) -> Tuple[dict, bool]:
+    from . import asym, harness
+
     ok6, excess = asym.lemma6_check(xmax=args.gmax)
     ok7 = harness.lemma7_check(min(args.gmax, 14))
     payload = {
@@ -241,6 +261,10 @@ def _cmd_bounds(args) -> Tuple[dict, bool]:
 
 _GLOBAL_DEFAULTS = {"cache": None, "format": "json", "out": None}
 
+# The keys of harness.BUDGETS, spelled out so that building the parser does
+# not import harness; a test keeps the two equal.
+_BUDGETS = ("default", "none", "smoke")
+
 
 def _global_flags() -> argparse.ArgumentParser:
     # Shared by the main parser and every subparser so the flags are legal
@@ -248,7 +272,7 @@ def _global_flags() -> argparse.ArgumentParser:
     # in after parsing) or a subparser would clobber a value already parsed
     # from before the subcommand.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache", metavar="PATH", default=argparse.SUPPRESS, help="memo file: loaded before the command if present, saved after")
+    common.add_argument("--cache", metavar="PATH", default=argparse.SUPPRESS, help="memo file: loaded before the command if present; written after it when new or when the command added entries")
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
     common.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS, help="write output here instead of stdout")
     return common
@@ -285,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_theta)
 
     p = add("check-formulas", help="closed formulas vs the recursion")
-    p.add_argument("--budget", choices=sorted(harness.BUDGETS), default="default")
+    p.add_argument("--budget", choices=_BUDGETS, default="default")
     p.set_defaults(fn=_cmd_check_formulas)
 
     p = add("check-identities", help="sampled identity and inequality checks")
@@ -352,11 +376,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not hasattr(args, name):
             setattr(args, name, default)
     try:
+        stored = None  # entries in the --cache file; None: no file yet
         if args.cache and os.path.exists(args.cache):
-            default_cache().table.update(cache_load(args.cache).table)
+            loaded = cache_load(args.cache).table
+            default_cache().table.update(loaded)
+            stored = len(loaded)
         payload, ok = args.fn(args)
         _emit(payload, args)
-        if args.cache:
+        # The memo only grows, so an unchanged count means the file already
+        # holds every entry and a save would rewrite the same bytes.
+        if args.cache and (stored is None or len(default_cache()) > stored):
             cache_save(default_cache(), args.cache)
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

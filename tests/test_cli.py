@@ -1,13 +1,20 @@
-"""The command-line surface: parsing, formats, exit codes, cache flow."""
+"""The command-line surface: parsing, formats, exit codes, cache flow,
+start-up imports and the package names they rest on."""
 
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import psiclass
+from psiclass import asym, cli, dvv, exact, harness
 from psiclass.cli import main
 from psiclass.dvv import MemoCache, cache_load, n_value
 
@@ -16,6 +23,109 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """Start main from an empty process memo, as each CLI process does."""
+
+    def reset():
+        monkeypatch.setattr(dvv, "_DEFAULT_CACHE", MemoCache())
+
+    reset()
+    return reset
+
+
+def _in_child(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter on this psiclass.
+
+    The start-up checks need one, since this process has imported every
+    module.
+    """
+    src = os.path.dirname(os.path.dirname(psiclass.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _modules_after(argv) -> set:
+    out = _in_child(
+        "import json, sys\n"
+        "from psiclass import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_commands_import_only_what_they_run():
+    loaded = _modules_after(["compute", "2,3"])
+    assert {m for m in loaded if m.partition(".")[0] == "psiclass"} == {
+        "psiclass",
+        "psiclass.cli",
+        "psiclass.dvv",
+        "psiclass.exact",
+    }
+    assert "dataclasses" not in loaded
+    loaded = _modules_after(["table", "--genus", "3"])
+    assert "psiclass.asym" not in loaded
+    assert "psiclass.painleve" not in loaded
+
+
+PUBLIC = [
+    "Q", "c_value", "cache_load", "cache_save", "canonical_tuple", "chat_poly",
+    "chat_value", "check_c4_inequalities", "check_cross_formulas",
+    "check_lemma3", "check_omega11_identity", "corollary1_deviation",
+    "counterexample_suite", "ctilde_poly", "default_cache", "f_bound",
+    "four_point", "g_norm", "gamma_norm", "genus_of", "intersection_number",
+    "largest_series", "lemma6_check", "n_point", "one_point_c",
+    "one_point_series", "painleve_coeff", "painleve_from_intersections",
+    "partition_count", "pi_value", "primitive_vectors", "rat_str",
+    "sweep_nesting", "theorem2_product", "theorem_a_constant",
+    "theorem_a_estimate", "theta_sweep", "three_point", "two_point_bdy",
+    "two_point_zograf", "u_value", "x_of",
+]  # fmt: skip
+
+
+def test_public_names_are_the_defining_modules_objects():
+    assert psiclass.__all__ == PUBLIC
+    # Q is the active arithmetic backend, which the benchmark reports.
+    assert psiclass.Q is exact.Q
+    for name in PUBLIC:
+        if name != "Q":
+            obj = getattr(psiclass, name)
+            assert obj.__module__.startswith("psiclass."), name
+            assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        psiclass.no_such_name
+    assert not hasattr(psiclass, "no_such_name")
+    assert set(PUBLIC) <= set(dir(psiclass))
+
+
+def test_star_import_binds_every_name_lazily():
+    out = _in_child(
+        "import json, sys\n"
+        "import psiclass\n"
+        "before = sorted(m for m in sys.modules if m.startswith('psiclass.'))\n"
+        "from psiclass import *\n"
+        "print(json.dumps([before, [n for n in psiclass.__all__ if n not in globals()]]))\n"
+    )
+    before, unbound = json.loads(out)
+    assert before == []
+    assert unbound == []
+
+
+def test_budget_choices_match_harness():
+    assert list(cli._BUDGETS) == sorted(harness.BUDGETS)
 
 
 def test_compute_json(capsys):
@@ -130,14 +240,21 @@ def test_asym_fit(capsys):
     assert code == 2
 
 
-def test_asym_series(capsys):
+def test_asym_series(capsys, monkeypatch):
     code, out = run(capsys, "asym", "series", "--which", "largest", "--order", "2")
     assert code == 0
     payload = json.loads(out)
     assert payload["rows"][1]["coefficient"] == "-2/9"
     assert payload["rows"][2]["coefficient"] == "-238/2025"
+
+    # An order past the cap is refused before any series is built.
+    def refuse(order):
+        raise AssertionError(f"series of order {order} built")
+
+    monkeypatch.setattr(asym, "one_point_series", refuse)
     code = main(["asym", "series", "--which", "onepoint", "--order", "99"])
     assert code == 2
+    assert capsys.readouterr().err == "error: order capped at 10 for onepoint\n"
 
 
 def test_bounds(capsys):
@@ -157,7 +274,7 @@ def test_out_flag(tmp_path, capsys):
     assert json.loads(target.read_text())["value"] == "1/6"
 
 
-def test_cache_save_and_load(tmp_path, capsys):
+def test_cache_save_and_load(tmp_path, capsys, fresh_memo):
     path = tmp_path / "memo.cache"
     code, out = run(capsys, "--cache", str(path), "compute", "2,2,5")
     assert code == 0
@@ -165,13 +282,45 @@ def test_cache_save_and_load(tmp_path, capsys):
     loaded = cache_load(str(path))
     assert len(loaded) > 0
     assert loaded.table[(2, 2, 5)] == n_value((2, 2, 5), MemoCache())
-    # A warm run reads the file, prints the same value and rewrites it
-    # unchanged.
+    # A warm run reads the file, prints the same value and does not write
+    # the file at all.
+    past = 10**18  # 2001-09-09, in ns
+    os.utime(path, ns=(past, past))
     before = path.read_bytes()
+    fresh_memo()
     code, again = run(capsys, "--cache", str(path), "compute", "2,2,5")
     assert code == 0
     assert json.loads(again) == json.loads(out)
     assert path.read_bytes() == before
+    assert path.stat().st_mtime_ns == past
+    # A run that adds entries rewrites it with a larger count.
+    fresh_memo()
+    code, _ = run(capsys, "--cache", str(path), "compute", "2,2,8")
+    assert code == 0
+    grown = cache_load(str(path))
+    assert len(grown) > len(loaded)
+    assert path.read_text().startswith(f"dvvcache v2 entries={len(grown)} ")
+    # A new file is written even when the command adds no entry.
+    new = tmp_path / "new.cache"
+    fresh_memo()
+    code, _ = run(capsys, "--cache", str(new), "compute", "1")
+    assert code == 0
+    assert new.read_text().startswith("dvvcache v2 entries=0 ")
+    assert len(cache_load(str(new))) == 0
+
+
+def test_failing_command_saves_nothing(tmp_path, capsys, fresh_memo):
+    path = tmp_path / "memo.cache"
+    assert main(["--cache", str(path), "compute", "2,3"]) == 0
+    before = path.read_bytes()
+    # chat on even X is refused after C(0,5) has been added to the memo.
+    fresh_memo()
+    assert main(["--cache", str(path), "compute", "0,5", "--norm", "chat"]) == 2
+    assert (0, 5) in dvv.default_cache().table
+    assert path.read_bytes() == before
+    missing = tmp_path / "missing.cache"
+    assert main(["--cache", str(missing), "compute", "2,,3"]) == 2
+    assert not missing.exists()
 
 
 def test_cache_load_rejects_bad_file(tmp_path, capsys):
