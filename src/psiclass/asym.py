@@ -1,5 +1,5 @@
 """Large-genus asymptotics: Stirling jets, series fitting, the universal
-polynomial table, deviation bounds and the recursive majorant f(X, n).
+polynomial table, deviation bounds and the majorant f(X, n).
 
 The centerpiece is the expansion machinery for pi*C along one-parameter
 families.  Two closed families are expanded symbolically:
@@ -23,13 +23,20 @@ c^_k (of C/gamma(X)).  Solving the pattern grid against the allowed
 monomials in the multiplicities p_2..p_5 gives the universal polynomials;
 the linear system is overdetermined by at least three rows and must be
 satisfied exactly.
+
+The majorant f(X, n) = r/pi + s runs on integers: each X-row holds the
+numerators of r and s over one common denominator (see _majorant_row) and
+is built from the row below, so neither f_bound nor lemma6_check recurses.
+f_bound builds its PiLinear of rationals at the boundary; lemma6_check
+compares against the pi interval by integer cross-multiplication and
+builds one rational, the excess bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import localcontext
-from math import comb
+from math import comb, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .closed import four_point, one_point_c, three_point, two_point_zograf
@@ -639,11 +646,6 @@ class PiLinear(NamedTuple):
     r: object
     s: object
 
-    def bounds(self, pi_lo, pi_hi) -> Tuple[object, object]:
-        if self.r >= 0:
-            return self.r / pi_hi + self.s, self.r / pi_lo + self.s
-        return self.r / pi_lo + self.s, self.r / pi_hi + self.s
-
     def __str__(self) -> str:
         def plain(q) -> str:
             return str(int(q.numerator)) if q.denominator == 1 else rat_str(q)
@@ -651,30 +653,69 @@ class PiLinear(NamedTuple):
         return f"{plain(self.r)}/pi + {plain(self.s)}"
 
 
-_FB_CACHE: Dict[Tuple[int, int], PiLinear] = {}
-_FB_BASE = PiLinear(ONE, ZERO)
+# One row of the majorant, (D, R, S): f(X, n) = R[i]/(D pi) + S[i]/D at
+# i = min(n, len(R)) - 1, all integers with D > 0.
+MajorantRow = Tuple[int, List[int], List[int]]
+
+
+def _majorant_row(X: int, prev: Optional[MajorantRow]) -> MajorantRow:
+    """Row X of the majorant from row X - 1 (``prev``, unused for X <= 7).
+
+    Off the base strata, f(X, n) only reads f(X-1, n-1) and f(X-1, n+1), so
+    a value with n >= X - 5 never reaches n <= 2 on its way down to X = 7
+    and does not depend on n: row X >= 8 stores n = 1..X-5, its last entry
+    standing for every larger n, and rows X <= 7 store a single entry.  The
+    row denominator is lcm(3 D_{X-1}, (X-1)(X-2)).
+    """
+    if X <= 7:
+        return 1, [1], [0]
+    d0, r0, s0 = prev
+    w = (X - 1) * (X - 2)
+    den = lcm(3 * d0, w)
+    m = den // (3 * d0)
+    t = 4 * (den // w)
+    last = len(r0) - 1
+    rs, ss = [den, den], [0, 0]
+    for n in range(3, X - 4):
+        a, b = min(n - 2, last), min(n, last)  # f(X-1, n-1), f(X-1, n+1)
+        rs.append(m * (2 * r0[a] + r0[b]))
+        ss.append(m * (2 * s0[a] + s0[b]) + t)
+    return den, rs, ss
+
+
+_FB_LAST: list = [0, None]  # (X, row) of the latest f_bound call
 
 
 def f_bound(X: int, n: int) -> PiLinear:
     """The recursive majorant: f = 1/pi on the strata X <= 7 or n <= 2, else
 
         f(X, n) = (2/3) f(X-1, n-1) + (1/3) f(X-1, n+1) + 4/((X-1)(X-2)).
+
+    Rows are built upward from X = 1 (see _majorant_row); the latest row is
+    kept, so calls at the same or the next X cost a lookup or one row.
     """
     if X < 1 or n < 1:
         raise ValueError("f_bound needs X >= 1 and n >= 1")
-    if X <= 7 or n <= 2:
-        return _FB_BASE
-    hit = _FB_CACHE.get((X, n))
-    if hit is not None:
-        return hit
-    a = f_bound(X - 1, n - 1)
-    b = f_bound(X - 1, n + 1)
-    val = PiLinear(
-        Q(2, 3) * a.r + Q(1, 3) * b.r,
-        Q(2, 3) * a.s + Q(1, 3) * b.s + Q(4, (X - 1) * (X - 2)),
-    )
-    _FB_CACHE[(X, n)] = val
-    return val
+    x, row = _FB_LAST
+    if X < x:
+        x, row = 0, None
+    while x < X:
+        x += 1
+        row = _majorant_row(x, row)
+    _FB_LAST[:] = (X, row)
+    den, rs, ss = row
+    i = min(n, len(rs)) - 1
+    return PiLinear(Q(rs[i], den), Q(ss[i], den))
+
+
+def _pi_bound(r: int, s: int, upper: bool, ends) -> Tuple[int, int]:
+    """An upper or lower bound of r/pi + s as (num, den) with den > 0.
+
+    ``ends`` holds (numerator, denominator) of lo and hi, lo < pi < hi; the
+    bound takes the end that is safe for the sign of r.
+    """
+    pn, pd = ends[(r >= 0) != upper]
+    return r * pd + s * pn, pn
 
 
 def lemma6_check(
@@ -685,30 +726,41 @@ def lemma6_check(
     (1) 1/pi <= f(X, n) <= 1, (2) f(X, n) nondecreasing in n, and (3) the
     scaled excess X (f(X, n) - 1/pi) over n <= X/5, 50 <= X, stays bounded.
     Returns (all checks passed, certified upper bound for the excess).
+
+    Each bound of r/pi + s is taken at the end of the pi interval that makes
+    it safe, which depends on the sign of r; all comparisons are integer
+    cross-multiplications on the rows' numerators.
     """
+    if xmax < 1 or nmax < 1:
+        raise ValueError("lemma6_check needs xmax >= 1 and nmax >= 1")
     lo, hi = pi_interval(digits)
+    ends = (
+        (int(lo.numerator), int(lo.denominator)),
+        (int(hi.numerator), int(hi.denominator)),
+    )
+
     ok = True
-    excess = ZERO
+    ex_num, ex_den = 0, 1  # the excess bound so far, ex_num / ex_den
+    row: Optional[MajorantRow] = None
     for X in range(1, xmax + 1):
-        prev: Optional[PiLinear] = None
+        row = _majorant_row(X, row)
+        den, rs, ss = row
+        prev_r = prev_s = 0
         for n in range(1, nmax + 2):
-            f = f_bound(X, n)
-            low1 = (
-                (f.r - 1) / hi + f.s if f.r >= 1 else (f.r - 1) / lo + f.s
-            )
-            if low1 < 0:
+            i = min(n, len(rs)) - 1
+            r, s = rs[i], ss[i]  # f(X, n) = (r/pi + s) / den
+            # (1) f - 1/pi >= 0 and f <= 1; (2) f(X, n) - f(X, n-1) >= 0.
+            if (
+                _pi_bound(r - den, s, False, ends)[0] < 0
+                or _pi_bound(r, s - den, True, ends)[0] > 0
+            ):
                 ok = False
-            if f.r / lo + f.s > 1:
+            if n > 1 and _pi_bound(r - prev_r, s - prev_s, False, ends)[0] < 0:
                 ok = False
-            if prev is not None and n <= nmax + 1:
-                d_r, d_s = f.r - prev.r, f.s - prev.s
-                dl = d_r / hi + d_s if d_r >= 0 else d_r / lo + d_s
-                if dl < 0:
-                    ok = False
-            prev = f
+            prev_r, prev_s = r, s
             if X >= 50 and n <= X // 5:
-                scaled = PiLinear(X * (f.r - 1), X * f.s)
-                up = scaled.bounds(lo, hi)[1]
-                if up > excess:
-                    excess = up
-    return ok, excess
+                num, pn = _pi_bound(r - den, s, True, ends)
+                num, pn = X * num, pn * den
+                if num * ex_den > ex_num * pn:
+                    ex_num, ex_den = num, pn
+    return ok, Q(ex_num, ex_den)

@@ -23,6 +23,13 @@ n-point closed formulas: the two-point sum, the three- and four-point
 formulas with floor weights M(e) = max(0, min e), and the general n-point
 sum over permutations with partial-sum weights (n_point below).
 
+The matrices are held on integers: A_k as four integer entries over one
+positive denominator (24^h h!, doubled for the diagonal family, with
+h = (k+1)//3, reduced to lowest terms), built from the double factorials
+directly.  Products multiply entries and denominators as integers, and a
+trace becomes one rational, which trace_product caches; matrix_coeff is the
+rational view of the same matrices.
+
 Enumeration windows: every formula's floor/weight structure forces the
 k-slot paired with the largest d-entry to exceed that entry, so the
 remaining k's have bounded sum and the term count depends only on the
@@ -34,57 +41,72 @@ the work depends on the ordering.
 from __future__ import annotations
 
 from itertools import permutations
-from math import factorial
+from math import factorial, gcd, prod
 from typing import Dict, Sequence, Tuple
 
 from .exact import (
-    ONE,
     Q,
     ZERO,
     odd_double_factorial,
     reciprocal_factorial,
 )
 
-Mat = Tuple  # (a, b, c, d) for [[a, b], [c, d]]
+IMat = Tuple[int, int, int, int, int]  # (a, b, c, d, den): [[a, b], [c, d]] / den
 
-_ZMAT: Mat = (ZERO, ZERO, ZERO, ZERO)
-_IDENT: Mat = (ONE, ZERO, ZERO, ONE)
+_ZERO_IMAT: IMat = (0, 0, 0, 0, 1)
 
-_MAT_CACHE: Dict[int, Mat] = {}
+_INT_MATS: Dict[int, IMat] = {}
 _TRACE_CACHE: Dict[tuple, object] = {}
 
 
-def matrix_coeff(k: int) -> Mat:
-    """The 2x2 matrix A_k, as a flat (a, b, c, d) tuple; zero for k <= -2."""
+def _int_matrix(k: int) -> IMat:
+    """A_k as integer entries over one positive denominator, in lowest terms.
+
+    With h = (k + 1) // 3 the nonzero entries are -+x_{h+1} =
+    -+(6h+1)!!/(2 24^h h!), -q_h = -(6h-1)!!/(24^h h!) and r_h =
+    ((6h+1)/(6h-1)) q_h, whose numerator (6h+1) (6h-1)!!/(6h-1) is an exact
+    integer division ((6h+1) (6h-3)!!, and -1 at h = 0).
+    """
     if k <= -2:
-        return _ZMAT
-    hit = _MAT_CACHE.get(k)
+        return _ZERO_IMAT
+    hit = _INT_MATS.get(k)
     if hit is not None:
         return hit
+    h = (k + 1) // 3
+    den = 24**h * factorial(h)
+    dfact = prod(range(6 * h - 1, 0, -2))  # (6h-1)!!, with (-1)!! = 1
     r = k % 3
     if r == 1:
-        g = (k + 2) // 3
-        x = Q(
-            odd_double_factorial(6 * g - 5),
-            2 * 24 ** (g - 1) * factorial(g - 1),
-        )
-        m: Mat = (-x, ZERO, ZERO, x)
+        num = (6 * h + 1) * dfact
+        den *= 2
     elif r == 0:
-        g = k // 3
-        q = Q(odd_double_factorial(6 * g - 1), 24**g * factorial(g))
-        m = (ZERO, -q, ZERO, ZERO)
+        num = -dfact
     else:
-        g = (k + 1) // 3
-        q = Q(odd_double_factorial(6 * g - 1), 24**g * factorial(g))
-        m = (ZERO, ZERO, q * Q(6 * g + 1, 6 * g - 1), ZERO)
-    _MAT_CACHE[k] = m
+        num = (6 * h + 1) * dfact // (6 * h - 1)
+    g = gcd(num, den)
+    num //= g
+    den //= g
+    if r == 1:
+        m: IMat = (-num, 0, 0, num, den)
+    elif r == 0:
+        m = (0, num, 0, 0, den)
+    else:
+        m = (0, 0, num, 0, den)
+    _INT_MATS[k] = m
     return m
 
 
-def mat_mul(m1: Mat, m2: Mat) -> Mat:
-    a, b, c, d = m1
-    e, f, g, h = m2
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+def _imul(m1: IMat, m2: IMat) -> IMat:
+    a, b, c, d, p = m1
+    e, f, g, h, q = m2
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, p * q)
+
+
+def matrix_coeff(k: int) -> tuple:
+    """The 2x2 matrix A_k as a flat (a, b, c, d) tuple of rationals; zero
+    for k <= -2."""
+    a, b, c, d, den = _int_matrix(k)
+    return (Q(a, den), Q(b, den), Q(c, den), Q(d, den))
 
 
 def _reversal_sign(ks: Sequence[int]) -> int:
@@ -114,12 +136,12 @@ def trace_product(ks: Sequence[int]):
     key, sign = _trace_key(ks)
     val = _TRACE_CACHE.get(key)
     if val is None:
-        m = matrix_coeff(key[0])
+        m = _int_matrix(key[0])
         for k in key[1:]:
-            m = mat_mul(m, matrix_coeff(k))
+            m = _imul(m, _int_matrix(k))
             if not (m[0] or m[1] or m[2] or m[3]):
                 break
-        val = m[0] + m[3]
+        val = Q(m[0] + m[3], m[4])
         _TRACE_CACHE[key] = val
     return val if sign == 1 else -val
 
@@ -401,21 +423,23 @@ def n_point(d: Sequence[int]):
 
     traces: Dict[tuple, object] = {}
 
-    def dfs(pos: int, ssum: int, prefix: tuple, mat: Mat) -> None:
+    def dfs(pos: int, ssum: int, prefix: tuple, mat: IMat) -> None:
         if pos == n - 1:
             kn = s - ssum
-            e, f, gg, h = matrix_coeff(kn)
+            e, f, gg, h, den = _int_matrix(kn)
             tr = mat[0] * e + mat[1] * gg + mat[2] * f + mat[3] * h
             if tr:
-                traces[prefix + (kn,)] = tr
+                traces[prefix + (kn,)] = Q(tr, mat[4] * den)
             return
         hi = budget - ssum + (n - 2 - pos)
         for kq in range(-1, hi + 1):
-            nm = mat_mul(mat, matrix_coeff(kq))
+            nm = _imul(mat, _int_matrix(kq))
             if nm[0] or nm[1] or nm[2] or nm[3]:
                 dfs(pos + 1, ssum + kq, prefix + (kq,), nm)
 
-    dfs(0, 0, (), _IDENT)
+    # A_k is nonzero for every k >= -1, so each first index opens a branch.
+    for k1 in range(-1, budget + n - 1):
+        dfs(1, k1, (k1,), _int_matrix(k1))
 
     total = ZERO
     perms = _perm_data(n)

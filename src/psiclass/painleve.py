@@ -6,7 +6,10 @@ The c_g satisfy the quadratic recursion
     c_g = 50 (g-1)^2 c_{g-1} + (1/2) sum_{h=2}^{g-2} c_h c_{g-h},
     c_0 = -1, c_1 = 2, c_2 = 98,
 
-and are tied to intersection numbers through the bridge (g >= 2)
+and are integers: the recursion runs on Python ints, the convolution over
+half its range by symmetry with the halving checked to be exact, and
+painleve_coeff returns Q(c_g).  They are tied to intersection numbers
+through the bridge (g >= 2)
 
     c_g = 2^g 3^(3g-2) 5^(3-3g) (5g-5)! (5g-3) / (3g-3)! * C(2^(3g-3)).
 
@@ -40,7 +43,7 @@ from .dvv import MemoCache, c_value
 from .exact import HPDecimal, ONE, Q, ZERO, pi_value, to_decimal
 from .series import SeriesInvX
 
-_CG: List = [Q(-1), Q(2), Q(98)]
+_CG: List[int] = [-1, 2, 98]
 
 
 def painleve_coeff(g: int):
@@ -53,12 +56,16 @@ def painleve_coeff(g: int):
         raise ValueError("painleve_coeff needs g >= 0")
     while len(_CG) <= g:
         m = len(_CG)
-        acc = 50 * (m - 1) ** 2 * _CG[m - 1]
-        conv = ZERO
-        for h in range(2, m - 1):
-            conv += _CG[h] * _CG[m - h]
-        _CG.append(acc + conv / 2)
-    return _CG[g]
+        # sum_{h=2}^{m-2} c_h c_{m-h} = 2 * (pairs with h < m - h) + c_{m/2}^2,
+        # so its half is the pairs plus half the middle square, when m is even.
+        conv = sum(_CG[h] * _CG[m - h] for h in range(2, (m + 1) // 2))
+        if m % 2 == 0:
+            half, odd = divmod(_CG[m // 2] ** 2, 2)
+            if odd:
+                raise ArithmeticError(f"odd convolution sum for c_{m}")
+            conv += half
+        _CG.append(50 * (m - 1) ** 2 * _CG[m - 1] + conv)
+    return Q(_CG[g])
 
 
 def p1_residual(g: int):

@@ -2,16 +2,20 @@
 
 Each one reaches its value by a slower or more transparent route than the
 code under test: a single DVV expansion at a chosen pivot, the n-point
-trace sum without window pruning, and the one-point series from its ratio
-functional equation instead of Stirling jets.
+trace sum without window pruning, the one-point series from its ratio
+functional equation instead of Stirling jets, and the rational-valued forms
+of the closed-formula matrices and traces, the Painleve I recursion and the
+majorant that the library computes on integers.
 """
 
 from __future__ import annotations
 
 from itertools import product as _iproduct
-from typing import Optional, Sequence
+from math import factorial
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from psiclass.closed import _c_prefactor, _omega, _perm_data, trace_product
+from psiclass.asym import PiLinear
+from psiclass.closed import _c_prefactor, _omega, _perm_data
 from psiclass.dvv import (
     DVec,
     MemoCache,
@@ -22,7 +26,7 @@ from psiclass.dvv import (
     genus_of,
     x_int,
 )
-from psiclass.exact import ONE, Q, ZERO
+from psiclass.exact import ONE, Q, ZERO, odd_double_factorial, pi_interval
 from psiclass.series import SeriesInvX
 
 
@@ -47,6 +51,41 @@ def c_value_with_pivot(d: DVec, pivot_pos: int, cache: Optional[MemoCache] = Non
     return Q(_expand(t, pivot_pos, cache), _c_scale(g, X))
 
 
+def matrix_coeff_reference(k: int) -> tuple:
+    """A_k as a flat (a, b, c, d) tuple, each entry built as a rational from
+    its closed form in the closed module's docstring."""
+    if k <= -2:
+        return (ZERO, ZERO, ZERO, ZERO)
+    r = k % 3
+    if r == 1:
+        g = (k + 2) // 3
+        x = Q(
+            odd_double_factorial(6 * g - 5),
+            2 * 24 ** (g - 1) * factorial(g - 1),
+        )
+        return (-x, ZERO, ZERO, x)
+    g = (k + 1) // 3 if r == 2 else k // 3
+    q = Q(odd_double_factorial(6 * g - 1), 24**g * factorial(g))
+    if r == 0:
+        return (ZERO, -q, ZERO, ZERO)
+    return (ZERO, ZERO, q * Q(6 * g + 1, 6 * g - 1), ZERO)
+
+
+def _mat_mul(m1: tuple, m2: tuple) -> tuple:
+    a, b, c, d = m1
+    e, f, g, h = m2
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def trace_product_reference(ks: Sequence[int]):
+    """tr(A_{k_1} ... A_{k_n}) as a plain product of rational matrices, in
+    the given order: no canonical key, no cache, no early exit."""
+    m = (ONE, ZERO, ZERO, ONE)
+    for k in ks:
+        m = _mat_mul(m, matrix_coeff_reference(k))
+    return m[0] + m[3]
+
+
 def n_point_reference(d: Sequence[int]):
     """Unpruned n_point over the full window k_i in [-1, sum d + n].
 
@@ -69,7 +108,7 @@ def n_point_reference(d: Sequence[int]):
         if kn < -1 or kn > s + n:
             continue
         ks = head + (kn,)
-        tr = trace_product(ks)
+        tr = trace_product_reference(ks)
         if not tr:
             continue
         w = 0
@@ -101,3 +140,70 @@ def one_point_series_by_ratio(K: int) -> SeriesInvX:
         resid = ser.compose(inner) - ser * R
         s[J] = resid.coeffs[J + 1] / J
     return SeriesInvX(s, K)
+
+
+_CG_REF: List = [Q(-1), Q(2), Q(98)]
+
+
+def painleve_coeff_reference(g: int):
+    """c_g by the recursion over the full convolution range, in rationals."""
+    while len(_CG_REF) <= g:
+        m = len(_CG_REF)
+        conv = ZERO
+        for h in range(2, m - 1):
+            conv += _CG_REF[h] * _CG_REF[m - h]
+        _CG_REF.append(50 * (m - 1) ** 2 * _CG_REF[m - 1] + conv / 2)
+    return _CG_REF[g]
+
+
+_FB_REF: Dict[Tuple[int, int], PiLinear] = {}
+
+
+def f_bound_reference(X: int, n: int) -> PiLinear:
+    """The majorant by its defining recursion, one memoized call per (X, n)."""
+    if X <= 7 or n <= 2:
+        return PiLinear(ONE, ZERO)
+    hit = _FB_REF.get((X, n))
+    if hit is not None:
+        return hit
+    a = f_bound_reference(X - 1, n - 1)
+    b = f_bound_reference(X - 1, n + 1)
+    val = PiLinear(
+        Q(2, 3) * a.r + Q(1, 3) * b.r,
+        Q(2, 3) * a.s + Q(1, 3) * b.s + Q(4, (X - 1) * (X - 2)),
+    )
+    _FB_REF[(X, n)] = val
+    return val
+
+
+def _pi_bounds(f: PiLinear, lo, hi):
+    """(lower, upper) bounds of r/pi + s for lo < pi < hi."""
+    if f.r >= 0:
+        return f.r / hi + f.s, f.r / lo + f.s
+    return f.r / lo + f.s, f.r / hi + f.s
+
+
+def lemma6_check_reference(xmax: int, nmax: int, digits: int = 50):
+    """lemma6_check's three properties and excess bound, in rationals over
+    f_bound_reference."""
+    lo, hi = pi_interval(digits)
+    ok = True
+    excess = ZERO
+    for X in range(1, xmax + 1):
+        prev = None
+        for n in range(1, nmax + 2):
+            f = f_bound_reference(X, n)
+            if _pi_bounds(PiLinear(f.r - 1, f.s), lo, hi)[0] < 0:
+                ok = False
+            if _pi_bounds(f, lo, hi)[1] > 1:
+                ok = False
+            if prev is not None:
+                step = PiLinear(f.r - prev.r, f.s - prev.s)
+                if _pi_bounds(step, lo, hi)[0] < 0:
+                    ok = False
+            prev = f
+            if X >= 50 and n <= X // 5:
+                up = _pi_bounds(PiLinear(X * (f.r - 1), X * f.s), lo, hi)[1]
+                if up > excess:
+                    excess = up
+    return ok, excess

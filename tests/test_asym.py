@@ -9,16 +9,21 @@ script against large-X values of pi*C confirms the p-dependent entries.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
 
+import psiclass
 from psiclass.asym import (
     LARGEST_CAP,
     ONE_POINT_CAP,
     PiLinear,
     RationalFunctionOfG,
     TABLE2_CAP,
+    _pi_bound,
     chat_poly,
     corollary1_deviation,
     ctilde_poly,
@@ -35,9 +40,9 @@ from psiclass.asym import (
     theorem2_product,
 )
 from psiclass.closed import one_point_c
-from psiclass.exact import ONE, Q, ZERO, pi_value, to_decimal
+from psiclass.exact import ONE, Q, ZERO, pi_interval, pi_value, to_decimal
 
-from oracles import one_point_series_by_ratio
+from oracles import f_bound_reference, lemma6_check_reference, one_point_series_by_ratio
 
 # ----------------------------------------------------------------------
 # Series.
@@ -277,8 +282,63 @@ def test_f_bound_str():
     assert str(f_bound(8, 3)) == "1/pi + 2/21"
 
 
+def test_f_bound_matches_recursive_form():
+    for X in range(1, 61):
+        for n in range(1, 61):
+            assert f_bound(X, n) == f_bound_reference(X, n), (X, n)
+    # Going back down in X restarts the rows from X = 1.
+    assert f_bound(9, 4) == f_bound_reference(9, 4)
+
+
 def test_lemma6_small_range():
     ok, excess = lemma6_check(xmax=60, nmax=40)
     assert ok
     # The excess statistic is a certified upper bound for X(f - 1/pi).
     assert excess > ZERO
+
+
+def test_pi_bound_takes_the_safe_end():
+    # The majorant keeps r = 1, so lemma6_check alone never tells the ends apart.
+    lo, hi = pi_interval(5)
+    ends = ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+    for r in (-3, 0, 2):
+        for s in (-1, 0, 5):
+            vals = (Q(r) / lo + s, Q(r) / hi + s)
+            for upper, want in ((True, max(vals)), (False, min(vals))):
+                num, den = _pi_bound(r, s, upper, ends)
+                assert den > 0 and Q(num, den) == want, (r, s, upper)
+
+
+@pytest.mark.parametrize("xmax, nmax", [(60, 40), (100, 120)])
+def test_lemma6_matches_rational_loop(xmax, nmax):
+    assert lemma6_check(xmax=xmax, nmax=nmax) == lemma6_check_reference(xmax, nmax)
+
+
+@pytest.mark.parametrize("xmax, nmax", [(0, 5), (-3, 5), (10, 0)])
+def test_lemma6_rejects_empty_range(xmax, nmax):
+    with pytest.raises(ValueError):
+        lemma6_check(xmax=xmax, nmax=nmax)
+
+
+def test_majorant_does_not_recurse():
+    """Deep X under a recursion limit far below X, in a fresh interpreter."""
+    code = (
+        "import sys\n"
+        "from psiclass.asym import f_bound, lemma6_check\n"
+        "sys.setrecursionlimit(150)\n"
+        "f = f_bound(300, 3)\n"
+        "assert sys.getrecursionlimit() == 150\n"
+        "ok, excess = lemma6_check(xmax=300, nmax=5)\n"
+        "assert sys.getrecursionlimit() == 150\n"
+        "print(ok, f)\n"
+    )
+    src = os.path.dirname(os.path.dirname(psiclass.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"True {f_bound(300, 3)}\n"

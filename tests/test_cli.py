@@ -266,6 +266,15 @@ def test_bounds(capsys):
     assert payload["lemma7_x_max"] == 14
 
 
+@pytest.mark.parametrize("gmax", ["0", "-3"])
+def test_bounds_rejects_gmax_below_one(gmax, capsys):
+    code = main(["bounds", "--gmax", gmax])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: lemma6_check needs xmax >= 1 and nmax >= 1\n"
+
+
 def test_out_flag(tmp_path, capsys):
     target = tmp_path / "out.json"
     code = main(["compute", "1", "--out", str(target)])

@@ -18,7 +18,7 @@ from psiclass.closed import (
 from psiclass.dvv import c_value, gamma_norm, genus_of, intersection_number
 from psiclass.exact import ONE, Q, ZERO
 
-from oracles import n_point_reference
+from oracles import matrix_coeff_reference, n_point_reference, trace_product_reference
 
 
 def _multisets(n, total, lo=0):
@@ -44,6 +44,32 @@ def test_matrix_entries_small_k():
     # k = -1: r_0 = -1; k <= -2: zero matrix
     assert matrix_coeff(-1)[2] == Q(-1)
     assert matrix_coeff(-2) == (ZERO, ZERO, ZERO, ZERO)
+
+
+def test_matrix_entries_match_rational_closed_forms():
+    for k in range(-3, 91):
+        assert matrix_coeff(k) == matrix_coeff_reference(k), k
+
+
+def test_trace_product_matches_plain_matrix_product():
+    rng = random.Random(2024)
+    nonzero = 0
+    for i in range(200):
+        if i % 2:
+            ks = [rng.randint(-2, 24) for _ in range(rng.randint(1, 6))]
+        else:
+            # As many upper (k = 0 mod 3) as lower (k = 2 mod 3) factors,
+            # which a nonzero trace needs, around diagonal ones.
+            pairs, diag = rng.randint(0, 3), rng.randint(0, 3)
+            ks = [3 * rng.randint(0, 8) for _ in range(pairs)]
+            ks += [3 * rng.randint(0, 8) - 1 for _ in range(pairs)]
+            ks += [3 * rng.randint(1, 8) - 2 for _ in range(diag or 1)]
+            rng.shuffle(ks)
+        ks = tuple(ks)
+        want = trace_product_reference(ks)
+        assert trace_product(ks) == want, ks
+        nonzero += bool(want)
+    assert nonzero >= 40
 
 
 def test_matrices_traceless():

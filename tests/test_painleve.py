@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from psiclass import painleve
 from psiclass.exact import Q, ZERO
 from psiclass.painleve import (
     cg_asymptotic_series,
@@ -20,6 +21,8 @@ from psiclass.painleve import (
     theorem_a_estimate,
 )
 
+from oracles import painleve_coeff_reference
+
 
 def test_first_coefficients():
     assert painleve_coeff(0) == Q(-1)
@@ -27,6 +30,19 @@ def test_first_coefficients():
     assert painleve_coeff(2) == Q(98)
     assert painleve_coeff(3) == Q(19600)
     assert painleve_coeff(4) == Q(8824802)
+
+
+def test_coefficients_match_rational_recursion():
+    for g in range(0, 121):
+        assert painleve_coeff(g) == painleve_coeff_reference(g), g
+
+
+def test_odd_convolution_sum_is_an_error(monkeypatch):
+    # With c_2 odd the sum for c_4, 2 c_2 c_2 + ... = c_2^2, cannot be halved.
+    monkeypatch.setattr(painleve, "_CG", [-1, 2, 3])
+    assert painleve_coeff(3) == Q(600)
+    with pytest.raises(ArithmeticError, match="odd convolution sum for c_4"):
+        painleve_coeff(4)
 
 
 def test_coefficients_are_positive_integers_from_g1():
