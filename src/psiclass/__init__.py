@@ -39,9 +39,9 @@ _MODULE_OF = {
     "one_point_series": "asym",
     "painleve_coeff": "painleve",
     "painleve_from_intersections": "painleve",
-    "partition_count": "harness",
+    "partition_count": "partitions",
     "pi_value": "exact",
-    "primitive_vectors": "harness",
+    "primitive_vectors": "partitions",
     "rat_str": "exact",
     "sweep_nesting": "harness",
     "theorem2_product": "asym",

@@ -34,7 +34,6 @@ builds one rational, the excess bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import localcontext
 from math import comb, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -94,20 +93,23 @@ def _dict_scale(a: Dict, scale) -> Dict:
     return {k: scale * v for k, v in a.items() if scale * v}
 
 
-@dataclass
 class LogExpansion:
     """An expansion  glng*(g ln g) + lng*(ln g) + <lin>*g + <const> + tail(1/g)
 
     with <.> ranging over the Q-span of {1, ln2, ln3, ln5, ln pi}.  This is
     exactly the shape of ln Gamma(a g + b) and hence of log C along closed
-    families; sums of these stay in the class.
+    families; sums of these stay in the class.  ``lin`` and ``const`` map
+    basis labels to coefficients.
     """
 
-    glng: object
-    lng: object
-    lin: Dict[str, object]
-    const: Dict[str, object]
-    tail: SeriesInvX
+    __slots__ = ("glng", "lng", "lin", "const", "tail")
+
+    def __init__(self, glng, lng, lin: Dict, const: Dict, tail: SeriesInvX):
+        self.glng = glng
+        self.lng = lng
+        self.lin = lin
+        self.const = const
+        self.tail = tail
 
     def __add__(self, other: "LogExpansion") -> "LogExpansion":
         return LogExpansion(
@@ -350,10 +352,9 @@ def _poly_gcd(a: List, b: List) -> List:
     return [c * inv for c in a]
 
 
-@dataclass
-class RationalFunctionOfG:
+class RationalFunctionOfG(NamedTuple):
     """P(g)/Q(g) with exact rational coefficients, stored lowest-terms with
-    monic denominator."""
+    monic denominator, so equal functions are equal tuples."""
 
     num: Tuple
     den: Tuple
@@ -587,13 +588,6 @@ def mult_poly_json(k: int, poly: MultPoly) -> dict:
         }
         monos.append({"exponents": named, "coefficient": rat_str(poly[exps])})
     return {"k": k, "monomials": monos}
-
-
-def mult_poly_eval(poly: MultPoly, pvec: Tuple[int, int, int, int]):
-    acc = ZERO
-    for exps, c in poly.items():
-        acc += c * _mono_value(exps, pvec)
-    return acc
 
 
 # ----------------------------------------------------------------------

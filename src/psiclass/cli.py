@@ -76,11 +76,11 @@ def _cmd_compute(args) -> Tuple[dict, bool]:
 
 
 def _cmd_table(args) -> Tuple[dict, bool]:
-    from . import harness
+    from .partitions import primitive_vectors
 
     g = args.genus
     rows = []
-    for d in harness.primitive_vectors(g):
+    for d in primitive_vectors(g):
         v = c_value(d)
         rows.append(
             {
@@ -156,7 +156,7 @@ def _cmd_check_identities(args) -> Tuple[dict, bool]:
     sampled = harness.sample_vectors(args.sample)
     for d in sampled:
         note("omega11", d, harness.check_omega11_identity(d))
-    for d in [(2, 2, 2), (4,), (1,)] + sampled[: max(0, args.sample // 2)]:
+    for d in [(2, 2, 2), (4,), (1,)] + sampled[: args.sample // 2]:
         note("c4", d, harness.check_c4_inequalities(d))
     primitive = [(7,), (2, 2, 2), (2, 2, 3, 3)]
     primitive += harness.primitive_vectors(2) + harness.primitive_vectors(3)
@@ -191,6 +191,8 @@ def _cmd_counterexamples(_args) -> Tuple[dict, bool]:
 def _cmd_painleve(args) -> Tuple[dict, bool]:
     from . import painleve
 
+    if args.gmax < 0:
+        raise ValueError("gmax must be at least 0")
     rows = []
     ok = True
     bridge_cap = min(args.gmax, args.bridge_gmax)

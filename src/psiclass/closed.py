@@ -27,8 +27,7 @@ The matrices are held on integers: A_k as four integer entries over one
 positive denominator (24^h h!, doubled for the diagonal family, with
 h = (k+1)//3, reduced to lowest terms), built from the double factorials
 directly.  Products multiply entries and denominators as integers, and a
-trace becomes one rational, which trace_product caches; matrix_coeff is the
-rational view of the same matrices.
+trace becomes one rational, which trace_product caches.
 
 Enumeration windows: every formula's floor/weight structure forces the
 k-slot paired with the largest d-entry to exceed that entry, so the
@@ -102,13 +101,6 @@ def _imul(m1: IMat, m2: IMat) -> IMat:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, p * q)
 
 
-def matrix_coeff(k: int) -> tuple:
-    """The 2x2 matrix A_k as a flat (a, b, c, d) tuple of rationals; zero
-    for k <= -2."""
-    a, b, c, d, den = _int_matrix(k)
-    return (Q(a, den), Q(b, den), Q(c, den), Q(d, den))
-
-
 def _reversal_sign(ks: Sequence[int]) -> int:
     """tr of the reversed product differs by (-1)^#{k_i = 1 mod 3}."""
     return -1 if sum(1 for v in ks if v % 3 == 1) % 2 else 1
@@ -148,31 +140,6 @@ def trace_product(ks: Sequence[int]):
 
 def _c_prefactor(g: int, n: int):
     return Q(4**g, 3 ** (2 * g + n - 2) * factorial(2 * g + n - 3))
-
-
-def a_value(ks: Sequence[int]):
-    """a(k) = 2^(2g) tr(A_{k_1}..A_{k_n}) / (3^(2g+n-2) (2g+n-3)!).
-
-    Zero when any k_i <= -2, when g(k) is not a non-negative integer, or
-    when 2g + n - 3 < 0.
-
-    >>> a_value((0, 2)) == Q(-7, 18)
-    True
-    """
-    ks = tuple(ks)
-    n = len(ks)
-    if any(v <= -2 for v in ks):
-        return ZERO
-    t = sum(ks) - n
-    if t % 3:
-        return ZERO
-    g = 1 + t // 3
-    if g < 0 or 2 * g + n - 3 < 0:
-        return ZERO
-    tr = trace_product(ks)
-    if not tr:
-        return ZERO
-    return tr * _c_prefactor(g, n)
 
 
 def xi_pair(k1: int, k2: int):

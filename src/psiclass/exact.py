@@ -1,9 +1,12 @@
 """Exact rational arithmetic kernel and shared combinatorial conventions.
 
 Everything downstream (the recursion engine, the closed formulas, the series
-machinery) computes with exact rationals.  gmpy2.mpq is used when available,
-being several times faster than fractions.Fraction on the hot recursion
-paths; set PSICLASS_NOGMPY=1 to force the pure-stdlib fallback.
+machinery) returns exact rationals.  The recursion, the closed-formula
+matrices, the Painleve I coefficients and the majorant run on Python ints
+and build a rational only at their boundary, so the backend matters to the
+Fraction-valued remainder (series jets, rational fitting, the identity
+checks).  gmpy2.mpq is used when available; set PSICLASS_NOGMPY=1 to force
+the pure-stdlib fallback.
 
 Negative-argument conventions live here and nowhere else:
 
@@ -21,7 +24,7 @@ import math
 import os
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 if os.environ.get("PSICLASS_NOGMPY"):
     Q = Fraction
@@ -31,7 +34,6 @@ else:
     except ImportError:  # gmpy2 is the optional "gmpy" extra
         Q = Fraction
 
-Rational = Union[Fraction, int]  # any exact rational-like value, incl. Q
 ZERO = Q(0)
 ONE = Q(1)
 

@@ -1,21 +1,18 @@
 """Sweep engine and identity checkers built on the exact C-value core.
 
-Partition enumeration is colexicographic on multiplicity vectors so every
-report is byte-reproducible; the partition count per genus is cross-checked
-against the pentagonal-number recurrence, which never touches the
-enumerator's code path.  All comparisons are exact rational comparisons;
-the only decimals are the reported deviation statistics, computed at a
-stated precision.
+The vectors come from psiclass.partitions, in a fixed order, so every
+report is byte-reproducible.  All comparisons are exact rational
+comparisons; the only decimals are the reported deviation statistics,
+computed at a stated precision.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from math import factorial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .closed import (
     four_point,
@@ -35,99 +32,14 @@ from .dvv import (
     x_int,
 )
 from .exact import HPDecimal, Q, ZERO, pi_value, to_decimal
-
-# ----------------------------------------------------------------------
-# Partitions.
-# ----------------------------------------------------------------------
-
-
-def partition_count(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence (independent of the
-    enumerator below, so it can serve as its oracle)."""
-    if n < 0:
-        raise ValueError("partition_count needs n >= 0")
-    p = [1] + [0] * n
-    for m in range(1, n + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > m and g2 > m:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            if g1 <= m:
-                total += sign * p[m - g1]
-            if g2 <= m:
-                total += sign * p[m - g2]
-            k += 1
-        p[m] = total
-    return p[n]
-
-
-def partitions(total: int, max_part: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
-    """All partitions of ``total`` as nonincreasing tuples (parts >= 1)."""
-    if total == 0:
-        yield ()
-        return
-    if max_part is None or max_part > total:
-        max_part = total
-    for first in range(max_part, 0, -1):
-        for rest in partitions(total - first, first):
-            yield (first,) + rest
-
-
-def partitions_exact_length(total: int, n: int) -> Iterator[Tuple[int, ...]]:
-    """Partitions of ``total`` into exactly ``n`` parts >= 1, nonincreasing."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    if total < n:
-        return
-
-    def rec(rem: int, k: int, cap: int) -> Iterator[Tuple[int, ...]]:
-        if k == 1:
-            if 1 <= rem <= cap:
-                yield (rem,)
-            return
-        # keep enough room for k-1 further parts of size >= 1
-        for first in range(min(cap, rem - (k - 1)), 0, -1):
-            for rest in rec(rem - first, k - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, n, total)
-
-
-def _colex_key(parts: Tuple[int, ...], span: int) -> Tuple[int, ...]:
-    mult = [0] * (span + 1)
-    for v in parts:
-        mult[v] += 1
-    return tuple(reversed(mult))
-
-
-def primitive_vectors(g: int) -> List[Tuple[int, ...]]:
-    """All primitive d (entries >= 2) of genus g, one per multiset, in
-    colexicographic order of multiplicity vectors.
-
-    The bijection: subtracting 1 from every entry of a primitive genus-g
-    vector gives a partition of 3g-3, so the list has p(3g-3) members.
-    """
-    if g < 2:
-        raise ValueError("primitive_vectors needs g >= 2")
-    m = 3 * g - 3
-    parts_list = [tuple(sorted(v + 1 for v in p)) for p in partitions(m)]
-    parts_list.sort(key=lambda t: _colex_key(t, m + 1))
-    return parts_list
-
+from .partitions import partition_count, partitions, primitive_vectors
 
 # ----------------------------------------------------------------------
 # Nesting sweep (plus the deviation statistic of the uniform 1/pi law).
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     genus: int
     count: int
     min_vector: Tuple[int, ...]
@@ -205,7 +117,7 @@ def theta_sweep(X: int, n: int, cache: Optional[MemoCache] = None):
     if s2 % 2 != 0 or s2 // 2 < n:
         raise ValueError("empty feasible set")
     best = None
-    for d in partitions_exact_length(s2 // 2, n):
+    for d in partitions(s2 // 2, n):
         v = c_value(d, cache)
         if best is None or v > best:
             best = v
@@ -219,25 +131,19 @@ def theta_sweep(X: int, n: int, cache: Optional[MemoCache] = None):
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     count: int
     ok: bool
     first_mismatch: Optional[tuple]
 
 
-@dataclass
-class CrossFormulaReport:
+class CrossFormulaReport(NamedTuple):
     suites: List[SuiteResult]
 
     @property
     def ok(self) -> bool:
         return all(s.ok for s in self.suites)
-
-    @property
-    def total(self) -> int:
-        return sum(s.count for s in self.suites)
 
 
 BUDGETS = {
@@ -245,21 +151,6 @@ BUDGETS = {
     "smoke": (3, 2, 2, 1),
     "default": (8, 5, 4, 3),
 }
-
-
-def _multisets(n: int, total: int) -> Iterator[Tuple[int, ...]]:
-    """Nondecreasing n-tuples of nonnegative integers summing to total."""
-
-    def rec(rem: int, k: int, lo: int) -> Iterator[Tuple[int, ...]]:
-        if k == 1:
-            if rem >= lo:
-                yield (rem,)
-            return
-        for first in range(lo, rem // k + 1):
-            for rest in rec(rem - first, k - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, n, 0)
 
 
 def check_cross_formulas(
@@ -287,6 +178,13 @@ def check_cross_formulas(
                 break
         suites.append(SuiteResult(name, count, mismatch is None, mismatch))
 
+    def vectors(n: int, gmax: int) -> Iterator[Tuple[int, ...]]:
+        # The nondecreasing n-vectors of genus g <= gmax have sum 3g - 3 + n:
+        # each is a partition of 3g - 3 + 2n into n parts, each part less one.
+        for g in range(0, gmax + 1):
+            for p in partitions(3 * g - 3 + 2 * n, n):
+                yield tuple(v - 1 for v in reversed(p))
+
     run(
         "two_point_bdy",
         ((d1, 3 * g - 1 - d1) for g in range(1, g2 + 1) for d1 in range(0, 3 * g)),
@@ -297,21 +195,9 @@ def check_cross_formulas(
         ((d1, 3 * g - 1 - d1) for g in range(1, g2 + 1) for d1 in range(0, 3 * g)),
         lambda d: two_point_zograf(*d),
     )
-    run(
-        "three_point",
-        (d for g in range(0, g3 + 1) for d in _multisets(3, 3 * g)),
-        three_point,
-    )
-    run(
-        "four_point",
-        (d for g in range(0, g4 + 1) for d in _multisets(4, 3 * g + 1)),
-        four_point,
-    )
-    run(
-        "n_point(n=5)",
-        (d for g in range(0, g5 + 1) for d in _multisets(5, 3 * g + 2)),
-        n_point,
-    )
+    run("three_point", vectors(3, g3), three_point)
+    run("four_point", vectors(4, g4), four_point)
+    run("n_point(n=5)", vectors(5, g5), n_point)
     return CrossFormulaReport(suites)
 
 
@@ -332,11 +218,6 @@ def _bdy_as_c(d: Tuple[int, int]):
 # ----------------------------------------------------------------------
 # Identity and inequality checkers.
 # ----------------------------------------------------------------------
-
-
-def _xpart(zeros: int, entries: Tuple[int, ...]) -> Optional[int]:
-    s = zeros + sum(2 * e + 1 for e in entries)
-    return s // 3 if s % 3 == 0 else None
 
 
 def _splits(t: Tuple[int, ...], groups: int) -> Iterator[Tuple[tuple, int]]:
@@ -362,7 +243,7 @@ def check_omega11_identity(d: Sequence[int], cache: Optional[MemoCache] = None) 
     t = tuple(d)
     if genus_of(t) is None:
         raise ValueError("check_omega11_identity needs a geometric vector")
-    X = _xpart(0, t)
+    X = x_int(t)
     assert X is not None
     denom = factorial(X + 1)
     rhs = c_value((0,) * 6 + t, cache)
@@ -370,8 +251,8 @@ def check_omega11_identity(d: Sequence[int], cache: Optional[MemoCache] = None) 
     def quad(z1: int, z2: int, coeff):
         acc = ZERO
         for (I, J), ways in _splits(t, 2):
-            x1 = _xpart(z1, I)
-            x2 = _xpart(z2, J)
+            d1, d2 = (0,) * z1 + I, (0,) * z2 + J
+            x1, x2 = x_int(d1), x_int(d2)
             if x1 is None or x2 is None or x1 < 1 or x2 < 1:
                 continue
             term = (
@@ -379,8 +260,8 @@ def check_omega11_identity(d: Sequence[int], cache: Optional[MemoCache] = None) 
                 * factorial(x1 - 1)
                 * factorial(x2 - 1)
                 / denom
-                * c_value((0,) * z1 + I, cache)
-                * c_value((0,) * z2 + J, cache)
+                * c_value(d1, cache)
+                * c_value(d2, cache)
             )
             acc += term
         return coeff * acc
@@ -388,16 +269,17 @@ def check_omega11_identity(d: Sequence[int], cache: Optional[MemoCache] = None) 
     rhs += quad(3, 3, Q(3, 2))
     rhs += quad(2, 4, Q(6))
     cubic = ZERO
-    for (I, J, K), ways in _splits(t, 3):
-        xs = [_xpart(2, part) for part in (I, J, K)]
+    for split, ways in _splits(t, 3):
+        parts = [(0, 0) + part for part in split]
+        xs = [x_int(part) for part in parts]
         if any(x is None or x < 1 for x in xs):
             continue
         w = Q(ways)
         for x in xs:
             w *= factorial(x - 1)
         w /= denom
-        for part in (I, J, K):
-            w *= c_value((0, 0) + part, cache)
+        for part in parts:
+            w *= c_value(part, cache)
         cubic += w
     rhs += Q(3) * cubic
     return c_value(t, cache) == rhs
@@ -435,8 +317,8 @@ def check_lemma3(d: Sequence[int], cache: Optional[MemoCache] = None) -> bool:
     for a in range(0, pivot - 1):
         b = pivot - 2 - a
         for (I, J), ways in _splits(rest, 2):
-            x1 = _xpart(0, (a,) + I)
-            x2 = _xpart(0, (b,) + J)
+            x1 = x_int((a,) + I)
+            x2 = x_int((b,) + J)
             if x1 is None or x2 is None or x1 < 1 or x2 < 1:
                 continue
             acc += Q(ways) * factorial(x1 - 1) * factorial(x2 - 1) / denom
@@ -473,8 +355,7 @@ def lemma7_check(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     values_ok: bool
     inequalities_ok: bool
     rows: List[tuple]
@@ -533,15 +414,10 @@ def theorem2_family(g: int, max_zeros: int = 6) -> Iterator[Tuple[int, ...]]:
         # parts >= 2: sum = 3g - 3 + k + m over m parts, each >= 2, i.e.
         # partitions of 3g - 3 + k into m parts after the shift by 1.
         m_total = 3 * g - 3 + k
-        if m_total < 0:
-            continue
-        if m_total == 0:
+        if m_total <= 0:
             continue
         for p in partitions(m_total):
-            d = tuple(sorted(v + 1 for v in p))
-            if any(v < 2 for v in d):
-                continue
-            yield (0,) * k + d
+            yield (0,) * k + tuple(v + 1 for v in reversed(p))
 
 
 def theorem2_deviation_sweep(
@@ -582,6 +458,8 @@ def sample_vectors(
     count: int, x_cap: int = 9, seed: int = 91117, n_cap: int = 5
 ) -> List[Tuple[int, ...]]:
     """Deterministic sample of geometric vectors with X(d) <= x_cap."""
+    if count < 0:
+        raise ValueError("sample_vectors needs count >= 0")
     rng = random.Random(seed)
     out: List[Tuple[int, ...]] = []
     seen = set()

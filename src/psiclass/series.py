@@ -73,9 +73,6 @@ class SeriesInvX:
     def truncate(self, order: int) -> "SeriesInvX":
         return SeriesInvX(self.coeffs, order)
 
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "SeriesInvX":
@@ -133,18 +130,6 @@ class SeriesInvX:
                     acc += self.coeffs[k] * out[m - k]
             out[m] = -inv0 * acc
         return SeriesInvX(out)
-
-    def pow_int(self, k: int) -> "SeriesInvX":
-        if k < 0:
-            return self.inverse().pow_int(-k)
-        result = SeriesInvX.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     # -- composition and transcendental jets ---------------------------
 

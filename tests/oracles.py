@@ -6,6 +6,11 @@ trace sum without window pruning, the one-point series from its ratio
 functional equation instead of Stirling jets, and the rational-valued forms
 of the closed-formula matrices and traces, the Painleve I recursion and the
 majorant that the library computes on integers.
+
+It also holds the views of library data that only tests read: the rational
+entries of the integer matrices (matrix_coeff), the trace-normalized
+coefficients a(k) (a_value) and the evaluation of a table polynomial
+(mult_poly_eval).
 """
 
 from __future__ import annotations
@@ -14,8 +19,14 @@ from itertools import product as _iproduct
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from psiclass.asym import PiLinear
-from psiclass.closed import _c_prefactor, _omega, _perm_data
+from psiclass.asym import MultPoly, PiLinear, _mono_value
+from psiclass.closed import (
+    _c_prefactor,
+    _int_matrix,
+    _omega,
+    _perm_data,
+    trace_product,
+)
 from psiclass.dvv import (
     DVec,
     MemoCache,
@@ -69,6 +80,35 @@ def matrix_coeff_reference(k: int) -> tuple:
     if r == 0:
         return (ZERO, -q, ZERO, ZERO)
     return (ZERO, ZERO, q * Q(6 * g + 1, 6 * g - 1), ZERO)
+
+
+def matrix_coeff(k: int) -> tuple:
+    """The library's A_k as a flat (a, b, c, d) tuple of rationals, read
+    from closed._int_matrix; zero for k <= -2."""
+    a, b, c, d, den = _int_matrix(k)
+    return (Q(a, den), Q(b, den), Q(c, den), Q(d, den))
+
+
+def a_value(ks: Sequence[int]):
+    """a(k) = 2^(2g) tr(A_{k_1}..A_{k_n}) / (3^(2g+n-2) (2g+n-3)!).
+
+    Zero when any k_i <= -2, when g(k) is not a non-negative integer, or
+    when 2g + n - 3 < 0.
+    """
+    ks = tuple(ks)
+    n = len(ks)
+    if any(v <= -2 for v in ks):
+        return ZERO
+    t = sum(ks) - n
+    if t % 3:
+        return ZERO
+    g = 1 + t // 3
+    if g < 0 or 2 * g + n - 3 < 0:
+        return ZERO
+    tr = trace_product(ks)
+    if not tr:
+        return ZERO
+    return tr * _c_prefactor(g, n)
 
 
 def _mat_mul(m1: tuple, m2: tuple) -> tuple:
@@ -140,6 +180,14 @@ def one_point_series_by_ratio(K: int) -> SeriesInvX:
         resid = ser.compose(inner) - ser * R
         s[J] = resid.coeffs[J + 1] / J
     return SeriesInvX(s, K)
+
+
+def mult_poly_eval(poly: MultPoly, pvec: Tuple[int, int, int, int]):
+    """A table polynomial at the multiplicities pvec = (p_2, p_3, p_4, p_5)."""
+    acc = ZERO
+    for exps, c in poly.items():
+        acc += c * _mono_value(exps, pvec)
+    return acc
 
 
 _CG_REF: List = [Q(-1), Q(2), Q(98)]

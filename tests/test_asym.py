@@ -31,7 +31,6 @@ from psiclass.asym import (
     fit_rational,
     largest_series,
     lemma6_check,
-    mult_poly_eval,
     mult_poly_json,
     one_point_series,
     pi_gamma_series,
@@ -42,7 +41,12 @@ from psiclass.asym import (
 from psiclass.closed import one_point_c
 from psiclass.exact import ONE, Q, ZERO, pi_interval, pi_value, to_decimal
 
-from oracles import f_bound_reference, lemma6_check_reference, one_point_series_by_ratio
+from oracles import (
+    f_bound_reference,
+    lemma6_check_reference,
+    mult_poly_eval,
+    one_point_series_by_ratio,
+)
 
 # ----------------------------------------------------------------------
 # Series.

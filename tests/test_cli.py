@@ -74,8 +74,15 @@ def test_commands_import_only_what_they_run():
     }
     assert "dataclasses" not in loaded
     loaded = _modules_after(["table", "--genus", "3"])
-    assert "psiclass.asym" not in loaded
-    assert "psiclass.painleve" not in loaded
+    assert {m for m in loaded if m.partition(".")[0] == "psiclass"} == {
+        "psiclass",
+        "psiclass.cli",
+        "psiclass.dvv",
+        "psiclass.exact",
+        "psiclass.partitions",
+    }
+    assert "dataclasses" not in loaded
+    assert "dataclasses" not in _modules_after(["asym", "fit", "--k", "1"])
 
 
 PUBLIC = [
@@ -266,13 +273,22 @@ def test_bounds(capsys):
     assert payload["lemma7_x_max"] == 14
 
 
-@pytest.mark.parametrize("gmax", ["0", "-3"])
-def test_bounds_rejects_gmax_below_one(gmax, capsys):
-    code = main(["bounds", "--gmax", gmax])
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        pytest.param("bounds", "--gmax", "0", "lemma6_check needs xmax >= 1 and nmax >= 1", id="0"),
+        pytest.param("bounds", "--gmax", "-3", "lemma6_check needs xmax >= 1 and nmax >= 1", id="-3"),
+        pytest.param("painleve", "--gmax", "-1", "gmax must be at least 0", id="painleve--gmax=-1"),
+        pytest.param("check-identities", "--sample", "-3", "sample_vectors needs count >= 0", id="check-identities--sample=-3"),
+    ],
+)  # fmt: skip
+def test_bounds_rejects_gmax_below_one(command, flag, value, message, capsys):
+    # An empty range is a usage error, not a run of no checks that passes.
+    code = main([command, flag, value])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: lemma6_check needs xmax >= 1 and nmax >= 1\n"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_out_flag(tmp_path, capsys):

@@ -5,9 +5,7 @@ from __future__ import annotations
 import random
 
 from psiclass.closed import (
-    a_value,
     four_point,
-    matrix_coeff,
     n_point,
     one_point_c,
     three_point,
@@ -18,7 +16,13 @@ from psiclass.closed import (
 from psiclass.dvv import c_value, gamma_norm, genus_of, intersection_number
 from psiclass.exact import ONE, Q, ZERO
 
-from oracles import matrix_coeff_reference, n_point_reference, trace_product_reference
+from oracles import (
+    a_value,
+    matrix_coeff,
+    matrix_coeff_reference,
+    n_point_reference,
+    trace_product_reference,
+)
 
 
 def _multisets(n, total, lo=0):

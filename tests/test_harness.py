@@ -15,16 +15,13 @@ from psiclass.harness import (
     check_omega11_identity,
     counterexample_suite,
     lemma7_check,
-    partition_count,
-    partitions,
-    partitions_exact_length,
-    primitive_vectors,
     sample_vectors,
     sweep_nesting,
     theorem2_deviation_sweep,
     theorem2_family,
     theta_sweep,
 )
+from psiclass.partitions import partition_count, partitions, primitive_vectors
 
 
 def test_partition_count_pentagonal():
@@ -38,13 +35,28 @@ def test_partition_count_pentagonal():
 def test_partitions_against_count():
     for n in range(0, 15):
         assert sum(1 for _ in partitions(n)) == partition_count(n)
+        # Summed over the number of parts, the fixed-length lists cover
+        # every partition once.
+        by_length = [p for k in range(n + 1) for p in partitions(n, parts=k)]
+        assert len(by_length) == len(set(by_length)) == partition_count(n)
 
 
 def test_partitions_exact_length():
-    got = sorted(partitions_exact_length(6, 3))
-    assert got == [(2, 2, 2), (3, 2, 1), (4, 1, 1)]
-    assert list(partitions_exact_length(2, 3)) == []
-    assert list(partitions_exact_length(0, 0)) == [()]
+    assert list(partitions(6, parts=3)) == [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
+    assert list(partitions(2, parts=3)) == []
+    assert list(partitions(0, parts=0)) == [()]
+    assert list(partitions(3, parts=0)) == []
+    assert list(partitions(0, parts=2)) == []
+    # Against a brute-force filter of all partitions, in the same order.
+    for t in range(0, 16):
+        every = list(partitions(t))
+        assert every == sorted(every, reverse=True)
+        for n in range(0, 7):
+            want = [p for p in every if len(p) == n]
+            assert list(partitions(t, parts=n)) == want, (t, n)
+            for cap in range(1, t + 1):
+                capped = [p for p in want if p[0] <= cap]
+                assert list(partitions(t, parts=n, max_part=cap)) == capped, (t, n, cap)
 
 
 def test_primitive_vectors_count_and_order():
@@ -53,6 +65,7 @@ def test_primitive_vectors_count_and_order():
         assert len(vecs) == partition_count(3 * g - 3)
         assert len(set(vecs)) == len(vecs)
         for d in vecs:
+            assert list(d) == sorted(d)
             assert all(v >= 2 for v in d)
             assert sum(d) - len(d) == 3 * g - 3
     # Colex order on multiplicity vectors puts the all-2 class first and
@@ -110,9 +123,12 @@ def test_cross_formulas_budgets():
         "four_point",
         "n_point(n=5)",
     }
-    assert all(s.count > 0 for s in rep.suites)
+    # 3g two-point vectors per genus g = 1..3; the multisets of n entries
+    # with sum 3g - 3 + n: 1 + 3 + 7 (n = 3, g <= 2), 1 + 5 + 11 (n = 4,
+    # g <= 2) and 2 + 7 (n = 5, g <= 1).
+    assert [s.count for s in rep.suites] == [18, 18, 11, 17, 9]
     empty = check_cross_formulas("none")
-    assert empty.ok and empty.total == 0
+    assert empty.ok and empty.suites == []
     with pytest.raises(ValueError):
         check_cross_formulas("huge")
 
