@@ -142,37 +142,6 @@ def _c_prefactor(g: int, n: int):
     return Q(4**g, 3 ** (2 * g + n - 2) * factorial(2 * g + n - 3))
 
 
-def xi_pair(k1: int, k2: int):
-    """tr(A_{k1} A_{k2}) by the closed two-index table (no matrices).
-
-    Nonzero only for (1,1), (0,2) and (2,0) residue patterns mod 3; the
-    latter two carry the factor (6g+1)/(6g-1), which at g = 0 contributes
-    -1 (and (-1)!! = 1 throughout).
-    """
-    if k1 <= -2 or k2 <= -2:
-        return ZERO
-    r1, r2 = k1 % 3, k2 % 3
-    if r1 == 1 and r2 == 1:
-        g1, g2 = (k1 + 2) // 3, (k2 + 2) // 3
-        return Q(
-            odd_double_factorial(6 * g1 - 5) * odd_double_factorial(6 * g2 - 5),
-            2 * 24 ** (g1 + g2 - 2) * factorial(g1 - 1) * factorial(g2 - 1),
-        )
-    if r1 == 0 and r2 == 2:
-        g1, g2 = k1 // 3, (k2 + 1) // 3
-        return -Q(
-            odd_double_factorial(6 * g1 - 1) * odd_double_factorial(6 * g2 - 1),
-            24 ** (g1 + g2) * factorial(g1) * factorial(g2),
-        ) * Q(6 * g2 + 1, 6 * g2 - 1)
-    if r1 == 2 and r2 == 0:
-        g1, g2 = (k1 + 1) // 3, k2 // 3
-        return -Q(
-            odd_double_factorial(6 * g1 - 1) * odd_double_factorial(6 * g2 - 1),
-            24 ** (g1 + g2) * factorial(g1) * factorial(g2),
-        ) * Q(6 * g1 + 1, 6 * g1 - 1)
-    return ZERO
-
-
 def one_point_c(m: int):
     """C(m) for a single marking: 3 (6g-3)!! / (54^g g! (2g-2)!) at m = 3g-2.
 
@@ -191,9 +160,10 @@ def one_point_c(m: int):
 def two_point_bdy(d1: int, d2: int):
     """The intersection number <psi_1^{d1} psi_2^{d2}> by the two-point sum
 
-        sum_{l=0}^{d1} (d1 + 1 - l) xi(l-1, 3g-l) / ((2d1+1)!! (2d2+1)!!)
+        sum_{l=0}^{d1} (d1 + 1 - l) tr(A_{l-1} A_{3g-l}) / ((2d1+1)!! (2d2+1)!!)
 
-    with d1 + d2 = 3g - 1.  Zero when d1 + d2 is not 2 mod 3.
+    of matrix traces, with d1 + d2 = 3g - 1.  Zero when d1 + d2 is not
+    2 mod 3.
     """
     if d1 < 0 or d2 < 0:
         return ZERO
@@ -203,9 +173,9 @@ def two_point_bdy(d1: int, d2: int):
     g = (s + 1) // 3
     acc = ZERO
     for l in range(d1 + 1):
-        xi = xi_pair(l - 1, 3 * g - l)
-        if xi:
-            acc += (d1 + 1 - l) * xi
+        tr = trace_product((l - 1, 3 * g - l))
+        if tr:
+            acc += (d1 + 1 - l) * tr
     return acc / (
         odd_double_factorial(2 * d1 + 1) * odd_double_factorial(2 * d2 + 1)
     )

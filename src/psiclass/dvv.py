@@ -41,6 +41,10 @@ The pivot is chosen for speed: a 0-entry when present (the string equation,
 which has no quadratic sum), else the maximal entry.  Any pivot yields the
 same value.
 
+``n_value`` runs the recursion from an explicit stack of suspended
+expansions, not the interpreter's, so a chain as deep as (0^k, k+1) needs
+no recursion limit and the limit is never read or changed.
+
 Subset splits are enumerated per distinct sub-multiset with binomial
 multiplicities rather than over raw index subsets, which is the same sum
 term-for-term but exponentially cheaper on vectors with many repeats.
@@ -61,7 +65,6 @@ import functools
 import math
 import os
 import re
-import sys
 from itertools import product as _iproduct
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -290,11 +293,12 @@ def multiset_splits(mults: Sequence[int], groups: int = 2) -> Iterator[tuple]:
             yield (takes,) + parts, ways * more
 
 
-def _expand(t: tuple, pivot_pos: int, cache: MemoCache) -> int:
+def _expand(t: tuple, pivot_pos: int):
     """One DVV expansion of N(t) at the entry with index ``pivot_pos``.
 
-    ``t`` must be geometric with X(t) >= 2 (not a base case); it need not
-    be sorted or free of 1-entries.
+    A generator: it yields each child vector whose N it needs, expects that
+    N sent back, and returns N(t).  ``t`` must be geometric with X(t) >= 2
+    (not a base case); it need not be sorted or free of 1-entries.
     """
     X = x_int(t)
     g = genus_of(t)
@@ -311,7 +315,7 @@ def _expand(t: tuple, pivot_pos: int, cache: MemoCache) -> int:
             continue  # only possible when p = 0, v = 0: that term vanishes
         idx = rest.index(v)
         child = rest[:idx] + (merged,) + rest[idx + 1 :]
-        total += m * (2 * v + 1) * n_value(child, cache)
+        total += m * (2 * v + 1) * (yield child)
 
     if p < 2:
         return total
@@ -320,7 +324,7 @@ def _expand(t: tuple, pivot_pos: int, cache: MemoCache) -> int:
     # connected ones.
     connected = 0
     for a in range(p - 1):
-        connected += n_value(rest + (a, p - 2 - a), cache)
+        connected += yield rest + (a, p - 2 - a)
     total += 12 * g * connected
 
     # The splits of rest do not depend on (a, b): enumerate them once,
@@ -348,8 +352,8 @@ def _expand(t: tuple, pivot_pos: int, cache: MemoCache) -> int:
             separable += (
                 ways
                 * comb(g, g1)
-                * n_value((a,) + left, cache)
-                * n_value((b,) + right, cache)
+                * (yield (a,) + left)
+                * (yield (b,) + right)
             )
     half, odd = divmod(separable, 2)
     if odd:
@@ -363,45 +367,34 @@ def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:
     >>> n_value((4,)), n_value((1, 4))
     (945, 8505)
     """
-    if cache is None:
-        cache = _DEFAULT_CACHE
-    t = canonical_tuple(d)
-    n = cache.table.get(t)
-    if n is None:
-        n = _n_canonical(t, cache)
-        if not n:
-            return 0
-    if len(d) > len(t):
-        # Dilaton: each stripped 1 multiplies by 3X of the vector it joins.
-        x = x_int(t)
-        for i in range(len(d) - len(t)):
-            n *= 3 * (x + i)
-    return n
-
-
-def _n_canonical(t: tuple, cache: MemoCache) -> int:
-    """N(t) for a canonical key that is not in the memo; stores it."""
-    if genus_of(t) is None:
-        return 0
-    base = _N_BASE.get(t)
-    if base is not None:
-        return base
-    X = x_int(t)
-    assert X is not None
-    if X < 1:
-        return 0
-    # The recursion descends roughly one unit of sum(d) + len(d) per frame,
-    # so a single large entry (or very many entries) can outrun the default
-    # interpreter limit.  Only ever raise it, never lower.
-    need = 3 * (sum(t) + len(t)) + 200
-    if need > 900 and sys.getrecursionlimit() < need + 100:
-        sys.setrecursionlimit(need + 100)
-    # Pivot strategy: 0-entry if any (string step: no quadratic sum),
-    # else the maximal entry.  t is sorted ascending.
-    pivot_pos = 0 if t[0] == 0 else len(t) - 1
-    n = _expand(t, pivot_pos, cache)
-    cache.table[t] = n
-    return n
+    table = (_DEFAULT_CACHE if cache is None else cache).table
+    stack = []  # suspended expansions: (generator, key, length asked)
+    asked = d
+    while True:
+        key = canonical_tuple(asked)
+        n = table.get(key)
+        if n is None:
+            n = 0 if genus_of(key) is None or x_int(key) < 1 else _N_BASE.get(key)
+        if n is None:  # a miss: the send below starts its expansion
+            pivot_pos = 0 if key[0] == 0 else len(key) - 1  # a 0, else the largest
+            stack.append((_expand(key, pivot_pos), key, len(asked)))
+        length = len(asked)
+        # Hand n to the caller, or to the waiting expansion; an expansion
+        # that returns completes its own key, which is handed on in turn.
+        while True:
+            if n and length > len(key):
+                # Dilaton: each stripped 1 multiplies by 3X of the vector it joins.
+                x = x_int(key)
+                for i in range(length - len(key)):
+                    n *= 3 * (x + i)
+            if not stack:
+                return n
+            try:
+                asked = stack[-1][0].send(n)
+                break
+            except StopIteration as done:
+                _, key, length = stack.pop()
+                n = table[key] = done.value
 
 
 def c_value(d: DVec, cache: Optional[MemoCache] = None):
@@ -417,7 +410,7 @@ def c_value(d: DVec, cache: Optional[MemoCache] = None):
     return Q(n, _c_scale(genus_of(t), x_int(t)))
 
 
-def intersection_number(d: DVec, cache: Optional[MemoCache] = None):
+def intersection_number(d: DVec):
     """The integral of psi_1^{d_1}...psi_n^{d_n}; 0 in non-geometric cases.
 
     >>> intersection_number((1,)) == Q(1, 24)
@@ -426,25 +419,25 @@ def intersection_number(d: DVec, cache: Optional[MemoCache] = None):
     g = genus_of(d)
     if g is None:
         return ZERO
-    n = n_value(d, cache)
+    n = n_value(d)
     if not n:
         return ZERO
     double_factorials = math.prod(odd_double_factorial(2 * dj + 1) for dj in d)
     return Q(n) / (24**g * math.factorial(g) * double_factorials)
 
 
-def u_value(d: DVec, cache: Optional[MemoCache] = None):
+def u_value(d: DVec):
     """prod (2 d_j + 1)!! times the intersection number."""
     g = genus_of(d)
     if g is None:
         return ZERO
-    n = n_value(d, cache)
+    n = n_value(d)
     if not n:
         return ZERO
     return Q(n, 24**g * math.factorial(g))
 
 
-def g_norm(d: DVec, cache: Optional[MemoCache] = None):
+def g_norm(d: DVec):
     """The DGZZ-normalized value G(d) = C(d) / C(0^(n-1), 3g-3+n).
 
     Tends to 1 at large genus.  Errors on non-geometric d (the normalization
@@ -455,10 +448,10 @@ def g_norm(d: DVec, cache: Optional[MemoCache] = None):
         raise ValueError(f"undefined normalization: g({tuple(d)}) is not in Z>=0")
     n = len(d)
     denom_vec = (0,) * (n - 1) + (3 * g - 3 + n,)
-    den = c_value(denom_vec, cache)
+    den = c_value(denom_vec)
     if not den:
         raise ValueError(f"undefined normalization: C({denom_vec}) = 0")
-    return c_value(d, cache) / den
+    return c_value(d) / den
 
 
 def gamma_norm(X: int):
@@ -489,7 +482,7 @@ def gamma_norm(X: int):
     return num / den
 
 
-def chat_value(d: DVec, cache: Optional[MemoCache] = None):
+def chat_value(d: DVec):
     """C-hat(d) = C(d)/gamma(X(d)); identically 1 on one-point vectors.
 
     Errors on non-geometric d and (like gamma_norm) on even X(d).
@@ -501,4 +494,4 @@ def chat_value(d: DVec, cache: Optional[MemoCache] = None):
     assert X is not None
     if X < 1:
         raise ValueError(f"chat_value requires X >= 1, got {X}")
-    return c_value(d, cache) / gamma_norm(X)
+    return c_value(d) / gamma_norm(X)

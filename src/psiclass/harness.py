@@ -105,7 +105,7 @@ def sweep_nesting(
     return reports
 
 
-def theta_sweep(X: int, n: int, cache: Optional[MemoCache] = None):
+def theta_sweep(X: int, n: int):
     """theta_{X,n} = max of C(d) over d in (Z>=1)^n with X(d) = X.
 
     The feasible set is the partitions of (3X - n)/2 into exactly n parts;
@@ -118,11 +118,9 @@ def theta_sweep(X: int, n: int, cache: Optional[MemoCache] = None):
         raise ValueError("empty feasible set")
     best = None
     for d in partitions(s2 // 2, n):
-        v = c_value(d, cache)
+        v = c_value(d)
         if best is None or v > best:
             best = v
-    if best is None:
-        raise ValueError("empty feasible set")
     return best
 
 
@@ -153,9 +151,7 @@ BUDGETS = {
 }
 
 
-def check_cross_formulas(
-    budget: str = "default", cache: Optional[MemoCache] = None
-) -> CrossFormulaReport:
+def check_cross_formulas(budget: str = "default") -> CrossFormulaReport:
     """Compare every closed formula against the recursion on its budgeted
     range: BDY and Zograf on all two-point vectors, the 3-/4-point formulas,
     and the general n-point formula at n=5."""
@@ -171,7 +167,7 @@ def check_cross_formulas(
         mismatch = None
         for d in pairs_iter:
             got = closed_fn(d)
-            want = c_value(d, cache)
+            want = c_value(d)
             count += 1
             if got != want:
                 mismatch = (d, got, want)
@@ -228,7 +224,7 @@ def _splits(t: Tuple[int, ...], groups: int) -> Iterator[Tuple[tuple, int]]:
         yield tuple(from_multiplicities(vals, part) for part in parts), ways
 
 
-def check_omega11_identity(d: Sequence[int], cache: Optional[MemoCache] = None) -> bool:
+def check_omega11_identity(d: Sequence[int]) -> bool:
     """The KdV-jet identity tying C(d) to six extra 0-insertions:
 
         C(d) = C(0^6, d)
@@ -246,7 +242,7 @@ def check_omega11_identity(d: Sequence[int], cache: Optional[MemoCache] = None) 
     X = x_int(t)
     assert X is not None
     denom = factorial(X + 1)
-    rhs = c_value((0,) * 6 + t, cache)
+    rhs = c_value((0,) * 6 + t)
 
     def quad(z1: int, z2: int, coeff):
         acc = ZERO
@@ -260,8 +256,8 @@ def check_omega11_identity(d: Sequence[int], cache: Optional[MemoCache] = None) 
                 * factorial(x1 - 1)
                 * factorial(x2 - 1)
                 / denom
-                * c_value(d1, cache)
-                * c_value(d2, cache)
+                * c_value(d1)
+                * c_value(d2)
             )
             acc += term
         return coeff * acc
@@ -279,21 +275,21 @@ def check_omega11_identity(d: Sequence[int], cache: Optional[MemoCache] = None) 
             w *= factorial(x - 1)
         w /= denom
         for part in parts:
-            w *= c_value(part, cache)
+            w *= c_value(part)
         cubic += w
     rhs += Q(3) * cubic
-    return c_value(t, cache) == rhs
+    return c_value(t) == rhs
 
 
-def check_c4_inequalities(d: Sequence[int], cache: Optional[MemoCache] = None) -> bool:
+def check_c4_inequalities(d: Sequence[int]) -> bool:
     """C(4, d) >= C(0^12, d), exactly."""
     t = tuple(d)
     if genus_of(t) is None:
         raise ValueError("check_c4_inequalities needs a geometric vector")
-    return c_value((4,) + t, cache) >= c_value((0,) * 12 + t, cache)
+    return c_value((4,) + t) >= c_value((0,) * 12 + t)
 
 
-def check_lemma3(d: Sequence[int], cache: Optional[MemoCache] = None) -> bool:
+def check_lemma3(d: Sequence[int]) -> bool:
     """The quadratic-splitting weight bound at the largest entry:
 
         sum_{a+b = d_1 - 2} sum_{I|J}  (X1-1)! (X2-1)! / (6 (X-1)!)
@@ -325,9 +321,7 @@ def check_lemma3(d: Sequence[int], cache: Optional[MemoCache] = None) -> bool:
     return acc <= Q(2, (X - 1) * (X - 2))
 
 
-def lemma7_check(
-    x_max: int = 14, digits: int = 50, cache: Optional[MemoCache] = None
-) -> bool:
+def lemma7_check(x_max: int = 14, digits: int = 50) -> bool:
     """theta_{X,n} <= f(X, n) for every feasible (X, n) with X <= x_max.
 
     The comparison is made safe against pi rounding: with f = r/pi + s and
@@ -341,7 +335,7 @@ def lemma7_check(
         for n in range(1, X + 1):
             if (3 * X - n) % 2 != 0 or (3 * X - n) // 2 < n:
                 continue
-            theta = theta_sweep(X, n, cache)
+            theta = theta_sweep(X, n)
             r, s = f_bound(X, n)
             if r < 0:
                 raise ArithmeticError("f bound with negative pi part")
@@ -373,25 +367,25 @@ _COUNTEREXAMPLE_VALUES = (
 )
 
 
-def counterexample_suite(cache: Optional[MemoCache] = None) -> CounterexampleReport:
+def counterexample_suite() -> CounterexampleReport:
     """Zeros break the nesting: frozen rationals and the four strict
     inequalities around them."""
     rows = []
     values_ok = True
     got: Dict[tuple, object] = {}
     for vec, want in _COUNTEREXAMPLE_VALUES:
-        have = c_value(vec, cache)
+        have = c_value(vec)
         got[vec] = have
         rows.append((vec, have, want, have == want))
         values_ok = values_ok and have == want
     ineqs = (
-        ("C(0^6,10) < C(4)", got[(0,) * 6 + (10,)] < c_value((4,), cache)),
-        ("C(0^2,6) > C(2,2,2)", got[(0, 0, 6)] > c_value((2, 2, 2), cache)),
+        ("C(0^6,10) < C(4)", got[(0,) * 6 + (10,)] < c_value((4,))),
+        ("C(0^2,6) > C(2,2,2)", got[(0, 0, 6)] > c_value((2, 2, 2))),
         (
             "C(2^5,8) < C(3^4,5)",
             got[(2,) * 5 + (8,)] < got[(3,) * 4 + (5,)],
         ),
-        ("C(4,4) < C(3,5)", c_value((4, 4), cache) < c_value((3, 5), cache)),
+        ("C(4,4) < C(3,5)", c_value((4, 4)) < c_value((3, 5))),
     )
     inequalities_ok = all(okv for _, okv in ineqs)
     rows.extend((name, okv) for name, okv in ineqs)
@@ -425,7 +419,6 @@ def theorem2_deviation_sweep(
     g_max: int = 5,
     max_zeros: int = 6,
     digits: int = 50,
-    cache: Optional[MemoCache] = None,
 ) -> Tuple[HPDecimal, Tuple[int, ...]]:
     """max over the family of g * |pi C(d) / product(d) - 1| plus argmax."""
     from .asym import theorem2_product
@@ -439,7 +432,7 @@ def theorem2_deviation_sweep(
         for g in range(g_min, g_max + 1):
             for d in theorem2_family(g, max_zeros):
                 prod = theorem2_product(d)
-                c = c_value(d, cache)
+                c = c_value(d)
                 dev = abs(
                     pi.value
                     * to_decimal(c, work).value

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from math import factorial
-from typing import List, Optional
+from typing import List
 
-from .dvv import MemoCache, c_value
+from .dvv import c_value
 from .exact import HPDecimal, ONE, Q, ZERO, pi_value, to_decimal
 from .series import SeriesInvX
 
@@ -81,11 +81,11 @@ def p1_residual(g: int):
     return acc + conv / 16
 
 
-def painleve_from_intersections(g: int, cache: Optional[MemoCache] = None):
+def painleve_from_intersections(g: int):
     """c_g recovered from C(2, ..., 2) with 3g-3 twos, for g >= 2."""
     if g < 2:
         raise ValueError("the intersection bridge needs g >= 2")
-    val = c_value((2,) * (3 * g - 3), cache)
+    val = c_value((2,) * (3 * g - 3))
     return (
         Q(2**g * 3 ** (3 * g - 2) * (5 * g - 3), 5 ** (3 * g - 3))
         * factorial(5 * g - 5)

@@ -33,8 +33,8 @@ from psiclass.dvv import (
     _c_scale,
     _expand,
     c_value,
-    default_cache,
     genus_of,
+    n_value,
     x_int,
 )
 from psiclass.exact import ONE, Q, ZERO, odd_double_factorial, pi_interval
@@ -48,9 +48,10 @@ def c_value_with_pivot(d: DVec, pivot_pos: int, cache: Optional[MemoCache] = Non
     index is meaningful; recursive sub-values go through the memoized
     engine, and the expansion's N is converted to C at the end.  Exists to
     let tests check that every pivot choice yields the same value.
+
+    The expansion is a generator that yields each child vector it needs;
+    this driver answers every one with ``n_value``.
     """
-    if cache is None:
-        cache = default_cache()
     t = tuple(d)
     g = genus_of(t)
     if g is None:
@@ -59,7 +60,14 @@ def c_value_with_pivot(d: DVec, pivot_pos: int, cache: Optional[MemoCache] = Non
     if X is not None and X < 2:
         # X = 1 vectors are the base cases and admit no expansion (X - 1 = 0).
         return c_value(t, cache)
-    return Q(_expand(t, pivot_pos, cache), _c_scale(g, X))
+    expansion = _expand(t, pivot_pos)
+    n = None
+    while True:
+        try:
+            child = expansion.send(n)
+        except StopIteration as done:
+            return Q(done.value, _c_scale(g, X))
+        n = n_value(child, cache)
 
 
 def matrix_coeff_reference(k: int) -> tuple:

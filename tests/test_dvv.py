@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
+import psiclass
 from psiclass.dvv import (
     MemoCache,
     c_value,
@@ -280,11 +283,31 @@ def test_multiset_splits():
 
 
 def test_recursion_limit_bump():
-    """A long string-type chain must not overflow the interpreter stack."""
-    before = sys.getrecursionlimit()
-    v = c_value((0,) * 900 + (901,))
-    assert v > ZERO
-    assert sys.getrecursionlimit() >= before
+    """Long string chains and a large one-point value under a recursion
+    limit far below their depth, in a fresh interpreter: the engine runs
+    from its own stack and leaves the limit as it found it."""
+    code = (
+        "import sys\n"
+        "from psiclass.closed import one_point_c\n"
+        "from psiclass.dvv import c_value, intersection_number\n"
+        "from psiclass.exact import Q\n"
+        "sys.setrecursionlimit(150)\n"
+        "for k in (100, 400, 900):\n"
+        "    assert intersection_number((0,) * k + (k + 1,)) == Q(1, 24), k\n"
+        "assert c_value((34,)) == one_point_c(34)\n"
+        "assert sys.getrecursionlimit() == 150, sys.getrecursionlimit()\n"
+        "print('ok')\n"
+    )
+    src = os.path.dirname(os.path.dirname(psiclass.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_deep_vector_value_agrees_with_shallow_cache():
