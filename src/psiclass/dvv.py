@@ -32,8 +32,9 @@ checked to be exact.  The base cases are N(0,0,0) = 1 and N(1) = 3, and the
 dilaton equation reads N(1, d) = 3 X(d) N(d).
 
 The memo holds N on canonical keys: sorted, with 1-entries stripped (see
-``canonical_tuple``); each stripped 1 is put back by one dilaton factor.  C
-leaves the module only through ``c_value``, which divides N by
+``canonical_tuple``); each stripped 1 is put back by one dilaton factor.  A
+vector with a negative entry is 0 (<... tau_{-1} ...> = 0) and is never
+stored.  C leaves the module only through ``c_value``, which divides N by
 6^g g! 3^X (X-1)! once, at the boundary; ``intersection_number`` and
 ``u_value`` divide N by their own scales in the same way.
 
@@ -43,19 +44,23 @@ same value.
 
 ``n_value`` runs the recursion from an explicit stack of suspended
 expansions, not the interpreter's, so a chain as deep as (0^k, k+1) needs
-no recursion limit and the limit is never read or changed.
+no recursion limit.  An expansion builds each child sorted, by ``bisect``
+insertion, and reads the memo itself; only misses reach ``n_value``.  A
+split child (1, part), the commonest child with a 1, is read as N(part)
+times 3 X(part); any other holding a 1 misses, as no key holds one.
 
 Subset splits are enumerated per distinct sub-multiset with binomial
 multiplicities rather than over raw index subsets, which is the same sum
 term-for-term but exponentially cheaper on vectors with many repeats.
-``multiset_splits`` is that enumerator; the identity checks in ``harness``
-iterate it too.  An expansion enumerates the splits of ``rest`` once and
-buckets them by the residue mod 3 of their left part's 3X-weight, so each
-``a`` visits only the splits whose left child has an integral X.
+``multiset_splits`` is that enumerator, also for ``harness``.  An expansion
+buckets the splits of ``rest`` by the residue mod 3 of the left part's
+3X-weight, so each ``a`` visits only splits whose left child has integral
+X.  One table per ``rest``, held by the top-level ``n_value`` call and
+dropped when it returns.
 
 The memo file (format ``dvvcache v2``) is plain text: a header line with
 the entry count and the SHA-256 of the body, then one ``key = N`` line per
-entry in sorted key order, N in hexadecimal.  Files of the older C-valued v1 format are
+entry in sorted key order, N in hexadecimal.  Older C-valued v1 files are
 refused.
 """
 
@@ -65,8 +70,8 @@ import functools
 import math
 import os
 import re
-from itertools import product as _iproduct
-from typing import Iterator, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Optional, Sequence, Tuple
 
 from .exact import Q, ZERO, odd_double_factorial
 
@@ -98,7 +103,11 @@ def canonical_tuple(d: DVec) -> tuple:
     Stripping keeps at least one entry and is skipped entirely for n = 1,
     so the base case (1,) maps to itself: (3,1,2) -> (2,3), (1,1) -> (1,).
     """
-    t = tuple(sorted(d))
+    return _strip_ones(tuple(sorted(d)))
+
+
+def _strip_ones(t: tuple) -> tuple:
+    """A sorted tuple without its 1-entries, kept whole when n = 1."""
     if len(t) >= 2 and 1 in t:
         i = t.index(1)
         t = t[:i] + t[i + t.count(1) :] or (1,)
@@ -252,96 +261,107 @@ def cache_load(source) -> MemoCache:
     return cache
 
 
-def to_multiplicities(t: DVec) -> Tuple[tuple, tuple]:
-    """The distinct values of ``t`` in increasing order, and their counts."""
-    counts: dict = {}
-    for v in t:
-        counts[v] = counts.get(v, 0) + 1
-    vals = tuple(sorted(counts))
-    return vals, tuple(counts[v] for v in vals)
+def multiset_splits(entries: DVec, groups: int = 2) -> list:
+    """Every ordered split of a multiset into ``groups`` >= 2 labelled parts.
 
-
-def from_multiplicities(vals: Sequence[int], mults: Sequence[int]) -> tuple:
-    """Inverse of to_multiplicities: each value repeated by its count."""
-    return tuple(v for v, m in zip(vals, mults) for _ in range(m))
-
-
-def multiset_splits(mults: Sequence[int], groups: int = 2) -> Iterator[tuple]:
-    """Every ordered split of a multiset into ``groups`` labelled parts.
-
-    The multiset is given by its multiplicity vector: ``mults[i]`` copies of
-    the i-th distinct value.  Yields ``(parts, ways)``: ``parts`` holds one
-    multiplicity vector per group, summing entrywise to ``mults``, and
-
-        ways = prod_i mults[i]! / (parts[0][i]! ... parts[groups-1][i]!)
-
-    counts the index-subset splits that this multiset split stands for, so
-    the ``ways`` over all splits sum to groups ** sum(mults).
+    Returns ``(parts, ways)`` pairs, ``parts`` one sorted tuple per group;
+    ``ways`` = prod_v m_v! / (c_{0,v}! ... c_{groups-1,v}!), m_v copies of v
+    with c_{j,v} in part j, counts the index-subset splits it stands for, so
+    the ``ways`` sum to groups ** len(entries).  Two parts are built one
+    distinct value at a time, the first part's share of the smallest value
+    varying slowest; more parts split the second part again.
     """
-    if groups < 1:
-        raise ValueError("multiset_splits needs groups >= 1")
-    if groups == 1:
-        yield (tuple(mults),), 1
-        return
-    comb = math.comb
-    for takes in _iproduct(*(range(m + 1) for m in mults)):
-        ways = 1
-        for m, tk in zip(mults, takes):
-            ways *= comb(m, tk)
-        remaining = tuple(m - tk for m, tk in zip(mults, takes))
-        for parts, more in multiset_splits(remaining, groups - 1):
-            yield (takes,) + parts, ways * more
+    if groups < 2:
+        raise ValueError("multiset_splits needs groups >= 2")
+    t = sorted(entries)
+    halves = [(((), ()), 1)]
+    i = 0
+    while i < len(t):
+        v = t[i]
+        m = bisect_right(t, v, i) - i
+        i += m
+        runs = [(v,) * c for c in range(m + 1)]
+        shares = [(runs[c], runs[m - c], math.comb(m, c)) for c in range(m + 1)]
+        halves = [
+            ((first + x, rest + y), ways * w)
+            for (first, rest), ways in halves
+            for x, y, w in shares
+        ]
+    if groups == 2:
+        return halves
+    return [
+        ((first,) + parts, ways * more)
+        for (first, rest), ways in halves
+        for parts, more in multiset_splits(rest, groups - 1)
+    ]
 
 
-def _expand(t: tuple, pivot_pos: int):
-    """One DVV expansion of N(t) at the entry with index ``pivot_pos``.
+def _split_table(rest: tuple) -> Tuple[list, list, list]:
+    """The 2-part splits of ``rest`` as ``(w3, n_left, ways, left, right)``,
+    bucketed by w3 mod 3, w3 = sum (2 v + 1) over left."""
+    buckets: Tuple[list, list, list] = ([], [], [])
+    for (left, right), ways in multiset_splits(rest):
+        w3 = 2 * sum(left) + len(left)
+        buckets[w3 % 3].append((w3, len(left), ways, left, right))
+    return buckets
 
-    A generator: it yields each child vector whose N it needs, expects that
-    N sent back, and returns N(t).  ``t`` must be geometric with X(t) >= 2
-    (not a base case); it need not be sorted or free of 1-entries.
+
+def _expand(t: tuple, pivot_pos: int, table: dict, splits: dict):
+    """One DVV expansion of N(t) at ``t[pivot_pos]``, for sorted geometric t
+    with X(t) >= 2.  A generator: each child is built sorted and read from
+    ``table``; a miss is yielded, its N expected back.  Returns N(t).
+    ``splits`` holds the ``_split_table`` of each ``rest`` met so far.
     """
     X = x_int(t)
     g = genus_of(t)
     assert X is not None and X >= 2 and g is not None
+    get = table.get
     p = t[pivot_pos]
     rest = t[:pivot_pos] + t[pivot_pos + 1 :]
-    vals, mults = to_multiplicities(rest)
 
-    # Linear (merge) terms, grouped by distinct value in rest.
+    # Linear (merge) terms, one per run of m equal entries v in rest.
     total = 0
-    for v, m in zip(vals, mults):
+    i = 0
+    while i < len(rest):
+        v = rest[i]
+        m = bisect_right(rest, v, i) - i
         merged = v + p - 1
-        if merged < 0:
-            continue  # only possible when p = 0, v = 0: that term vanishes
-        idx = rest.index(v)
-        child = rest[:idx] + (merged,) + rest[idx + 1 :]
-        total += m * (2 * v + 1) * (yield child)
-
+        if merged >= 0:  # else p = v = 0, and the term vanishes
+            child = rest[:i] + rest[i + 1 :]
+            k = bisect_right(child, merged)
+            child = child[:k] + (merged,) + child[k:]
+            n = get(child)
+            if n is None:
+                n = yield child
+            total += m * (2 * v + 1) * n
+        i += m
     if p < 2:
         return total
 
     # Quadratic terms: ordered pairs (a, b) with a + b = p - 2.  First the
-    # connected ones.
+    # connected ones, where (a, b) and (b, a) give the same child.
     connected = 0
-    for a in range(p - 1):
-        connected += yield rest + (a, p - 2 - a)
+    for a in range(p // 2):
+        b = p - 2 - a
+        k = bisect_right(rest, a)
+        m = bisect_right(rest, b, k)
+        child = rest[:k] + (a,) + rest[k:m] + (b,) + rest[m:]
+        n = get(child)
+        if n is None:
+            n = yield child
+        connected += n if a == b else 2 * n
     total += 12 * g * connected
 
-    # The splits of rest do not depend on (a, b): enumerate them once,
-    # bucketed by the residue of their left part's 3X-weight w3, which
-    # fixes X of the left child, X1 = (2a + 1 + w3) / 3.
-    weights3 = [2 * v + 1 for v in vals]
-    by_residue: Tuple[list, list, list] = ([], [], [])
-    for (left, right), ways in multiset_splits(mults):
-        w3 = sum(tk * w for tk, w in zip(left, weights3))
-        left_t = from_multiplicities(vals, left)
-        right_t = from_multiplicities(vals, right)
-        by_residue[w3 % 3].append((w3, len(left_t), ways, left_t, right_t))
+    # The residue of a split's w3 fixes whether the left child has an
+    # integral X, X1 = (2a + 1 + w3) / 3, so each a visits one bucket.
+    buckets = splits.get(rest)
+    if buckets is None:
+        buckets = splits[rest] = _split_table(rest)
     comb = math.comb
     separable = 0
     for a in range(p - 1):
         b = p - 2 - a
-        for w3, n_left, ways, left, right in by_residue[-(2 * a + 1) % 3]:
+        for w3, n_left, ways, left, right in buckets[-(2 * a + 1) % 3]:
             x1 = (2 * a + 1 + w3) // 3
             if x1 >= X - 1:
                 continue  # X2 = X - 1 - X1 < 1
@@ -349,12 +369,25 @@ def _expand(t: tuple, pivot_pos: int):
             g1 = (x1 - n_left + 1) // 2
             if g1 < 0 or g1 > g:
                 continue
-            separable += (
-                ways
-                * comb(g, g1)
-                * (yield (a,) + left)
-                * (yield (b,) + right)
-            )
+            # A child (1, part) is read as part times the dilaton factor
+            # 3 X(part), with X(left) = X1 - 1 and X(right) = X - 2 - X1.
+            if a == 1 and left:
+                child, f1 = left, 3 * x1 - 3
+            else:
+                k = bisect_right(left, a)
+                child, f1 = left[:k] + (a,) + left[k:], 1
+            n1 = get(child)
+            if n1 is None:
+                n1 = yield child
+            if b == 1 and right:
+                child, f2 = right, 3 * (X - 2 - x1)
+            else:
+                k = bisect_right(right, b)
+                child, f2 = right[:k] + (b,) + right[k:], 1
+            n2 = get(child)
+            if n2 is None:
+                n2 = yield child
+            separable += ways * comb(g, g1) * f1 * f2 * n1 * n2
     half, odd = divmod(separable, 2)
     if odd:
         raise ArithmeticError(f"odd separable sum expanding {t} at {pivot_pos}")
@@ -362,22 +395,25 @@ def _expand(t: tuple, pivot_pos: int):
 
 
 def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:
-    """N(d) = 24^g g! prod (2 d_j + 1)!! I(d), an integer; 0 off geometry.
+    """N(d) = 24^g g! prod (2 d_j + 1)!! I(d), an integer; 0 off geometry
+    and when an entry is negative.
 
     >>> n_value((4,)), n_value((1, 4))
     (945, 8505)
     """
     table = (_DEFAULT_CACHE if cache is None else cache).table
+    splits: dict = {}  # the split tables of this call only
     stack = []  # suspended expansions: (generator, key, length asked)
-    asked = d
+    asked = tuple(sorted(d))
     while True:
-        key = canonical_tuple(asked)
+        key = _strip_ones(asked) if 1 in asked else asked  # asked is sorted
         n = table.get(key)
         if n is None:
-            n = 0 if genus_of(key) is None or x_int(key) < 1 else _N_BASE.get(key)
+            off = genus_of(key) is None or x_int(key) < 1 or key[0] < 0
+            n = 0 if off else _N_BASE.get(key)
         if n is None:  # a miss: the send below starts its expansion
             pivot_pos = 0 if key[0] == 0 else len(key) - 1  # a 0, else the largest
-            stack.append((_expand(key, pivot_pos), key, len(asked)))
+            stack.append((_expand(key, pivot_pos, table, splits), key, len(asked)))
         length = len(asked)
         # Hand n to the caller, or to the waiting expansion; an expansion
         # that returns completes its own key, which is handed on in turn.
@@ -398,16 +434,15 @@ def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:
 
 
 def c_value(d: DVec, cache: Optional[MemoCache] = None):
-    """C(d), exactly; 0 when g(d) is not a non-negative integer.
+    """C(d), exactly; 0 when g(d) is not a non-negative integer or an entry
+    is negative.
 
     >>> c_value((4,)) == Q(35, 144)
     True
     """
     t = canonical_tuple(d)
     n = n_value(t, cache)
-    if not n:
-        return ZERO
-    return Q(n, _c_scale(genus_of(t), x_int(t)))
+    return Q(n, _c_scale(genus_of(t), x_int(t))) if n else ZERO
 
 
 def intersection_number(d: DVec):
@@ -416,25 +451,15 @@ def intersection_number(d: DVec):
     >>> intersection_number((1,)) == Q(1, 24)
     True
     """
-    g = genus_of(d)
-    if g is None:
-        return ZERO
-    n = n_value(d)
-    if not n:
-        return ZERO
-    double_factorials = math.prod(odd_double_factorial(2 * dj + 1) for dj in d)
-    return Q(n) / (24**g * math.factorial(g) * double_factorials)
+    u = u_value(d)
+    return u / math.prod(odd_double_factorial(2 * dj + 1) for dj in d) if u else ZERO
 
 
 def u_value(d: DVec):
     """prod (2 d_j + 1)!! times the intersection number."""
-    g = genus_of(d)
-    if g is None:
-        return ZERO
     n = n_value(d)
-    if not n:
-        return ZERO
-    return Q(n, 24**g * math.factorial(g))
+    g = genus_of(d)
+    return Q(n, 24**g * math.factorial(g)) if n else ZERO
 
 
 def g_norm(d: DVec):
@@ -472,14 +497,9 @@ def gamma_norm(X: int):
             f"gamma({X}) is irrational (a rational multiple of 1/(pi*sqrt(3)));"
             " only odd X has an exact rational value"
         )
-    num = odd_double_factorial(3 * X)
-    den = (
-        Q(2, 1) ** ((X + 1) // 2)
-        * Q(3, 1) ** ((3 * X + 1) // 2)
-        * math.factorial((X + 1) // 2)
-        * math.factorial(X - 1)
-    )
-    return num / den
+    h = (X + 1) // 2
+    den = 2**h * 3 ** ((3 * X + 1) // 2) * math.factorial(h) * math.factorial(X - 1)
+    return odd_double_factorial(3 * X) / den
 
 
 def chat_value(d: DVec):
@@ -487,11 +507,9 @@ def chat_value(d: DVec):
 
     Errors on non-geometric d and (like gamma_norm) on even X(d).
     """
-    g = genus_of(d)
-    if g is None:
+    if genus_of(d) is None:
         raise ValueError(f"undefined normalization: g({tuple(d)}) is not in Z>=0")
     X = x_int(d)
-    assert X is not None
     if X < 1:
         raise ValueError(f"chat_value requires X >= 1, got {X}")
     return c_value(d) / gamma_norm(X)

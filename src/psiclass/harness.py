@@ -25,13 +25,11 @@ from .dvv import (
     MemoCache,
     c_value,
     canonical_tuple,
-    from_multiplicities,
     genus_of,
     multiset_splits,
-    to_multiplicities,
     x_int,
 )
-from .exact import HPDecimal, Q, ZERO, pi_value, to_decimal
+from .exact import HPDecimal, Q, ZERO, odd_double_factorial, pi_value, to_decimal
 from .partitions import partition_count, partitions, primitive_vectors
 
 # ----------------------------------------------------------------------
@@ -63,7 +61,6 @@ def sweep_nesting(
         raise ValueError("sweep_nesting needs g_max >= 2")
     reports: List[SweepReport] = []
     work_prec = digits + 10
-    inv_pi = None
     with localcontext() as ctx:
         ctx.prec = work_prec
         inv_pi = 1 / pi_value(work_prec).value
@@ -116,12 +113,7 @@ def theta_sweep(X: int, n: int):
     s2 = 3 * X - n
     if s2 % 2 != 0 or s2 // 2 < n:
         raise ValueError("empty feasible set")
-    best = None
-    for d in partitions(s2 // 2, n):
-        v = c_value(d)
-        if best is None or v > best:
-            best = v
-    return best
+    return max(c_value(d) for d in partitions(s2 // 2, n))
 
 
 # ----------------------------------------------------------------------
@@ -200,8 +192,6 @@ def check_cross_formulas(budget: str = "default") -> CrossFormulaReport:
 def _bdy_as_c(d: Tuple[int, int]):
     """two_point_bdy yields the raw integral; lift it to the C normalization
     through the same double-factorial bookkeeping used everywhere else."""
-    from .exact import odd_double_factorial
-
     d1, d2 = d
     g = (d1 + d2 + 1) // 3
     integral = two_point_bdy(d1, d2)
@@ -214,14 +204,6 @@ def _bdy_as_c(d: Tuple[int, int]):
 # ----------------------------------------------------------------------
 # Identity and inequality checkers.
 # ----------------------------------------------------------------------
-
-
-def _splits(t: Tuple[int, ...], groups: int) -> Iterator[Tuple[tuple, int]]:
-    """Ordered splits of the entries of ``t`` into ``groups`` labelled parts,
-    one per distinct sub-multiset split, with its multiplicity."""
-    vals, mults = to_multiplicities(t)
-    for parts, ways in multiset_splits(mults, groups):
-        yield tuple(from_multiplicities(vals, part) for part in parts), ways
 
 
 def check_omega11_identity(d: Sequence[int]) -> bool:
@@ -246,7 +228,7 @@ def check_omega11_identity(d: Sequence[int]) -> bool:
 
     def quad(z1: int, z2: int, coeff):
         acc = ZERO
-        for (I, J), ways in _splits(t, 2):
+        for (I, J), ways in multiset_splits(t, 2):
             d1, d2 = (0,) * z1 + I, (0,) * z2 + J
             x1, x2 = x_int(d1), x_int(d2)
             if x1 is None or x2 is None or x1 < 1 or x2 < 1:
@@ -265,7 +247,7 @@ def check_omega11_identity(d: Sequence[int]) -> bool:
     rhs += quad(3, 3, Q(3, 2))
     rhs += quad(2, 4, Q(6))
     cubic = ZERO
-    for split, ways in _splits(t, 3):
+    for split, ways in multiset_splits(t, 3):
         parts = [(0, 0) + part for part in split]
         xs = [x_int(part) for part in parts]
         if any(x is None or x < 1 for x in xs):
@@ -310,9 +292,10 @@ def check_lemma3(d: Sequence[int]) -> bool:
     rest = t[:-1]
     denom = Q(6) * factorial(X - 1)
     acc = ZERO
+    splits = multiset_splits(rest, 2)
     for a in range(0, pivot - 1):
         b = pivot - 2 - a
-        for (I, J), ways in _splits(rest, 2):
+        for (I, J), ways in splits:
             x1 = x_int((a,) + I)
             x2 = x_int((b,) + J)
             if x1 is None or x2 is None or x1 < 1 or x2 < 1:
@@ -462,9 +445,7 @@ def sample_vectors(
         t = canonical_tuple(d)
         g = genus_of(t)
         x = x_int(t)
-        if g is None or x is None or x > x_cap or x < 1:
-            continue
-        if t in seen:
+        if g is None or x is None or not 1 <= x <= x_cap or t in seen:
             continue
         seen.add(t)
         out.append(t)

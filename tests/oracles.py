@@ -33,6 +33,7 @@ from psiclass.dvv import (
     _c_scale,
     _expand,
     c_value,
+    default_cache,
     genus_of,
     n_value,
     x_int,
@@ -42,17 +43,19 @@ from psiclass.series import SeriesInvX
 
 
 def c_value_with_pivot(d: DVec, pivot_pos: int, cache: Optional[MemoCache] = None):
-    """Debug entry point: expand C(d) once at ``d[pivot_pos]``, as given.
+    """Debug entry point: expand C(d) once at the entry ``d[pivot_pos]``.
 
-    No sorting or dilaton stripping is applied to ``d`` itself, so the pivot
-    index is meaningful; recursive sub-values go through the memoized
-    engine, and the expansion's N is converted to C at the end.  Exists to
-    let tests check that every pivot choice yields the same value.
+    ``d`` is sorted, as the expansion requires, and the pivot moves to the
+    sorted position of the same value; no dilaton stripping is applied to
+    ``d`` itself, so a pivot at a 1 is expanded too.  Recursive sub-values
+    come from the memoized engine, and the expansion's N is converted to C
+    at the end.  Exists to let tests check that every pivot choice yields
+    the same value.
 
-    The expansion is a generator that yields each child vector it needs;
+    The expansion reads the memo itself and yields each child that misses;
     this driver answers every one with ``n_value``.
     """
-    t = tuple(d)
+    t = tuple(sorted(d))
     g = genus_of(t)
     if g is None:
         return ZERO
@@ -60,7 +63,8 @@ def c_value_with_pivot(d: DVec, pivot_pos: int, cache: Optional[MemoCache] = Non
     if X is not None and X < 2:
         # X = 1 vectors are the base cases and admit no expansion (X - 1 = 0).
         return c_value(t, cache)
-    expansion = _expand(t, pivot_pos)
+    table = (default_cache() if cache is None else cache).table
+    expansion = _expand(t, t.index(d[pivot_pos]), table, {})
     n = None
     while True:
         try:

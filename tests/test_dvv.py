@@ -14,19 +14,18 @@ import pytest
 import psiclass
 from psiclass.dvv import (
     MemoCache,
+    _split_table,
     c_value,
     cache_load,
     cache_save,
     canonical_tuple,
     chat_value,
-    from_multiplicities,
     g_norm,
     gamma_norm,
     genus_of,
     intersection_number,
     multiset_splits,
     n_value,
-    to_multiplicities,
     u_value,
     x_int,
     x_of,
@@ -252,34 +251,142 @@ def test_cache_save_failure_after_write_keeps_previous_file(tmp_path, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["memo.cache"]
 
 
-def test_multiset_splits():
-    """For k = 2, 3: the ways sum to k**n, the parts of every split put
-    back together give the input, and each split's ways equals the number
-    of the k**n labelings of the indices that produce it."""
+def _labelled_splits(entries, k):
+    """The k-part splits of ``entries`` counted over all k**n labelings of
+    the indices: sorted parts -> number of labelings giving them."""
     from collections import Counter
     from itertools import product
 
-    inputs = [(), (3,), (2, 2, 2), (0, 0, 3, 5, 5), (2, 2, 3, 3, 3, 4), (1,) * 4 + (6,)]
-    for entries in inputs:
-        vals, mults = to_multiplicities(entries)
-        assert from_multiplicities(vals, mults) == tuple(sorted(entries))
+    return Counter(
+        tuple(
+            tuple(sorted(v for v, lab in zip(entries, labels) if lab == j))
+            for j in range(k)
+        )
+        for labels in product(range(k), repeat=len(entries))
+    )
+
+
+_SPLIT_INPUTS = [
+    (),
+    (3,),
+    (2, 2, 2),
+    (0, 0, 3, 5, 5),
+    (2, 2, 3, 3, 3, 4),
+    (1,) * 4 + (6,),
+    (5, 0, 3, 0),
+]
+
+
+def test_multiset_splits():
+    """For k = 2, 3: each split is listed once with sorted parts, the ways
+    sum to k**n, and each split's ways equals the number of the k**n
+    labelings of the indices that produce it."""
+    for entries in _SPLIT_INPUTS:
         for k in (2, 3):
-            splits = dict(multiset_splits(mults, k))
-            assert sum(splits.values()) == k ** len(entries)
-            for parts in splits:
-                joined = [v for part in parts for v in from_multiplicities(vals, part)]
-                assert sorted(joined) == sorted(entries)
-            brute = Counter(
-                tuple(
-                    tuple(
-                        sum(1 for v, lab in zip(entries, labels) if (v, lab) == (val, j))
-                        for val in vals
-                    )
-                    for j in range(k)
-                )
-                for labels in product(range(k), repeat=len(entries))
-            )
-            assert splits == dict(brute), (entries, k)
+            splits = multiset_splits(entries, k)
+            ways = dict(splits)
+            assert len(ways) == len(splits)
+            assert sum(ways.values()) == k ** len(entries)
+            for parts in ways:
+                assert all(list(part) == sorted(part) for part in parts)
+            assert ways == dict(_labelled_splits(entries, k)), (entries, k)
+    with pytest.raises(ValueError):
+        multiset_splits((2,), 1)
+
+
+def test_split_table_buckets_partition_the_splits():
+    """The engine's residue buckets hold every 2-part split of rest exactly
+    once, in the bucket of its left part's 3X-weight mod 3, with that
+    weight, the left part's length and the labeling count."""
+    for entries in _SPLIT_INPUTS:
+        rest = tuple(sorted(entries))
+        buckets = _split_table(rest)
+        seen = {}
+        for residue, bucket in enumerate(buckets):
+            for w3, n_left, ways, left, right in bucket:
+                assert w3 == sum(2 * v + 1 for v in left)
+                assert w3 % 3 == residue
+                assert n_left == len(left)
+                assert (left, right) not in seen
+                seen[(left, right)] = ways
+        assert seen == dict(_labelled_splits(rest, 2)), rest
+
+
+# Mixed vectors: unsorted, 0- and 1-entries, all twos, a one-point vector,
+# a non-geometric vector and both base cases.
+_FILL_VECTORS = [
+    (4, 0, 2),
+    (9, 1, 0, 0),
+    (2, 5, 1, 2),
+    (2,) * 6,
+    (13,),
+    (1, 1, 3, 4),
+    (0, 0, 0, 0, 5),
+    (6, 3, 3),
+    (1,),
+    (0, 0, 0),
+    (6, 3, 2, 3, 2, 2),
+]
+
+
+def test_memo_fill_order_frozen():
+    """The memo a fixed sequence of cold queries leaves, in insertion order
+    and as saved text, against digests of the engine before its children
+    were built sorted (same entries, same order, same file)."""
+    cache = MemoCache()
+    for d in _FILL_VECTORS:
+        n_value(d, cache)
+    assert len(cache) == 90
+    items = repr(list(cache.table.items())).encode()
+    assert (
+        hashlib.sha256(items).hexdigest()
+        == "30b6cc7bd26ed4d78b28ed8ae3934fcd9a7f8f130f5ed4c51c20ee7b6a48cceb"
+    )
+    buf = io.StringIO()
+    cache_save(cache, buf)
+    assert (
+        hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        == "a256525b6f56febc9eb2e59a6ad47fbd2f917024f3f4a926105249d4f95b7342"
+    )
+
+
+def test_no_module_state_left_after_a_call():
+    """Split tables live for one top-level call: in a fresh interpreter, no
+    container or cached function of the dvv module grows while a fresh
+    memo is filled, so no state outlives the call."""
+    code = (
+        "import psiclass.dvv as dvv\n"
+        "def sizes():\n"
+        "    out = {}\n"
+        "    for name, obj in vars(dvv).items():\n"
+        "        if hasattr(obj, 'cache_info'):\n"
+        "            out[name] = obj.cache_info().currsize\n"
+        "        elif isinstance(obj, (dict, list, set, dvv.MemoCache)):\n"
+        "            out[name] = len(obj)\n"
+        "    return out\n"
+        "before = sizes()\n"
+        "cache = dvv.MemoCache()\n"
+        "dvv.n_value((6, 3, 2, 3, 2, 2), cache)\n"
+        "assert len(cache) == 86, len(cache)\n"
+        "assert sizes() == before, (before, sizes())\n"
+        "print('ok')\n"
+    )
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_negative_entry_is_zero_and_not_stored():
+    """<... tau_{-1} ...> = 0: no value, no memo entry, and the memo still
+    saves."""
+    cache = MemoCache()
+    c_value((2, 2, 5), cache)
+    before = list(cache.table.items())
+    for d in [(-1, 2, 2), (-1, 1, 3), (3, -2, 5), (-1,)]:
+        assert n_value(d, cache) == 0, d
+        assert c_value(d, cache) == ZERO, d
+    assert list(cache.table.items()) == before
+    cache_save(cache, io.StringIO())
 
 
 def test_recursion_limit_bump():
@@ -298,16 +405,22 @@ def test_recursion_limit_bump():
         "assert sys.getrecursionlimit() == 150, sys.getrecursionlimit()\n"
         "print('ok')\n"
     )
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports psiclass from the
+    same source tree as this one."""
     src = os.path.dirname(os.path.dirname(psiclass.__file__))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"
 
 
 def test_deep_vector_value_agrees_with_shallow_cache():
