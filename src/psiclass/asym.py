@@ -8,17 +8,18 @@ families.  Two closed families are expanded symbolically:
   * largest_series:    pi*C(2^(3g-3)) as a series in 1/g (via Painleve I).
 
 Both work by assembling log C from Gamma factors: each lnGamma(a g + b) is
-expanded with Stirling's series into (g ln g, ln g, g, 1) parts with exact
-coefficients over the Q-span of {1, ln2, ln3, ln5, ln pi} plus a pure
-1/g-tail.  All non-tail parts must cancel except a single -ln pi; the code
-verifies that cancellation exactly rather than assuming it, then
-exponentiates the tail.
+expanded with Stirling's series into a LogExpansion, one map from the term
+names g ln g, ln g, g, g ln2, g ln3, g ln5, ln2, ln3, ln5 and lnpi to exact
+rational coefficients, plus a pure 1/g-tail.  All terms must cancel except
+a single -ln pi; the code verifies that cancellation exactly rather than
+assuming it, then exponentiates the tail.
 
 For mixed families (a fixed pattern of small exponents plus one growing
 entry) the ratio C(pattern, d_n)/C(3g-2) is an honest rational function of
 g; fit_rational recovers it exactly from samples with surplus validation
 points, and the resulting series, reindexed from 1/g to 1/X via
-g = (X + 2 - n)/2, yields the coefficients c~_k (of pi*C) and
+g = (X + 2 - n)/2 (1/g = 2x/(1 - (n-2)x) with x = 1/X, one
+SeriesInvX.reindex), yields the coefficients c~_k (of pi*C) and
 c^_k (of C/gamma(X)).  Solving the pattern grid against the allowed
 monomials in the multiplicities p_2..p_5 gives the universal polynomials;
 the linear system is overdetermined by at least three rows and must be
@@ -35,6 +36,8 @@ builds one rational, the excess bound.
 from __future__ import annotations
 
 from decimal import localcontext
+from functools import cache
+from itertools import product
 from math import comb, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -58,24 +61,22 @@ from .series import SeriesInvX
 # Stirling machinery.
 # ----------------------------------------------------------------------
 
-_BASIS = ("1", "ln2", "ln3", "ln5", "lnpi")
 
-
-def _ln_basis(value) -> Dict[str, object]:
-    """ln(value) over {ln2, ln3, ln5} for a positive 2-3-5-smooth rational."""
-    q = Q(value)
-    num, den = int(q.numerator), int(q.denominator)
-    if num <= 0:
+def _ln_basis(a: int, prefix: str = "") -> Dict[str, object]:
+    """ln(a) over {ln2, ln3, ln5} for a positive 5-smooth integer a, each
+    term name prefixed by ``prefix`` ("g " for the logs linear in g)."""
+    if a < 1:
         raise ValueError("logarithm of a non-positive value")
-    out: Dict[str, int] = {}
-    for n, sign in ((num, 1), (den, -1)):
-        for p, label in ((2, "ln2"), (3, "ln3"), (5, "ln5")):
-            while n % p == 0:
-                out[label] = out.get(label, 0) + sign
-                n //= p
-        if n != 1:
-            raise ValueError(f"{value} is not 2-3-5-smooth")
-    return {lab: Q(v) for lab, v in out.items() if v}
+    out: Dict[str, object] = {}
+    rest = a
+    for p in (2, 3, 5):
+        while rest % p == 0:
+            name = f"{prefix}ln{p}"
+            out[name] = out.get(name, ZERO) + ONE
+            rest //= p
+    if rest != 1:
+        raise ValueError(f"{a} is not 2-3-5-smooth")
+    return out
 
 
 def _dict_add(a: Dict, b: Dict, scale=ONE) -> Dict:
@@ -89,67 +90,46 @@ def _dict_add(a: Dict, b: Dict, scale=ONE) -> Dict:
     return out
 
 
-def _dict_scale(a: Dict, scale) -> Dict:
-    return {k: scale * v for k, v in a.items() if scale * v}
-
-
 class LogExpansion:
-    """An expansion  glng*(g ln g) + lng*(ln g) + <lin>*g + <const> + tail(1/g)
+    """An expansion  sum_t terms[t] * t + tail(1/g)  with rational
+    coefficients over the term names
 
-    with <.> ranging over the Q-span of {1, ln2, ln3, ln5, ln pi}.  This is
-    exactly the shape of ln Gamma(a g + b) and hence of log C along closed
-    families; sums of these stay in the class.  ``lin`` and ``const`` map
-    basis labels to coefficients.
+        g ln g, ln g, g, g ln2, g ln3, g ln5, ln2, ln3, ln5, lnpi.
+
+    This is exactly the shape of ln Gamma(a g + b) and hence of log C along
+    closed families; sums of these stay in the class.  ``terms`` holds the
+    nonzero coefficients only.
     """
 
-    __slots__ = ("glng", "lng", "lin", "const", "tail")
+    __slots__ = ("terms", "tail")
 
-    def __init__(self, glng, lng, lin: Dict, const: Dict, tail: SeriesInvX):
-        self.glng = glng
-        self.lng = lng
-        self.lin = lin
-        self.const = const
+    def __init__(self, terms: Dict, tail: SeriesInvX):
+        self.terms = terms
         self.tail = tail
 
     def __add__(self, other: "LogExpansion") -> "LogExpansion":
-        return LogExpansion(
-            self.glng + other.glng,
-            self.lng + other.lng,
-            _dict_add(self.lin, other.lin),
-            _dict_add(self.const, other.const),
-            self.tail + other.tail,
-        )
+        return LogExpansion(_dict_add(self.terms, other.terms), self.tail + other.tail)
 
     def __sub__(self, other: "LogExpansion") -> "LogExpansion":
         return self + other.scale(-ONE)
 
     def scale(self, c) -> "LogExpansion":
-        return LogExpansion(
-            c * self.glng,
-            c * self.lng,
-            _dict_scale(self.lin, c),
-            _dict_scale(self.const, c),
-            self.tail * c,
-        )
+        return LogExpansion(_dict_add({}, self.terms, c), self.tail * c)
 
-    def pure_tail_or_raise(self, allow_const: Optional[Dict] = None) -> SeriesInvX:
-        """Verify everything but the tail cancels (up to ``allow_const``)."""
-        leftover = _dict_add(self.const, allow_const or {}, -ONE)
-        if self.glng or self.lng or self.lin or leftover:
+    def pure_tail_or_raise(self, allow: Optional[Dict] = None) -> SeriesInvX:
+        """Verify every term but the tail cancels (up to ``allow``)."""
+        leftover = _dict_add(self.terms, allow or {}, -ONE)
+        if leftover:
             raise ArithmeticError(
                 "expected cancellation failed: "
-                f"g*lng={self.glng} lng={self.lng} lin={self.lin} "
-                f"const_leftover={leftover}"
+                + ", ".join(f"{t}: {c}" for t, c in leftover.items())
             )
         return self.tail
 
 
-def _const_expansion(d: Dict, K: int) -> LogExpansion:
-    return LogExpansion(ZERO, ZERO, {}, dict(d), SeriesInvX.zero(K))
-
-
-def _linear_expansion(d: Dict, K: int) -> LogExpansion:
-    return LogExpansion(ZERO, ZERO, dict(d), {}, SeriesInvX.zero(K))
+def _terms(terms: Dict, K: int) -> LogExpansion:
+    """The given terms with a zero tail of order K."""
+    return LogExpansion(_dict_add({}, terms), SeriesInvX.zero(K))
 
 
 def log_gamma_expansion(a: int, b, K: int) -> LogExpansion:
@@ -158,49 +138,31 @@ def log_gamma_expansion(a: int, b, K: int) -> LogExpansion:
     if a < 1:
         raise ValueError("log_gamma_expansion needs a >= 1")
     b = Q(b)
-    tail = [ZERO] * (K + 1)
-    # (a g + b - 1/2) * ln(a g + b) - (a g + b) + ln(2 pi)/2, with
-    # ln(ag+b) = ln a + ln g + L,  L = sum_{m>=1} (-1)^(m+1) (b/a)^m g^-m / m.
-    for m in range(2, K + 2):
-        # from (a g) * L
-        tail[m - 1] += (-ONE) ** (m + 1) * b**m / (a ** (m - 1) * m)
-    for m in range(1, K + 1):
-        # from (b - 1/2) * L
-        tail[m] += (b - Q(1, 2)) * (-ONE) ** (m + 1) * (b / a) ** m / m
-    # Bernoulli tail in z = a g + b, re-expanded in 1/g.
-    k = 1
-    while 2 * k - 1 <= K:
-        t_k = bernoulli(2 * k) / (2 * k * (2 * k - 1))
-        j = 0
-        while 2 * k - 1 + j <= K:
-            tail[2 * k - 1 + j] += (
-                t_k
-                * (-ONE) ** j
-                * comb(2 * k - 2 + j, j)
-                * b**j
-                / Q(a) ** (2 * k - 1 + j)
-            )
-            j += 1
-        k += 1
-    lin = _dict_add({"1": -Q(a)}, _ln_basis(a), Q(a)) if a > 1 else {"1": -Q(a)}
-    const = _dict_add(
-        {"ln2": Q(1, 2), "lnpi": Q(1, 2)},
-        _ln_basis(a) if a > 1 else {},
-        b - Q(1, 2),
-    )
-    return LogExpansion(Q(a), b - Q(1, 2), lin, const, SeriesInvX(tail))
+    r, half = b / a, Q(1, 2)
+    # (a g + b - 1/2) ln(a g + b) - (a g + b) + ln(2 pi)/2, with
+    # ln(a g + b) = ln a + ln g + sum_{m>=1} L[m] g^-m,  L[m] = -(-r)^m / m.
+    L = [ZERO] + [-((-r) ** m) / m for m in range(1, K + 2)]
+    tail = [ZERO] + [a * L[m + 1] + (b - half) * L[m] for m in range(1, K + 1)]
+    # Bernoulli tail sum_k B_2k z^(1-2k) / (2k (2k-1)) in z = a g + b,
+    # re-expanded in 1/g.
+    for k in range(1, (K + 1) // 2 + 1):
+        t_k = bernoulli(2 * k) / (2 * k * (2 * k - 1) * Q(a) ** (2 * k - 1))
+        for j in range(K - 2 * k + 2):
+            tail[2 * k - 1 + j] += t_k * comb(2 * k - 2 + j, j) * (-r) ** j
+    # The rest: a (g ln g + g ln a - g) + (b - 1/2) ln(a g) + (ln2 + lnpi)/2.
+    lead = {"g ln g": Q(a), "g": Q(-a), "ln2": half, "lnpi": half}
+    terms = _dict_add(lead, _ln_basis(a, "g "), a)
+    terms = _dict_add(terms, {"ln g": ONE} | _ln_basis(a), b - half)
+    return LogExpansion(terms, SeriesInvX(tail))
 
 
 def log_linear_expansion(a: int, b, K: int) -> LogExpansion:
     """ln(a g + b) as a LogExpansion (a >= 1 integer, 2-3-5-smooth)."""
     if a < 1:
         raise ValueError("log_linear_expansion needs a >= 1")
-    b = Q(b)
-    tail = [ZERO] + [
-        (-ONE) ** (m + 1) * (b / a) ** m / m for m in range(1, K + 1)
-    ]
-    const = _ln_basis(a) if a > 1 else {}
-    return LogExpansion(ZERO, ONE, {}, const, SeriesInvX(tail))
+    r = Q(b) / a
+    tail = [ZERO] + [-((-r) ** m) / m for m in range(1, K + 1)]
+    return LogExpansion({"ln g": ONE} | _ln_basis(a), SeriesInvX(tail))
 
 
 # ----------------------------------------------------------------------
@@ -227,11 +189,10 @@ def one_point_series(K: int) -> SeriesInvX:
         - log_gamma_expansion(3, 0, K)
         - log_gamma_expansion(1, 1, K)
         - log_gamma_expansion(2, -1, K)
-        + _const_expansion(_dict_add({"ln2": ONE}, {"ln3": ONE}), K)
-        + _linear_expansion({"ln2": Q(-3)}, K)
-        + _linear_expansion({"ln2": -ONE, "ln3": Q(-3)}, K)
+        + _terms({"ln2": ONE, "ln3": ONE, "g ln2": Q(-3)}, K)  # 3 / 2^(3g-1)
+        - _terms({"g ln2": ONE, "g ln3": Q(3)}, K)  # 54^g
     )
-    tail = E.pure_tail_or_raise(allow_const={"lnpi": -ONE})
+    tail = E.pure_tail_or_raise(allow={"lnpi": -ONE})
     return tail.exp()
 
 
@@ -246,23 +207,19 @@ def largest_series(K: int) -> SeriesInvX:
     """
     if not 1 <= K <= LARGEST_CAP:
         raise ValueError(f"largest_series supports 1 <= K <= {LARGEST_CAP}")
-    ln_a = {"ln3": Q(1, 2), "ln5": Q(-1, 2), "ln2": -ONE, "lnpi": Q(-2)}
     b_series = SeriesInvX([ONE] + list(cg_asymptotic_series(K)), K)
     E = (
-        _const_expansion({"lnpi": ONE}, K)
-        + _const_expansion(ln_a, K)
-        + _linear_expansion({"ln2": ONE, "ln5": Q(2)}, K)
+        _terms({"ln3": Q(1, 2), "ln5": Q(-1, 2), "ln2": -ONE, "lnpi": -ONE}, K)  # pi A
+        + _terms({"g ln2": ONE, "g ln5": Q(2)}, K)  # 50^g
         + log_gamma_expansion(1, 0, K).scale(Q(2))
-        + _linear_expansion({"ln5": Q(3)}, K)
-        + _const_expansion({"ln5": Q(-3)}, K)
+        + LogExpansion({}, b_series.log())
+        + _terms({"g ln5": Q(3), "ln5": Q(-3)}, K)  # 5^(3g-3)
         + log_gamma_expansion(3, -2, K)
-        - _linear_expansion({"ln2": ONE}, K)
-        - _linear_expansion({"ln3": Q(3)}, K)
-        - _const_expansion({"ln3": Q(-2)}, K)
+        - _terms({"g ln2": ONE}, K)  # 2^g
+        - _terms({"g ln3": Q(3), "ln3": Q(-2)}, K)  # 3^(3g-2)
         - log_gamma_expansion(5, -4, K)
         - log_linear_expansion(5, -3, K)
     )
-    E = E + LogExpansion(ZERO, ZERO, {}, {}, b_series.log())
     tail = E.pure_tail_or_raise()
     return tail.exp()
 
@@ -454,22 +411,19 @@ _PWEIGHTS = tuple(2 * d + 1 for d in _PVALS)
 MultPoly = Dict[Tuple[int, int, int, int], object]
 
 
+def _mono_order(exps: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
+    """The table's monomial order: by weight sum e_d (2d+1), then exponents."""
+    return sum(e * w for e, w in zip(exps, _PWEIGHTS)), exps
+
+
 def table2_monomials(k: int) -> List[Tuple[int, int, int, int]]:
     """Exponent tuples (e_2, e_3, e_4, e_5) with sum e_d (2d+1) <= max(0, 3k-1)."""
     bound = max(0, 3 * k - 1)
-    out: List[Tuple[int, int, int, int]] = []
-
-    def rec(idx: int, rem: int, cur: Tuple[int, ...]) -> None:
-        if idx == len(_PVALS):
-            out.append(cur)
-            return
-        w = _PWEIGHTS[idx]
-        for e in range(rem // w + 1):
-            rec(idx + 1, rem - e * w, cur + (e,))
-
-    rec(0, bound, ())
-    out.sort(key=lambda t: (sum(e * w for e, w in zip(t, _PWEIGHTS)), t))
-    return out
+    ranges = [range(bound // w + 1) for w in _PWEIGHTS]
+    return sorted(
+        (t for t in product(*ranges) if _mono_order(t)[0] <= bound),
+        key=_mono_order,
+    )
 
 
 def _pattern_pvec(pattern: tuple) -> Tuple[int, int, int, int]:
@@ -510,33 +464,26 @@ def _pattern_ctilde_series(pattern: tuple, K: int) -> SeriesInvX:
             dn = 3 * g - 3 + n - sum(pattern)
             samples.append((g, _pattern_c(pattern, dn) / one_point_c(3 * g - 2)))
         ser_g = fit_rational(samples).series_at_infinity(K)
-    pc_g = ser_g * one_point_series(K)
-    # reindex 1/g -> 1/X via g = (X + 2 - n)/2, i.e. 1/g = 2x/(1 + (2-n)x)
-    inner = SeriesInvX([ZERO] + [2 * Q(n - 2) ** j for j in range(K)], K)
-    return pc_g.compose(inner)
+    # 1/g -> 1/X via g = (X + 2 - n)/2, i.e. 1/g = 2x/(1 - (n-2)x)
+    return (ser_g * one_point_series(K)).reindex(2, n - 2)
 
 
 def pi_gamma_series(K: int) -> SeriesInvX:
     """pi * gamma(X) as a 1/X-series: the one-point series at g = (X+1)/2."""
-    inner = SeriesInvX([ZERO] + [2 * (-ONE) ** j for j in range(K)], K)
-    return one_point_series(K).compose(inner)
+    return one_point_series(K).reindex(2, -1)
 
 
-_TABLE2_CACHE: Dict[int, Dict[str, Dict[int, MultPoly]]] = {}
-
-
+@cache
 def table2_fit(K: int = TABLE2_CAP) -> Dict[str, Dict[int, MultPoly]]:
     """Fit the universal polynomials for orders 1..K (K <= 4).
 
     Returns {"ctilde": {k: MultPoly}, "chat": {k: MultPoly}} where ctilde_k
     are the 1/X^k coefficients of pi*C(d) and chat_k those of C(d)/gamma(X).
     Every fit is overdetermined by >= 3 pattern rows and must hold exactly.
+    Memoized per K.
     """
     if not 1 <= K <= TABLE2_CAP:
         raise ValueError(f"table2_fit supports 1 <= K <= {TABLE2_CAP}")
-    hit = _TABLE2_CACHE.get(K)
-    if hit is not None:
-        return hit
     ctilde_rows = {p: _pattern_ctilde_series(p, K) for p in PATTERNS}
     pg = pi_gamma_series(K)
     chat_rows = {p: ser / pg for p, ser in ctilde_rows.items()}
@@ -557,32 +504,31 @@ def table2_fit(K: int = TABLE2_CAP) -> Dict[str, Dict[int, MultPoly]]:
             result[name][k] = {
                 m: c for m, c in zip(monos, sol) if c
             }
-    _TABLE2_CACHE[K] = result
     return result
+
+
+def _table_poly(name: str, k: int) -> MultPoly:
+    if not 0 <= k <= TABLE2_CAP:
+        raise ValueError(f"{name}_poly supports 0 <= k <= {TABLE2_CAP}")
+    if k == 0:
+        return {(0, 0, 0, 0): ONE}
+    return table2_fit(TABLE2_CAP)[name][k]
 
 
 def ctilde_poly(k: int) -> MultPoly:
     """The universal polynomial c~_k (coefficient of X^-k in pi*C)."""
-    if not 0 <= k <= TABLE2_CAP:
-        raise ValueError(f"ctilde_poly supports 0 <= k <= {TABLE2_CAP}")
-    if k == 0:
-        return {(0, 0, 0, 0): ONE}
-    return table2_fit(TABLE2_CAP)["ctilde"][k]
+    return _table_poly("ctilde", k)
 
 
 def chat_poly(k: int) -> MultPoly:
     """The universal polynomial c^_k (coefficient of X^-k in C/gamma)."""
-    if not 0 <= k <= TABLE2_CAP:
-        raise ValueError(f"chat_poly supports 0 <= k <= {TABLE2_CAP}")
-    if k == 0:
-        return {(0, 0, 0, 0): ONE}
-    return table2_fit(TABLE2_CAP)["chat"][k]
+    return _table_poly("chat", k)
 
 
 def mult_poly_json(k: int, poly: MultPoly) -> dict:
     """JSON-ready form: exponents mapped by name, coefficients as "p/q"."""
     monos = []
-    for exps in sorted(poly, key=lambda t: (sum(e * w for e, w in zip(t, _PWEIGHTS)), t)):
+    for exps in sorted(poly, key=_mono_order):
         named = {
             f"p{d}": e for d, e in zip(_PVALS, exps) if e
         }
@@ -641,10 +587,7 @@ class PiLinear(NamedTuple):
     s: object
 
     def __str__(self) -> str:
-        def plain(q) -> str:
-            return str(int(q.numerator)) if q.denominator == 1 else rat_str(q)
-
-        return f"{plain(self.r)}/pi + {plain(self.s)}"
+        return f"{self.r}/pi + {self.s}"
 
 
 # One row of the majorant, (D, R, S): f(X, n) = R[i]/(D pi) + S[i]/D at
@@ -728,10 +671,7 @@ def lemma6_check(
     if xmax < 1 or nmax < 1:
         raise ValueError("lemma6_check needs xmax >= 1 and nmax >= 1")
     lo, hi = pi_interval(digits)
-    ends = (
-        (int(lo.numerator), int(lo.denominator)),
-        (int(hi.numerator), int(hi.denominator)),
-    )
+    ends = ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
 
     ok = True
     ex_num, ex_den = 0, 1  # the excess bound so far, ex_num / ex_den

@@ -3,10 +3,9 @@
 Everything downstream (the recursion engine, the closed formulas, the series
 machinery) returns exact rationals.  The recursion, the closed-formula
 matrices, the Painleve I coefficients and the majorant run on Python ints
-and build a rational only at their boundary, so the backend matters to the
-Fraction-valued remainder (series jets, rational fitting, the identity
-checks).  gmpy2.mpq is used when available; set PSICLASS_NOGMPY=1 to force
-the pure-stdlib fallback.
+and build a rational only at their boundary; the rest (series jets,
+rational fitting, the identity checks) runs on ``Q``, which is
+``fractions.Fraction``.
 
 Negative-argument conventions live here and nowhere else:
 
@@ -21,18 +20,9 @@ bugs.
 from __future__ import annotations
 
 import math
-import os
 from decimal import Decimal, localcontext
-from fractions import Fraction
+from fractions import Fraction as Q
 from typing import NamedTuple
-
-if os.environ.get("PSICLASS_NOGMPY"):
-    Q = Fraction
-else:
-    try:
-        from gmpy2 import mpq as Q  # type: ignore[no-redef]
-    except ImportError:  # gmpy2 is the optional "gmpy" extra
-        Q = Fraction
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -67,10 +57,9 @@ def to_decimal(q, precision: int) -> HPDecimal:
     """Round the exact rational ``q`` to ``precision`` significant digits."""
     if precision < 1:
         raise ValueError("precision must be positive")
-    num, den = int(q.numerator), int(q.denominator)
     with localcontext() as ctx:
         ctx.prec = precision
-        val = Decimal(num) / Decimal(den)
+        val = Decimal(q.numerator) / Decimal(q.denominator)
     return HPDecimal(val, precision)
 
 
@@ -160,16 +149,14 @@ def bernoulli(k: int):
 
 def rat_str(q) -> str:
     """Serialize an exact rational as "p/q" (denominator kept even when 1)."""
-    return f"{int(q.numerator)}/{int(q.denominator)}"
+    return f"{q.numerator}/{q.denominator}"
 
 
 def exp_decimal(q, precision: int) -> HPDecimal:
     """exp(q) for exact rational q, to ``precision`` significant digits."""
-    num, den = int(q.numerator), int(q.denominator)
     with localcontext() as ctx:
         ctx.prec = precision + 5
-        x = Decimal(num) / Decimal(den)
-        val = x.exp()
+        val = (Decimal(q.numerator) / Decimal(q.denominator)).exp()
     with localcontext() as ctx:
         ctx.prec = precision
         val = +val

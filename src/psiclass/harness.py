@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from decimal import Decimal, localcontext
+from itertools import combinations_with_replacement
 from math import factorial
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -433,20 +434,29 @@ def theorem2_deviation_sweep(
 def sample_vectors(
     count: int, x_cap: int = 9, seed: int = 91117, n_cap: int = 5
 ) -> List[Tuple[int, ...]]:
-    """Deterministic sample of geometric vectors with X(d) <= x_cap."""
+    """Deterministic sample of distinct geometric vectors with X(d) <= x_cap,
+    drawn as 1..n_cap entries in 0..7; count may not exceed the number of
+    such vectors."""
     if count < 0:
         raise ValueError("sample_vectors needs count >= 0")
+    pool = set()
+    for n in range(1, n_cap + 1):
+        for d in combinations_with_replacement(range(8), n):
+            t = canonical_tuple(d)
+            x = x_int(t)
+            if genus_of(t) is not None and x is not None and 1 <= x <= x_cap:
+                pool.add(t)
+    if count > len(pool):
+        raise ValueError(
+            f"sample_vectors needs count <= {len(pool)}, "
+            "the number of distinct vectors it draws from"
+        )
     rng = random.Random(seed)
     out: List[Tuple[int, ...]] = []
-    seen = set()
     while len(out) < count:
         n = rng.randint(1, n_cap)
-        d = tuple(sorted(rng.randint(0, 7) for _ in range(n)))
-        t = canonical_tuple(d)
-        g = genus_of(t)
-        x = x_int(t)
-        if g is None or x is None or not 1 <= x <= x_cap or t in seen:
-            continue
-        seen.add(t)
-        out.append(t)
+        t = canonical_tuple([rng.randint(0, 7) for _ in range(n)])
+        if t in pool:
+            pool.remove(t)
+            out.append(t)
     return out

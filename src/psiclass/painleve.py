@@ -29,8 +29,9 @@ S(1/g) into the recursion.  The leading term cancels exactly, leaving
 
 where each fixed-h term starts at order g^(-2h) and the large-h half of
 the original convolution is exponentially small, hence invisible at any
-polynomial order.  Matching coefficients of x = 1/g order by order
-determines the b_j; only h <= (K+1)/2 matter for b_1..b_K.
+polynomial order.  In x = 1/g each shifted argument is 1/(g-h) = x/(1-hx),
+so S(1/(g-h)) is S reindexed by that map.  Matching coefficients of x
+order by order determines the b_j; only h <= (K+1)/2 matter for b_1..b_K.
 """
 
 from __future__ import annotations
@@ -111,9 +112,8 @@ def cg_asymptotic_series(K: int) -> List:
     N = K + 1
     b = [ONE] + [ZERO] * K
     H = (K + 1) // 2
-    # Fixed ingredients: x/(1-cx) composition inners and the h-term prefactors.
-    inner_1 = SeriesInvX([ZERO] + [ONE] * N, N)  # x/(1-x)
-    h_parts = []
+    # The h-term prefactors; S(1/(g-h)) is S reindexed by x -> x/(1-hx).
+    prefs = []
     for h in range(2, H + 1):
         pref = SeriesInvX.monomial(painleve_coeff(h) * Q(1, 50**h), 2 * h, N)
         for i in range(1, h + 1):
@@ -121,15 +121,12 @@ def cg_asymptotic_series(K: int) -> List:
             pref = pref * SeriesInvX(
                 [(m + 1) * Q(i) ** m for m in range(N + 1)], N
             )
-        inner_h = SeriesInvX(
-            [ZERO] + [Q(h) ** m for m in range(N)], N
-        )  # x/(1-hx)
-        h_parts.append((pref, inner_h))
+        prefs.append((h, pref))
     for J in range(1, K + 1):
         S = SeriesInvX(b, N)
-        resid = S - S.compose(inner_1)
-        for pref, inner_h in h_parts:
-            resid = resid - pref * S.compose(inner_h)
+        resid = S - S.reindex(1, 1)
+        for h, pref in prefs:
+            resid = resid - pref * S.reindex(1, h)
         b[J] = resid.coeffs[J + 1] / J
     return b[1:]
 

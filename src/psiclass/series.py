@@ -8,10 +8,16 @@ nothing in the arithmetic depends on that reading.
 All operations truncate to the smaller operand order, so precision
 bookkeeping is automatic: combining a K-jet with an M-jet yields a
 min(K, M)-jet.
+
+Every change of variable the package makes (1/g -> 1/(g-h), and 1/g -> 1/X
+for g = (X + 2 - n)/2) is the Moebius map u -> a u / (1 - c u) with
+integers a and c; ``reindex`` substitutes it from its closed-form powers,
+with no series products.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Sequence
 
 from .exact import ONE, Q, ZERO
@@ -131,17 +137,20 @@ class SeriesInvX:
             out[m] = -inv0 * acc
         return SeriesInvX(out)
 
-    # -- composition and transcendental jets ---------------------------
+    # -- substitution and transcendental jets ------------------------
 
-    def compose(self, inner: "SeriesInvX") -> "SeriesInvX":
-        """self(inner(u)); the inner series must have zero constant term."""
-        if inner.coeffs[0]:
-            raise ValueError("composition needs inner constant term 0")
-        K = min(self.order, inner.order)
-        result = SeriesInvX.constant(self.coeffs[K], K)
-        for j in range(K - 1, -1, -1):
-            result = result * inner.truncate(K) + self.coeffs[j]
-        return result
+    def reindex(self, a: int, c: int) -> "SeriesInvX":
+        """self(a u / (1 - c u)), from the closed form
+
+            [u^m] (a u / (1 - c u))^j = a^j binom(m-1, j-1) c^(m-j),  1 <= j <= m.
+        """
+        s = self.coeffs
+        out = [s[0]] + [ZERO] * self.order
+        for j in range(1, len(s)):
+            if s[j]:
+                for m in range(j, len(s)):
+                    out[m] += s[j] * (a**j * comb(m - 1, j - 1) * c ** (m - j))
+        return SeriesInvX(out)
 
     def exp(self) -> "SeriesInvX":
         """exp of a series with zero constant term."""

@@ -17,12 +17,14 @@ from decimal import Decimal, localcontext
 import pytest
 
 import psiclass
+from psiclass import asym
 from psiclass.asym import (
     LARGEST_CAP,
     ONE_POINT_CAP,
     PiLinear,
     RationalFunctionOfG,
     TABLE2_CAP,
+    _ln_basis,
     _pi_bound,
     chat_poly,
     corollary1_deviation,
@@ -42,6 +44,7 @@ from psiclass.closed import one_point_c
 from psiclass.exact import ONE, Q, ZERO, pi_interval, pi_value, to_decimal
 
 from oracles import (
+    compose,
     f_bound_reference,
     lemma6_check_reference,
     mult_poly_eval,
@@ -81,6 +84,28 @@ def test_one_point_series_two_routes_agree():
     a = one_point_series(8)
     b = one_point_series_by_ratio(8)
     assert a.coeffs[:9] == b.coeffs[:9]
+
+
+def test_cancellation_check_is_live(monkeypatch):
+    # Without the Gamma(2g - 1) factor the g ln g, ln g, g and log terms of
+    # the one-point sum no longer cancel, and the exact check must say so.
+    real = asym.log_gamma_expansion
+
+    def drop_one(a, b, K):
+        return asym._terms({}, K) if (a, b) == (2, -1) else real(a, b, K)
+
+    monkeypatch.setattr(asym, "log_gamma_expansion", drop_one)
+    with pytest.raises(ArithmeticError, match="cancellation failed: .*g ln g: 2"):
+        one_point_series(4)
+
+
+def test_ln_basis():
+    assert _ln_basis(60, "g ") == {"g ln2": 2, "g ln3": 1, "g ln5": 1}
+    assert _ln_basis(1) == {}
+    with pytest.raises(ValueError, match="not 2-3-5-smooth"):
+        _ln_basis(7)
+    with pytest.raises(ValueError, match="non-positive"):
+        _ln_basis(0)
 
 
 def test_one_point_series_numeric_probe():
@@ -225,7 +250,7 @@ def test_ctilde_constants_match_one_point_reindexed():
     inv_g = SeriesInvX([ZERO, Q(2)], order=TABLE2_CAP) / SeriesInvX(
         [ONE, ONE], order=TABLE2_CAP
     )
-    reindexed = s.compose(inv_g)
+    reindexed = compose(s, inv_g)
     for k in range(0, TABLE2_CAP + 1):
         assert mult_poly_eval(ctilde_poly(k), (0, 0, 0, 0)) == reindexed[k], k
 

@@ -280,6 +280,7 @@ def test_bounds(capsys):
         pytest.param("bounds", "--gmax", "-3", "lemma6_check needs xmax >= 1 and nmax >= 1", id="-3"),
         pytest.param("painleve", "--gmax", "-1", "gmax must be at least 0", id="painleve--gmax=-1"),
         pytest.param("check-identities", "--sample", "-3", "sample_vectors needs count >= 0", id="check-identities--sample=-3"),
+        pytest.param("check-identities", "--sample", "67", "sample_vectors needs count <= 66, the number of distinct vectors it draws from", id="check-identities--sample=67"),
     ],
 )  # fmt: skip
 def test_bounds_rejects_gmax_below_one(command, flag, value, message, capsys):

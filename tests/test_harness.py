@@ -178,6 +178,16 @@ def test_sample_vectors_deterministic():
     assert all(x_int(d) is not None and x_int(d) <= 9 for d in a)
 
 
+def test_sample_vectors_bounded_by_its_pool():
+    # Entries 0..7, n <= 5 and X <= 9 admit 66 distinct vectors: all of them
+    # can be drawn, one more is an error rather than an endless loop.
+    full = sample_vectors(66)
+    assert len(set(full)) == 66
+    assert full[:50] == sample_vectors(50)
+    with pytest.raises(ValueError, match="count <= 66"):
+        sample_vectors(67)
+
+
 def test_theorem2_family_membership():
     fam = list(theorem2_family(2, max_zeros=2))
     assert (4,) in fam

@@ -1,4 +1,4 @@
-"""Truncated series in 1/x: ring operations, exp/log, composition."""
+"""Truncated series in 1/x: ring operations, exp/log, reindexing."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import pytest
 
 from psiclass.exact import ONE, Q, ZERO
 from psiclass.series import SeriesInvX
+
+from oracles import compose
 
 
 def _rand_series(rng: random.Random, order: int, unit: bool = False) -> SeriesInvX:
@@ -64,14 +66,22 @@ def test_exp_of_sum_is_product():
         assert (za + zb).exp() == za.exp() * zb.exp()
 
 
-def test_compose():
-    # f(y) = 1 + y + y^2 composed with y = 2/x
+def test_reindex():
+    # f(y) = 1 + y + y^2 at y = 2u: the map a u/(1 - c u) with a = 2, c = 0.
     f = SeriesInvX([ONE, ONE, ONE])
-    inner = SeriesInvX.monomial(Q(2), 1, 2)
-    got = f.compose(inner)
-    assert got.coeffs == (ONE, Q(2), Q(4))
+    assert f.reindex(2, 0).coeffs == (ONE, Q(2), Q(4))
+    # Against Horner composition with the inner a u/(1 - c u) built by
+    # series division, on random series of orders 0, 1 and 12.
+    rng = random.Random(29)
+    maps = [(1, 1), *((1, h) for h in range(2, 7)), (2, 0), (2, -1), (2, 3)]
+    for a, c in maps:
+        for order in (0, 1, 12):
+            inner = SeriesInvX([ZERO, Q(a)], order) / SeriesInvX([ONE, Q(-c)], order)
+            for _ in range(3):
+                s = _rand_series(rng, order)
+                assert s.reindex(a, c) == compose(s, inner), (a, c, order)
     with pytest.raises(ValueError):
-        f.compose(SeriesInvX([ONE, ONE, ONE]))  # inner needs zero constant
+        compose(f, SeriesInvX([ONE, ONE, ONE]))  # inner needs zero constant
 
 
 def test_truncate_and_eq_ignore_order_mismatch():
