@@ -23,7 +23,10 @@ SeriesInvX.reindex), yields the coefficients c~_k (of pi*C) and
 c^_k (of C/gamma(X)).  Solving the pattern grid against the allowed
 monomials in the multiplicities p_2..p_5 gives the universal polynomials;
 the linear system is overdetermined by at least three rows and must be
-satisfied exactly.
+satisfied exactly.  Both eliminations (the fit's homogeneous systems and
+the table's solve) are Bareiss's fraction-free Gauss-Jordan on rows
+cleared to integers: every division is exact, and a rational is built
+only from the final determinant.
 
 The majorant f(X, n) = r/pi + s runs on integers: each X-row holds the
 numerators of r and s over one common denominator (see _majorant_row) and
@@ -225,44 +228,65 @@ def largest_series(K: int) -> SeriesInvX:
 
 
 # ----------------------------------------------------------------------
-# Exact rational-function fitting.
+# Fraction-free elimination and exact rational-function fitting.
 # ----------------------------------------------------------------------
 
 
-def _rref(rows: List[List]) -> Tuple[List[List], List[int]]:
-    """Reduced row echelon form over exact rationals; returns pivot columns."""
+def _rref(rows: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free reduced row echelon form of an integer matrix.
+
+    Bareiss's Gauss-Jordan elimination: each step cross-multiplies by the
+    new pivot and divides exactly by the previous one, so every entry stays
+    an integer (a minor of the input).  Returns (rows, pivot columns, det):
+    every pivot row ends with det in its pivot column, and rows[r][c] / det
+    is the entry of the rational reduced form.
+    """
     rows = [list(r) for r in rows]
     m = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: List[int] = []
+    det = 1
     r = 0
     for c in range(ncols):
-        pick = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pick = i
-                break
+        pick = next((i for i in range(r, m) if rows[i][c]), None)
         if pick is None:
             continue
         rows[r], rows[pick] = rows[pick], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(m):
-            if i != r and rows[i][c]:
+            if i != r:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [(p * a - f * b) // det for a, b in zip(rows[i], prow)]
+        det = p
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return rows, pivots
+    return rows, pivots, det
+
+
+def _integer_row(row: Sequence) -> List[int]:
+    """A row of rationals scaled by the lcm of its denominators."""
+    row = [Q(v) for v in row]
+    scale = lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
 
 
 def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence) -> List:
     """Solve A x = b exactly; A may be overdetermined but must be consistent
-    with a unique solution."""
-    aug = [list(map(Q, row)) + [Q(b)] for row, b in zip(matrix, rhs)]
-    red, pivots = _rref(aug)
+    with a unique solution.
+
+    Each row is cleared to integers and eliminated fraction-free; the
+    solution is one division by the determinant per unknown.
+
+    >>> solve_linear_exact([[2, 1], [1, 3], [3, 4]], [5, 10, Q(15)])
+    [Fraction(1, 1), Fraction(3, 1)]
+    """
+    if not matrix:
+        raise ValueError("empty linear system")
+    aug = [_integer_row([*row, b]) for row, b in zip(matrix, rhs, strict=True)]
+    red, pivots, det = _rref(aug)
     ncols = len(aug[0]) - 1
     if ncols in pivots:
         raise ValueError("inconsistent linear system")
@@ -270,12 +294,12 @@ def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence) -> List:
         raise ValueError("underdetermined linear system")
     sol = [ZERO] * ncols
     for r, c in enumerate(pivots):
-        sol[c] = red[r][ncols]
+        sol[c] = Q(red[r][ncols], det)
     return sol
 
 
 def _poly_eval(coeffs: Sequence, x):
-    acc = ZERO
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -343,25 +367,35 @@ def fit_rational(
     Climbs degrees d = 0, 1, ...: solves the homogeneous linear system
     P(g_i) - q_i Q(g_i) = 0 (deg P = deg Q = d) on 2d+1 samples and accepts
     only if the result reproduces every remaining sample as well.  Raises
-    once d exceeds max_degree or the sample budget.
+    once d exceeds max_degree or the sample budget.  With q_i = a_i/b_i the
+    rows are (b_i g_i^j | -a_i g_i^j), eliminated fraction-free, and the
+    null vector and every sample check stay on integers.
+
+    >>> f = fit_rational([(g, Q(1 + g * g, 3 + 2 * g)) for g in range(1, 8)])
+    >>> f.num, f.den
+    ((Fraction(1, 2), Fraction(0, 1), Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 1)))
     """
-    samples = [(int(g), Q(v)) for g, v in samples]
-    if len(set(g for g, _ in samples)) != len(samples):
+    points = []
+    for g, v in samples:
+        gi, v = int(g), Q(v)
+        if gi != g:
+            raise ValueError("sample points must be integers")
+        points.append((gi, v.numerator, v.denominator))
+    if len(set(g for g, _, _ in points)) != len(points):
         raise ValueError("duplicate sample points")
     for d in range(0, max_degree + 1):
         need = 2 * d + 1
-        if need + 1 > len(samples):
+        if need + 1 > len(points):
             break
         rows = []
-        for g, v in samples[:need]:
-            gq = Q(g)
-            pows = [gq**j for j in range(d + 1)]
-            rows.append(pows + [-v * p for p in pows])
-        red, pivots = _rref(rows)
+        for g, a, b in points[:need]:
+            pows = [g**j for j in range(d + 1)]
+            rows.append([b * p for p in pows] + [-a * p for p in pows])
+        red, pivots, det = _rref(rows)
         ncols = 2 * d + 2
         free = next(c for c in range(ncols) if c not in pivots)
-        vec = [ZERO] * ncols
-        vec[free] = ONE
+        vec = [0] * ncols
+        vec[free] = det
         for r, c in enumerate(pivots):
             vec[c] = -red[r][free]
         num = _poly_normalize(vec[: d + 1])
@@ -369,9 +403,9 @@ def fit_rational(
         if not any(den):
             continue
         ok = True
-        for g, v in samples:
-            dv = _poly_eval(den, Q(g))
-            if not dv or _poly_eval(num, Q(g)) != v * dv:
+        for g, a, b in points:
+            dv = _poly_eval(den, g)
+            if not dv or b * _poly_eval(num, g) != a * dv:
                 ok = False
                 break
         if not ok:

@@ -26,8 +26,9 @@ sum over permutations with partial-sum weights (n_point below).
 The matrices are held on integers: A_k as four integer entries over one
 positive denominator (24^h h!, doubled for the diagonal family, with
 h = (k+1)//3, reduced to lowest terms), built from the double factorials
-directly.  Products multiply entries and denominators as integers, and a
-trace becomes one rational, which trace_product caches.
+directly.  Products multiply entries and denominators as integers.  Every
+formula sums on integers over one common denominator (_common_den) that
+each product's denominator divides, and builds one rational on return.
 
 Enumeration windows: every formula's floor/weight structure forces the
 k-slot paired with the largest d-entry to exceed that entry, so the
@@ -40,22 +41,16 @@ the work depends on the ordering.
 from __future__ import annotations
 
 from itertools import permutations
-from math import factorial, gcd, prod
+from math import comb, factorial, gcd, prod
 from typing import Dict, Sequence, Tuple
 
-from .exact import (
-    Q,
-    ZERO,
-    odd_double_factorial,
-    reciprocal_factorial,
-)
+from .exact import Q, ZERO, odd_double_factorial
 
 IMat = Tuple[int, int, int, int, int]  # (a, b, c, d, den): [[a, b], [c, d]] / den
 
 _ZERO_IMAT: IMat = (0, 0, 0, 0, 1)
 
 _INT_MATS: Dict[int, IMat] = {}
-_TRACE_CACHE: Dict[tuple, object] = {}
 
 
 def _int_matrix(k: int) -> IMat:
@@ -101,41 +96,29 @@ def _imul(m1: IMat, m2: IMat) -> IMat:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, p * q)
 
 
-def _reversal_sign(ks: Sequence[int]) -> int:
-    """tr of the reversed product differs by (-1)^#{k_i = 1 mod 3}."""
-    return -1 if sum(1 for v in ks if v % 3 == 1) % 2 else 1
+def _trace_with(m: IMat, k: int) -> Tuple[int, int]:
+    """tr(m A_k) as (numerator, denominator), without forming the product."""
+    e, f, g, h, den = _int_matrix(k)
+    return m[0] * e + m[1] * g + m[2] * f + m[3] * h, m[4] * den
 
 
-def _trace_key(ks: tuple) -> Tuple[tuple, int]:
-    """Canonical key under cyclic rotation and (signed) reversal."""
-    n = len(ks)
-    best = min(ks[i:] + ks[:i] for i in range(n))
-    rev = ks[::-1]
-    best_r = min(rev[i:] + rev[:i] for i in range(n))
-    if best_r < best:
-        return best_r, _reversal_sign(ks)
-    return best, 1
+def _common_den(n: int, s: int) -> int:
+    """2^n 24^H H! with H = (s + n)//3: a multiple of the denominator of
+    every product of n matrices A_k (k >= -1) with sum k = s.
+
+    den(A_k) divides 2 24^h h! with h = (k+1)//3, and the h's of such a
+    product sum to at most H, so the product of the h! divides H!.
+    """
+    H = (s + n) // 3
+    return 2**n * 24**H * factorial(H)
 
 
 def trace_product(ks: Sequence[int]):
-    """tr(A_{k_1} ... A_{k_n}), cached up to rotation and reversal."""
-    ks = tuple(ks)
-    if any(v <= -2 for v in ks):
-        return ZERO
-    # A nonzero trace needs as many upper-type as lower-type factors.
-    if sum(1 for v in ks if v % 3 == 0) != sum(1 for v in ks if v % 3 == 2):
-        return ZERO
-    key, sign = _trace_key(ks)
-    val = _TRACE_CACHE.get(key)
-    if val is None:
-        m = _int_matrix(key[0])
-        for k in key[1:]:
-            m = _imul(m, _int_matrix(k))
-            if not (m[0] or m[1] or m[2] or m[3]):
-                break
-        val = Q(m[0] + m[3], m[4])
-        _TRACE_CACHE[key] = val
-    return val if sign == 1 else -val
+    """tr(A_{k_1} ... A_{k_n}) as one rational, by a plain integer product."""
+    m: IMat = (1, 0, 0, 1, 1)
+    for k in ks:
+        m = _imul(m, _int_matrix(k))
+    return Q(m[0] + m[3], m[4])
 
 
 def _c_prefactor(g: int, n: int):
@@ -171,14 +154,14 @@ def two_point_bdy(d1: int, d2: int):
     if s % 3 != 2:
         return ZERO
     g = (s + 1) // 3
-    acc = ZERO
+    D = _common_den(2, s)
+    acc = 0
     for l in range(d1 + 1):
-        tr = trace_product((l - 1, 3 * g - l))
+        tr, den = _trace_with(_int_matrix(l - 1), 3 * g - l)
         if tr:
-            acc += (d1 + 1 - l) * tr
-    return acc / (
-        odd_double_factorial(2 * d1 + 1) * odd_double_factorial(2 * d2 + 1)
-    )
+            acc += (d1 + 1 - l) * tr * (D // den)
+    dfact = prod(range(2 * d1 + 1, 0, -2)) * prod(range(2 * d2 + 1, 0, -2))
+    return Q(acc, D * dfact)
 
 
 def two_point_zograf(d1: int, d2: int):
@@ -187,7 +170,9 @@ def two_point_zograf(d1: int, d2: int):
         C = (1/(54^g (2g-1)! g)) sum_{d=-1}^{d1-1} eta_{g,d},
 
     eta_{g,d} = (6g-3-2d)!! (2d+1)!! w(g,d) with w depending on d mod 3 and
-    out-of-range factorial reciprocals contributing zero.
+    out-of-range factorial reciprocals contributing zero.  The sum runs on
+    integers: g! w(g,d) is a binomial times a small factor, and the two
+    double factorials are stepped from one term to the next.
     """
     if d1 < 0 or d2 < 0:
         return ZERO
@@ -195,24 +180,20 @@ def two_point_zograf(d1: int, d2: int):
     if s % 3 != 2:
         return ZERO
     g = (s + 1) // 3
-    acc = ZERO
+    acc = 0
+    hi, lo = prod(range(6 * g - 1, 0, -2)), 1  # (6g-3-2d)!!, (2d+1)!! at d = -1
     for d in range(-1, d1):
         if (d + 1) % 3 == 0:
             j = (d + 1) // 3
-            w = (g - 2 * j) * reciprocal_factorial(j) * reciprocal_factorial(g - j)
+            w = (g - 2 * j) * comb(g, j)
         elif d % 3 == 0:
-            j = d // 3
-            w = -2 * reciprocal_factorial(j) * reciprocal_factorial(g - 1 - j)
+            w = -2 * g * comb(g - 1, d // 3)
         else:
-            j = (d - 1) // 3
-            w = 2 * reciprocal_factorial(j) * reciprocal_factorial(g - 1 - j)
-        if w:
-            acc += (
-                odd_double_factorial(6 * g - 3 - 2 * d)
-                * odd_double_factorial(2 * d + 1)
-                * w
-            )
-    return acc / (54**g * factorial(2 * g - 1) * g)
+            w = 2 * g * comb(g - 1, (d - 1) // 3)
+        acc += hi * lo * w
+        hi //= 6 * g - 3 - 2 * d
+        lo *= 2 * d + 3
+    return Q(acc, 54**g * factorial(2 * g - 1) * g * factorial(g))
 
 
 def m_floor(*entries: int) -> int:
@@ -236,14 +217,16 @@ def three_point(d: Sequence[int]):
     if s % 3:
         return ZERO
     g = s // 3
-    acc = ZERO
+    D = _common_den(3, s)
+    acc = 0
     for k1 in range(-1, d1):
         m1 = d1 - k1
+        a1 = _int_matrix(k1)
         for k2 in range(-1, d1 + d2 - k1):
-            tr = trace_product((k1, k2, s - k1 - k2))
+            tr, den = _trace_with(_imul(a1, _int_matrix(k2)), s - k1 - k2)
             if tr:
-                acc += min(m1, d1 + d2 - k1 - k2) * tr
-    return 2 * acc * _c_prefactor(g, 3)
+                acc += min(m1, d1 + d2 - k1 - k2) * tr * (D // den)
+    return Q(2 * acc, D) * _c_prefactor(g, 3)
 
 
 def four_point(d: Sequence[int]):
@@ -269,9 +252,14 @@ def four_point(d: Sequence[int]):
     if g < 0:
         return ZERO
     budget = d1 + d2 + d3 - 1
-    acc = ZERO
+    D = _common_den(4, s)
+    acc = 0
     for k1 in range(-1, budget + 3):
+        a1 = _int_matrix(k1)
         for k2 in range(-1, budget - k1 + 2):
+            m12 = _imul(a1, _int_matrix(k2))
+            if not (m12[0] or m12[1] or m12[2] or m12[3]):
+                continue
             for k3 in range(-1, budget - k1 - k2 + 1):
                 k4 = s - k1 - k2 - k3
                 e4 = k4 - d4
@@ -284,10 +272,10 @@ def four_point(d: Sequence[int]):
                 )
                 if not br:
                     continue
-                tr = trace_product((k1, k2, k3, k4))
+                tr, den = _trace_with(_imul(m12, _int_matrix(k3)), k4)
                 if tr:
-                    acc += br * tr
-    return 2 * acc * _c_prefactor(g, 4)
+                    acc += br * tr * (D // den)
+    return Q(2 * acc, D) * _c_prefactor(g, 4)
 
 
 def _perm_data(n: int):
@@ -357,16 +345,17 @@ def n_point(d: Sequence[int]):
     if g < 0:
         return ZERO
     budget = s - ds[-1] - 1
+    D = _common_den(n, s)
 
-    traces: Dict[tuple, object] = {}
+    # Each nonzero trace as its numerator over D.
+    traces: Dict[tuple, int] = {}
 
     def dfs(pos: int, ssum: int, prefix: tuple, mat: IMat) -> None:
         if pos == n - 1:
             kn = s - ssum
-            e, f, gg, h, den = _int_matrix(kn)
-            tr = mat[0] * e + mat[1] * gg + mat[2] * f + mat[3] * h
+            tr, den = _trace_with(mat, kn)
             if tr:
-                traces[prefix + (kn,)] = Q(tr, mat[4] * den)
+                traces[prefix + (kn,)] = tr * (D // den)
             return
         hi = budget - ssum + (n - 2 - pos)
         for kq in range(-1, hi + 1):
@@ -378,7 +367,7 @@ def n_point(d: Sequence[int]):
     for k1 in range(-1, budget + n - 1):
         dfs(1, k1, (k1,), _int_matrix(k1))
 
-    total = ZERO
+    acc = 0
     perms = _perm_data(n)
     for ks, tr in traces.items():
         w = 0
@@ -387,5 +376,5 @@ def n_point(d: Sequence[int]):
             if om:
                 w += sign * om
         if w:
-            total += w * tr
-    return total * _c_prefactor(g, n)
+            acc += w * tr
+    return Q(acc, D) * _c_prefactor(g, n)

@@ -2,19 +2,19 @@
 
 Everything downstream (the recursion engine, the closed formulas, the series
 machinery) returns exact rationals.  The recursion, the closed-formula
-matrices, the Painleve I coefficients and the majorant run on Python ints
-and build a rational only at their boundary; the rest (series jets,
-rational fitting, the identity checks) runs on ``Q``, which is
-``fractions.Fraction``.
+sums, the Painleve I coefficients, the majorant and the linear elimination
+behind rational fitting run on Python ints and build a rational only at
+their boundary; the rest (series jets, the identity checks) runs on ``Q``,
+which is ``fractions.Fraction``.
 
 Negative-argument conventions live here and nowhere else:
 
 * ``(-1)!! = 1`` (empty product); even or smaller arguments are an error,
 * ``1/n! = 0`` for ``n < 0``,
 
-because the coefficient tables of the two-point formulas silently rely on
-out-of-range terms vanishing, and one convention point prevents scattered
-bugs.
+so that out-of-range terms vanish by one convention, not by scattered
+special cases.  (``closed.two_point_zograf`` sums binomials instead, and
+``math.comb`` is 0 past its range.)
 """
 
 from __future__ import annotations

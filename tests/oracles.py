@@ -6,8 +6,8 @@ trace sum without window pruning, series substitution by Horner
 composition instead of the closed-form reindex, the one-point series from
 its ratio functional equation instead of Stirling jets, and the
 rational-valued forms of the closed-formula matrices and traces, the
-Painleve I recursion and the majorant that the library computes on
-integers.
+Painleve I recursion, the majorant and the linear elimination and
+rational fitting that the library computes on integers.
 
 It also holds the views of library data that only tests read: the rational
 entries of the integer matrices (matrix_coeff), the trace-normalized
@@ -21,7 +21,16 @@ from itertools import product as _iproduct
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from psiclass.asym import MultPoly, PiLinear, _mono_value
+from psiclass.asym import (
+    MultPoly,
+    PiLinear,
+    RationalFunctionOfG,
+    _mono_value,
+    _poly_divmod,
+    _poly_eval,
+    _poly_gcd,
+    _poly_normalize,
+)
 from psiclass.closed import (
     _c_prefactor,
     _int_matrix,
@@ -206,6 +215,65 @@ def one_point_series_by_ratio(K: int) -> SeriesInvX:
         resid = compose(ser, inner) - ser * R
         s[J] = resid.coeffs[J + 1] / J
     return SeriesInvX(s, K)
+
+
+def rref_reference(rows: List[List]) -> Tuple[List[List], List[int]]:
+    """Reduced row echelon form over rationals, each pivot row scaled to a
+    leading 1; returns the rows and the pivot columns."""
+    rows = [[Q(v) for v in r] for r in rows]
+    m = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        pick = next((i for i in range(r, m) if rows[i][c]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, pivots
+
+
+def fit_rational_reference(samples, max_degree: int = 40) -> RationalFunctionOfG:
+    """fit_rational's degree climb with rational rows (1, g, .. | -v, -v g, ..)
+    reduced by rref_reference and every sample checked in rationals."""
+    samples = [(Q(g), Q(v)) for g, v in samples]
+    for d in range(0, max_degree + 1):
+        need = 2 * d + 1
+        if need + 1 > len(samples):
+            break
+        rows = []
+        for g, v in samples[:need]:
+            pows = [g**j for j in range(d + 1)]
+            rows.append(pows + [-v * p for p in pows])
+        red, pivots = rref_reference(rows)
+        free = next(c for c in range(2 * d + 2) if c not in pivots)
+        vec = [ZERO] * (2 * d + 2)
+        vec[free] = ONE
+        for r, c in enumerate(pivots):
+            vec[c] = -red[r][free]
+        num = _poly_normalize(vec[: d + 1])
+        den = _poly_normalize(vec[d + 1 :])
+        f = RationalFunctionOfG(tuple(num), tuple(den))
+        if not any(den) or any(not _poly_eval(den, g) or f(g) != v for g, v in samples):
+            continue
+        gcd = _poly_gcd(num, den)
+        if len(gcd) > 1:
+            num, _ = _poly_divmod(num, gcd)
+            den, _ = _poly_divmod(den, gcd)
+        return RationalFunctionOfG(
+            tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+        )
+    raise ValueError(f"not rational within cap (degree {max_degree})")
 
 
 def mult_poly_eval(poly: MultPoly, pvec: Tuple[int, int, int, int]):

@@ -10,6 +10,7 @@ script against large-X values of pi*C confirms the p-dependent entries.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -26,6 +27,7 @@ from psiclass.asym import (
     TABLE2_CAP,
     _ln_basis,
     _pi_bound,
+    _rref,
     chat_poly,
     corollary1_deviation,
     ctilde_poly,
@@ -46,9 +48,11 @@ from psiclass.exact import ONE, Q, ZERO, pi_interval, pi_value, to_decimal
 from oracles import (
     compose,
     f_bound_reference,
+    fit_rational_reference,
     lemma6_check_reference,
     mult_poly_eval,
     one_point_series_by_ratio,
+    rref_reference,
 )
 
 # ----------------------------------------------------------------------
@@ -177,6 +181,112 @@ def test_fit_rational_rejects_non_rational():
 def test_fit_rational_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate sample points"):
         fit_rational([(ONE, ONE), (ONE, ONE)])
+
+
+def test_fit_rational_rejects_non_integral_points():
+    target = RationalFunctionOfG([Q(1), ZERO, Q(1)], [Q(3), Q(2)])  # (1+g^2)/(3+2g)
+    samples = [(Q(2 * g + 1, 2), target(Q(2 * g + 1, 2))) for g in range(1, 30)]
+    with pytest.raises(ValueError, match="sample points must be integers"):
+        fit_rational(samples)
+
+
+@pytest.mark.parametrize(
+    "matrix, rhs",
+    [([[1], [2]], [3]), ([[1]], [3, 4]), ([], [])],
+    ids=["row-without-rhs", "rhs-without-row", "empty"],
+)
+def test_solve_linear_exact_rejects_mismatched_input(matrix, rhs):
+    with pytest.raises(ValueError):
+        solve_linear_exact(matrix, rhs)
+
+
+def _random_matrix(rng: random.Random, m: int, n: int, shape: str) -> list:
+    """An m x n integer matrix with the structure named by ``shape``."""
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    if shape == "swap":  # the first pivot sits below the first row
+        rows[0][0] = 0
+        rows[-1][0] = rng.choice([-3, -1, 2, 7])
+    elif shape == "zero-column":
+        c = rng.randrange(n)
+        for row in rows:
+            row[c] = 0
+    elif shape == "deficient" and m >= 2:  # one row a combination of two
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (m - 1)])]
+    return rows
+
+
+_SHAPES = ("plain", "swap", "zero-column", "deficient")
+
+
+def test_rref_matches_reference():
+    rng = random.Random(1968)
+    for trial in range(200):
+        shape = _SHAPES[trial % len(_SHAPES)]
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        rows = _random_matrix(rng, m, n, shape)
+        red, pivots, det = _rref(rows)
+        ref, ref_pivots = rref_reference(rows)
+        assert pivots == ref_pivots, rows
+        assert det
+        for r in range(m):
+            assert [Q(v, det) for v in red[r]] == ref[r], rows
+            if r < len(pivots):
+                assert red[r][pivots[r]] == det
+
+
+def test_solve_linear_exact_matches_reference():
+    rng = random.Random(22)
+    outcomes = set()
+    for trial in range(200):
+        shape = _SHAPES[trial % len(_SHAPES)]
+        n = rng.randint(1, 5)
+        m = n + rng.randint(0, 3)
+        matrix = [
+            [Q(v, rng.randint(1, 5)) for v in row]
+            for row in _random_matrix(rng, m, n, shape)
+        ]
+        x = [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
+        if trial % 3 == 0:  # usually breaks consistency
+            rhs[-1] += 1
+        ref, pivots = rref_reference([row + [b] for row, b in zip(matrix, rhs)])
+        if n in pivots:
+            want = "inconsistent"
+        elif len(pivots) != n:
+            want = "underdetermined"
+        else:
+            want = [ref[r][n] for r in range(n)]
+        try:
+            got = solve_linear_exact(matrix, rhs)
+        except ValueError as err:
+            got = str(err).split()[0]
+        assert got == want, (matrix, rhs)
+        outcomes.add(want if isinstance(want, str) else "unique")
+    assert outcomes == {"inconsistent", "underdetermined", "unique"}
+
+
+def test_fit_rational_matches_reference():
+    rng = random.Random(7)
+    for trial in range(40):
+        dp, dq = rng.randint(0, 3), rng.randint(0, 3)
+        num = [Q(rng.randint(-5, 5)) for _ in range(dp)] + [Q(rng.randint(1, 5))]
+        den = [Q(rng.randint(0, 5)) for _ in range(dq)] + [Q(rng.randint(1, 5))]
+        f = RationalFunctionOfG(tuple(num), tuple(den))  # den > 0 for g >= 1
+        points = rng.sample(range(1, 60), 16)
+        if trial % 5 == 0:  # not rational at these degrees
+            samples = [(g, Q(2) ** g) for g in points]
+        else:
+            samples = [(g, f(g)) for g in points]
+        try:
+            want = fit_rational_reference(samples, max_degree=5)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err).split("(")[0]):
+                fit_rational(samples, max_degree=5)
+            continue
+        got = fit_rational(samples, max_degree=5)
+        assert got == want, samples
+        assert all(got(g) == v for g, v in samples)
 
 
 def test_series_at_infinity():

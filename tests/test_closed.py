@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import random
+from math import prod
 
+from psiclass import closed
 from psiclass.closed import (
+    _common_den,
+    _int_matrix,
     four_point,
     n_point,
     one_point_c,
@@ -93,6 +97,37 @@ def test_trace_cache_symmetries():
         # reversal flips by the parity of entries = 1 mod 3
         sign = (-1) ** sum(1 for k in ks if k % 3 == 1)
         assert trace_product(tuple(reversed(ks))) == sign * t
+
+
+def test_common_den_divisible_by_product_denominators():
+    rng = random.Random(1991)
+    for _ in range(500):
+        ks = [rng.randint(-1, 40) for _ in range(rng.randint(1, 6))]
+        den = prod(_int_matrix(k)[4] for k in ks)
+        assert _common_den(len(ks), sum(ks)) % den == 0, ks
+
+
+def _module_state():
+    """Every container held at module level in closed, by name."""
+    return {
+        name: repr(value)
+        for name, value in vars(closed).items()
+        if isinstance(value, (dict, list, set))
+    }
+
+
+def test_closed_calls_leave_only_the_matrix_table():
+    before = _module_state()
+    two_point_bdy(7, 13)
+    two_point_zograf(7, 13)
+    three_point((1, 4, 10))
+    four_point((1, 2, 3, 7))
+    n_point((0, 1, 2, 2, 7))
+    trace_product((0, 2, 1, 4))
+    after = _module_state()
+    assert set(after) == set(before)
+    changed = {name for name in after if after[name] != before[name]}
+    assert changed <= {"_INT_MATS"}
 
 
 def test_a_value_known():
