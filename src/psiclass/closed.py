@@ -36,11 +36,18 @@ remaining k's have bounded sum and the term count depends only on the
 smaller entries of d, not on the genus.  Inputs are sorted so the largest
 entry sits in that slot; the values are symmetric (tests check this), only
 the work depends on the ordering.
+
+Inside its window the general n-point sum also prunes permutations: each
+permutation's weight is a minimum over some partial sums less a maximum
+over the others, and fixing one more k can only lower the first or raise
+the second, so a permutation whose weight is already zero stays zero for
+every completion.  The enumeration carries the live permutations down and
+skips each k that leaves none, before any matrix product or trace.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb, factorial, gcd, prod
 from typing import Dict, Sequence, Tuple
 
@@ -111,14 +118,6 @@ def _common_den(n: int, s: int) -> int:
     """
     H = (s + n) // 3
     return 2**n * 24**H * factorial(H)
-
-
-def trace_product(ks: Sequence[int]):
-    """tr(A_{k_1} ... A_{k_n}) as one rational, by a plain integer product."""
-    m: IMat = (1, 0, 0, 1, 1)
-    for k in ks:
-        m = _imul(m, _int_matrix(k))
-    return Q(m[0] + m[3], m[4])
 
 
 def _c_prefactor(g: int, n: int):
@@ -299,34 +298,27 @@ def _perm_data(n: int):
     return out
 
 
-def _omega(ds: tuple, sigma: tuple, mask: tuple, ks: tuple) -> int:
-    """The partial-sum weight: max(0, min over S+ of PS - max over S- of PS)."""
-    ps = 0
-    lo = None
-    hi = None
-    for q in range(len(ds)):
-        ps += ds[sigma[q]] - ks[q]
-        if mask[q]:
-            if lo is None or ps < lo:
-                lo = ps
-        else:
-            if hi is None or ps > hi:
-                hi = ps
-    if lo is None:
-        return 0
-    w = lo - hi
-    return w if w > 0 else 0
-
-
 def n_point(d: Sequence[int]):
     """C(d) for any n >= 1 by the general trace formula
 
         C(d) = sum_{sigma(n)=n} (-1)^(|S-|+1) sum_k a(k) omega(d, sigma, k),
 
-    k_i >= -1, sum k = sum d, with omega the partial-sum weight of _omega.
+    k_i >= -1, sum k = sum d, with the partial-sum weight
+
+        omega = max(0, min over S+ of PS - max over S- of PS),
+        PS_q = sum_{r<=q} (d_{sigma(r)} - k_r).
+
     Position n always lies in S- with partial sum 0 and position n-1 in S+,
     which forces k_n >= d_n + 1 for a nonzero weight; d is sorted ascending
     so the remaining k's range over sum <= d_1 + .. + d_{n-1} - 1.
+
+    The enumeration of k_1..k_{n-1} carries the permutations still alive,
+    each with lo = min over S+ of PS so far and hi = max over S- (from 0,
+    position n's partial sum).  Fixing one more k can only lower lo or
+    raise hi, so a permutation with lo <= hi has weight 0 for every
+    completion and is dropped there.  A k that leaves none alive is
+    skipped, matrix product and all.  A leaf closes its trace only when its
+    weight, the sum of sign (lo - hi) over the survivors, is nonzero.
 
     n = 1 falls back to the one-point closed form.
     """
@@ -346,35 +338,41 @@ def n_point(d: Sequence[int]):
         return ZERO
     budget = s - ds[-1] - 1
     D = _common_den(n, s)
+    acc = 0
 
-    # Each nonzero trace as its numerator over D.
-    traces: Dict[tuple, int] = {}
-
-    def dfs(pos: int, ssum: int, prefix: tuple, mat: IMat) -> None:
+    def dfs(pos: int, ssum: int, live: list, mat: IMat) -> None:
+        nonlocal acc
         if pos == n - 1:
-            kn = s - ssum
-            tr, den = _trace_with(mat, kn)
-            if tr:
-                traces[prefix + (kn,)] = tr * (D // den)
+            w = sum(sign * (lo - hi) for sign, _, _, lo, hi in live)
+            if w:
+                tr, den = _trace_with(mat, s - ssum)
+                if tr:
+                    acc += w * tr * (D // den)
             return
-        hi = budget - ssum + (n - 2 - pos)
-        for kq in range(-1, hi + 1):
+        top = budget - ssum + (n - 2 - pos)
+        for kq in range(-1, top + 1):
+            ksum = ssum + kq
+            alive = []
+            for sign, mask, pre, lo, hi in live:
+                ps = pre[pos] - ksum
+                if mask[pos]:
+                    if lo is None or ps < lo:
+                        lo = ps
+                elif ps > hi:
+                    hi = ps
+                if lo is None or lo > hi:
+                    alive.append((sign, mask, pre, lo, hi))
+            if not alive:
+                continue
             nm = _imul(mat, _int_matrix(kq))
             if nm[0] or nm[1] or nm[2] or nm[3]:
-                dfs(pos + 1, ssum + kq, prefix + (kq,), nm)
+                dfs(pos + 1, ksum, alive, nm)
 
-    # A_k is nonzero for every k >= -1, so each first index opens a branch.
-    for k1 in range(-1, budget + n - 1):
-        dfs(1, k1, (k1,), _int_matrix(k1))
-
-    acc = 0
-    perms = _perm_data(n)
-    for ks, tr in traces.items():
-        w = 0
-        for sigma, sign, mask in perms:
-            om = _omega(ds, sigma, mask, ks)
-            if om:
-                w += sign * om
-        if w:
-            acc += w * tr
+    # Per permutation: sign, S+ mask, prefix sums of ds[sigma], lo (None
+    # until the first S+ position) and hi.
+    perms = [
+        (sign, mask, tuple(accumulate(ds[i] for i in sigma)), None, 0)
+        for sigma, sign, mask in _perm_data(n)
+    ]
+    dfs(0, 0, perms, (1, 0, 0, 1, 1))
     return Q(acc, D) * _c_prefactor(g, n)

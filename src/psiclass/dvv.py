@@ -206,8 +206,11 @@ def cache_load(source) -> MemoCache:
     Checked in order: the header (a v1 file is refused by name), the entry
     count and the body hash it states, then per entry a canonical key of an
     expandable geometric vector (X >= 2), a positive hexadecimal integer
-    value, and no duplicate key.  Errors are ValueErrors that start
-    ``line N:``, with the 1-based line number.
+    value, no duplicate key, and for a one-entry key (3g-2,) the value
+    N = (6g-3)!!, from the one-point number 1/(24^g g!).  Errors are
+    ValueErrors that start ``line N:``, with the 1-based line number.
+    Entries of more than one element are not checked against the
+    recursion.
     """
     own = isinstance(source, (str, bytes))
     fh = open(source, "r", encoding="utf-8") if own else source
@@ -257,7 +260,15 @@ def cache_load(source) -> MemoCache:
             )
         if key in cache.table:
             raise ValueError(f"line {lineno}: duplicate key {key_s!r}")
-        cache.table[key] = int(val_s, 16)
+        value = int(val_s, 16)
+        if len(key) == 1:
+            g = (key[0] + 2) // 3
+            if value != math.prod(range(6 * g - 3, 0, -2)):
+                raise ValueError(
+                    f"line {lineno}: entry {line[:80]!r} fails"
+                    f" N((3g-2,)) = (6g-3)!! at g = {g}"
+                )
+        cache.table[key] = value
     return cache
 
 

@@ -7,13 +7,9 @@ behind rational fitting run on Python ints and build a rational only at
 their boundary; the rest (series jets, the identity checks) runs on ``Q``,
 which is ``fractions.Fraction``.
 
-Negative-argument conventions live here and nowhere else:
-
-* ``(-1)!! = 1`` (empty product); even or smaller arguments are an error,
-* ``1/n! = 0`` for ``n < 0``,
-
-so that out-of-range terms vanish by one convention, not by scattered
-special cases.  (``closed.two_point_zograf`` sums binomials instead, and
+The double factorial's negative-argument convention lives here and
+nowhere else: ``(-1)!! = 1`` (empty product); even or smaller arguments
+are an error.  (``closed.two_point_zograf`` sums binomials, and
 ``math.comb`` is 0 past its range.)
 """
 
@@ -108,13 +104,6 @@ def odd_double_factorial(m: int):
     if m == -1:
         return ONE
     return Q(math.prod(range(m, 0, -2)))
-
-
-def reciprocal_factorial(n: int):
-    """1/n! for n >= 0, and 0 for negative n (the 1/Gamma(0) = 0 convention)."""
-    if n < 0:
-        return ZERO
-    return Q(1, math.factorial(n))
 
 
 _BERNOULLI: list = [ONE, Q(-1, 2)]

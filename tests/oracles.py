@@ -2,17 +2,17 @@
 
 Each one reaches its value by a slower or more transparent route than the
 code under test: a single DVV expansion at a chosen pivot, the n-point
-trace sum without window pruning, series substitution by Horner
-composition instead of the closed-form reindex, the one-point series from
-its ratio functional equation instead of Stirling jets, and the
-rational-valued forms of the closed-formula matrices and traces, the
+trace sum without window or permutation pruning, series substitution by
+Horner composition instead of the closed-form reindex, the one-point
+series from its ratio functional equation instead of Stirling jets, and
+the rational-valued forms of the closed-formula matrices and traces, the
 Painleve I recursion, the majorant and the linear elimination and
 rational fitting that the library computes on integers.
 
 It also holds the views of library data that only tests read: the rational
-entries of the integer matrices (matrix_coeff), the trace-normalized
-coefficients a(k) (a_value) and the evaluation of a table polynomial
-(mult_poly_eval).
+entries of the integer matrices (matrix_coeff), the trace of a product of
+them (trace_product), the trace-normalized coefficients a(k) (a_value)
+and the evaluation of a table polynomial (mult_poly_eval).
 """
 
 from __future__ import annotations
@@ -31,13 +31,7 @@ from psiclass.asym import (
     _poly_gcd,
     _poly_normalize,
 )
-from psiclass.closed import (
-    _c_prefactor,
-    _int_matrix,
-    _omega,
-    _perm_data,
-    trace_product,
-)
+from psiclass.closed import _c_prefactor, _imul, _int_matrix, _perm_data
 from psiclass.dvv import (
     DVec,
     MemoCache,
@@ -112,6 +106,15 @@ def matrix_coeff(k: int) -> tuple:
     return (Q(a, den), Q(b, den), Q(c, den), Q(d, den))
 
 
+def trace_product(ks: Sequence[int]):
+    """tr(A_{k_1} ... A_{k_n}) as one rational, by a plain product of the
+    library's integer matrices."""
+    m = (1, 0, 0, 1, 1)
+    for k in ks:
+        m = _imul(m, _int_matrix(k))
+    return Q(m[0] + m[3], m[4])
+
+
 def a_value(ks: Sequence[int]):
     """a(k) = 2^(2g) tr(A_{k_1}..A_{k_n}) / (3^(2g+n-2) (2g+n-3)!).
 
@@ -149,11 +152,32 @@ def trace_product_reference(ks: Sequence[int]):
     return m[0] + m[3]
 
 
-def n_point_reference(d: Sequence[int]):
-    """Unpruned n_point over the full window k_i in [-1, sum d + n].
+def _omega(ds: tuple, sigma: tuple, mask: tuple, ks: tuple) -> int:
+    """The partial-sum weight of one permutation, from scratch:
+    max(0, min over S+ of PS - max over S- of PS)."""
+    ps = 0
+    lo = None
+    hi = None
+    for q in range(len(ds)):
+        ps += ds[sigma[q]] - ks[q]
+        if mask[q]:
+            if lo is None or ps < lo:
+                lo = ps
+        else:
+            if hi is None or ps > hi:
+                hi = ps
+    if lo is None:
+        return 0
+    w = lo - hi
+    return w if w > 0 else 0
 
-    Exponentially slower; exists so tests can confirm that the pruned
-    enumeration drops only zero-weight terms.
+
+def n_point_reference(d: Sequence[int]):
+    """Unpruned n_point over the full window k_i in [-1, sum d + n], each
+    trace weighted by all (n-1)! permutations through _omega.
+
+    Exponentially slower; exists so tests can confirm that the windows and
+    the live-permutation prune drop only zero-weight terms.
     """
     n = len(d)
     ds = tuple(sorted(d))

@@ -4,6 +4,7 @@ start-up imports and the package names they rest on."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -369,6 +370,22 @@ def test_cache_load_refuses_v1_file(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: line 1: a dvvcache v1 file")
     assert path.read_text() == "dvvcache v1\n2,3 = 1015/3888\n"
+
+
+def test_cache_load_rejects_forged_one_point_entry(tmp_path, capsys):
+    # A valid v2 file, right count and SHA-256, whose one entry says
+    # N((4,)) = 1 where 9!! = 945.
+    body = "4 = 1\n"
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    text = f"dvvcache v2 entries=1 sha256={digest}\n{body}"
+    path = tmp_path / "bad.memo"
+    path.write_text(text)
+    code = main(["--cache", str(path), "compute", "4"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: entry '4 = 1' fails N((3g-2,))")
+    assert path.read_text() == text
 
 
 @pytest.mark.parametrize("where", ["cache", "out"])

@@ -8,12 +8,13 @@ from math import prod
 from psiclass import closed
 from psiclass.closed import (
     _common_den,
+    _imul,
     _int_matrix,
+    _perm_data,
     four_point,
     n_point,
     one_point_c,
     three_point,
-    trace_product,
     two_point_bdy,
     two_point_zograf,
 )
@@ -21,10 +22,12 @@ from psiclass.dvv import c_value, gamma_norm, genus_of, intersection_number
 from psiclass.exact import ONE, Q, ZERO
 
 from oracles import (
+    _omega,
     a_value,
     matrix_coeff,
     matrix_coeff_reference,
     n_point_reference,
+    trace_product,
     trace_product_reference,
 )
 
@@ -123,7 +126,7 @@ def test_closed_calls_leave_only_the_matrix_table():
     three_point((1, 4, 10))
     four_point((1, 2, 3, 7))
     n_point((0, 1, 2, 2, 7))
-    trace_product((0, 2, 1, 4))
+    n_point((0, 2, 2, 3, 4, 4))
     after = _module_state()
     assert set(after) == set(before)
     changed = {name for name in after if after[name] != before[name]}
@@ -194,6 +197,112 @@ def test_n_point_reference_agrees():
     for g in range(0, 3):
         for d in _multisets(3, 3 * g):
             assert n_point_reference(d) == n_point(d), d
+
+
+def _geometric(rng, n, top):
+    """A random n-vector with entries in 0..top, the last one moved up by
+    at most 2 so that the genus is an integer."""
+    d = [rng.randint(0, top) for _ in range(n)]
+    d[-1] += (n - sum(d)) % 3
+    rng.shuffle(d)
+    return tuple(d)
+
+
+def test_n_point_reference_agrees_on_random_vectors():
+    """Random 3- and 4-point vectors, in shuffled order, through both the
+    pruned sum and the window-free reference that weighs every trace by
+    every permutation."""
+    rng = random.Random(1107)
+    for n, top, count in ((3, 9, 24), (4, 4, 10)):
+        for _ in range(count):
+            d = _geometric(rng, n, top)
+            assert n_point(d) == n_point_reference(d), d
+
+
+def test_n_point_against_recursion_n6_n7():
+    # Every nondecreasing vector of genus <= 2: 40 with six points and 58
+    # with seven; then one seven-point vector of genus 7.
+    count = 0
+    for n in (6, 7):
+        for g in range(0, 3):
+            for d in _multisets(n, 3 * g + n - 3):
+                assert n_point(d) == c_value(d), d
+                count += 1
+    assert count == 98
+    d = (1, 1, 2, 2, 3, 4, 12)
+    assert genus_of(d) == 7
+    assert n_point(d) == c_value(d)
+
+
+def _prune_work(d):
+    """(products, traces) that n_point should form on d, found from scratch.
+
+    A matrix product for each prefix k_1..k_q inside n_point's window whose
+    shorter prefixes have nonzero products and which some permutation
+    survives: the min over S+ of its partial sums so far exceeds the max
+    over S- and 0.  A trace for each full k under such prefixes whose
+    weight, summed over the permutations by _omega, is nonzero.
+    """
+    ds = tuple(sorted(d))
+    n = len(ds)
+    s = sum(ds)
+    budget = s - ds[-1] - 1
+    perms = _perm_data(n)
+
+    def survives(ks):
+        for sigma, _, mask in perms:
+            ps, lo, hi = 0, None, 0
+            for q, k in enumerate(ks):
+                ps += ds[sigma[q]] - k
+                if mask[q]:
+                    lo = ps if lo is None else min(lo, ps)
+                else:
+                    hi = max(hi, ps)
+            if lo is None or lo > hi:
+                return True
+        return False
+
+    products = traces = 0
+
+    def walk(ks, mat):
+        nonlocal products, traces
+        if len(ks) == n - 1:
+            full = ks + (s - sum(ks),)
+            w = sum(sign * _omega(ds, sigma, mask, full) for sigma, sign, mask in perms)
+            traces += w != 0
+            return
+        for k in range(-1, budget - sum(ks) + n - 1 - len(ks)):
+            if survives(ks + (k,)):
+                products += 1
+                m = _imul(mat, _int_matrix(k))
+                if any(m[:4]):
+                    walk(ks + (k,), m)
+
+    walk((), (1, 0, 0, 1, 1))
+    return products, traces
+
+
+def test_n_point_prunes_every_dead_permutation(monkeypatch):
+    """The enumeration forms a product only where some permutation is still
+    alive, and closes a trace only where the weight is nonzero; a looser
+    prune forms more products with the same value."""
+    work = {"products": 0, "traces": 0}
+    imul, trace_with = closed._imul, closed._trace_with
+
+    def counted_imul(m1, m2):
+        work["products"] += 1
+        return imul(m1, m2)
+
+    def counted_trace(m, k):
+        work["traces"] += 1
+        return trace_with(m, k)
+
+    monkeypatch.setattr(closed, "_imul", counted_imul)
+    monkeypatch.setattr(closed, "_trace_with", counted_trace)
+    for d in ((2, 2, 3, 3, 7), (0, 1, 2, 2, 3, 4)):
+        work.update(products=0, traces=0)
+        n_point(d)
+        assert (work["products"], work["traces"]) == _prune_work(d), d
 
 
 def test_closed_formulas_on_permuted_input():

@@ -211,6 +211,23 @@ def test_cache_load_checks_header_count_and_hash():
         cache_load(io.StringIO(_v2("0,0,0 = 1\n")))
 
 
+def test_cache_load_checks_one_point_entries():
+    # N((3g-2,)) = (6g-3)!!: 9!! = 945 = 0x3b1 at g = 2, and the engine's
+    # own N((7,)) at g = 3.
+    seven = n_value((7,), MemoCache())
+    good = _v2(f"4 = 3b1\n7 = {seven:x}\n")
+    assert cache_load(io.StringIO(good)).table == {(4,): 945, (7,): seven}
+    # Well-formed files with the right count and hash, holding a forged
+    # one-point value.
+    with pytest.raises(
+        ValueError,
+        match=r"line 2: entry '4 = 1' fails N\(\(3g-2,\)\) = \(6g-3\)!! at g = 2",
+    ):
+        cache_load(io.StringIO(_v2("4 = 1\n")))
+    with pytest.raises(ValueError, match="line 3: entry '7 = 3b1' fails"):
+        cache_load(io.StringIO(_v2("4 = 3b1\n7 = 3b1\n")))
+
+
 def test_cache_save_failure_keeps_previous_file(tmp_path):
     path = tmp_path / "memo.cache"
     cache = MemoCache()

@@ -19,7 +19,6 @@ from psiclass.exact import (
     pi_interval,
     pi_value,
     rat_str,
-    reciprocal_factorial,
     to_decimal,
 )
 
@@ -54,10 +53,6 @@ def test_odd_double_factorial():
         )
     with pytest.raises(ValueError):
         odd_double_factorial(4)
-
-
-def test_reciprocal_factorial():
-    assert reciprocal_factorial(5) == Q(1, 120)
 
 
 def test_bernoulli_table():
