@@ -316,9 +316,11 @@ def n_point(d: Sequence[int]):
     each with lo = min over S+ of PS so far and hi = max over S- (from 0,
     position n's partial sum).  Fixing one more k can only lower lo or
     raise hi, so a permutation with lo <= hi has weight 0 for every
-    completion and is dropped there.  A k that leaves none alive is
-    skipped, matrix product and all.  A leaf closes its trace only when its
-    weight, the sum of sign (lo - hi) over the survivors, is nonzero.
+    completion and is dropped there.  A k that leaves none alive ends the
+    loop at its position, matrix product and all: the set can empty only at
+    position n-1, which is in S+ for every sigma, so a larger k there only
+    lowers lo further.  A leaf closes its trace only when its weight, the
+    sum of sign (lo - hi) over the survivors, is nonzero.
 
     n = 1 falls back to the one-point closed form.
     """
@@ -363,7 +365,7 @@ def n_point(d: Sequence[int]):
                 if lo is None or lo > hi:
                     alive.append((sign, mask, pre, lo, hi))
             if not alive:
-                continue
+                break
             nm = _imul(mat, _int_matrix(kq))
             if nm[0] or nm[1] or nm[2] or nm[3]:
                 dfs(pos + 1, ksum, alive, nm)

@@ -26,8 +26,10 @@ entry p = d_1, with rest = (d_2, ..., d_n):
               + 1/2 sum_{I disjoint-union J = rest}
                     binom(g, g(a, d_I)) N(a, d_I) N(b, d_J) ]
 
-over ordered pairs (a, b) and ordered subset splits.  The separable sum is
-even, being symmetric under swapping (a, I) with (b, J); the division is
+over ordered pairs (a, b) and ordered subset splits.  The separable term
+of (a, I, J) equals that of (b, J, I), so the engine sums a <= b only: each
+a < b term once, with the 1/2 spent on its mirror, and the a = b part,
+whose splits pair off as (I, J) and (J, I), halved; that division is
 checked to be exact.  The base cases are N(0,0,0) = 1 and N(1) = 3, and the
 dilaton equation reads N(1, d) = 3 X(d) N(d).
 
@@ -52,11 +54,12 @@ times 3 X(part); any other holding a 1 misses, as no key holds one.
 Subset splits are enumerated per distinct sub-multiset with binomial
 multiplicities rather than over raw index subsets, which is the same sum
 term-for-term but exponentially cheaper on vectors with many repeats.
-``multiset_splits`` is that enumerator, also for ``harness``.  An expansion
-buckets the splits of ``rest`` by the residue mod 3 of the left part's
-3X-weight, so each ``a`` visits only splits whose left child has integral
-X.  One table per ``rest``, held by the top-level ``n_value`` call and
-dropped when it returns.
+``_two_part_splits`` is that enumerator; it carries each left part's
+3X-weight and length as the parts grow, and ``multiset_splits`` (also for
+``harness``) is built on it.  An expansion buckets the splits of ``rest``
+by the residue mod 3 of that weight, so each ``a`` visits only splits
+whose left child has integral X.  One table per ``rest``, held by the
+top-level ``n_value`` call and dropped when it returns.
 
 The memo file (format ``dvvcache v2``) is plain text: a header line with
 the entry count and the SHA-256 of the body, then one ``key = N`` line per
@@ -272,32 +275,50 @@ def cache_load(source) -> MemoCache:
     return cache
 
 
-def multiset_splits(entries: DVec, groups: int = 2) -> list:
-    """Every ordered split of a multiset into ``groups`` >= 2 labelled parts.
+def _two_part_splits(t: tuple) -> list:
+    """The 2-part splits of the sorted tuple ``t`` as ``(w3, n_left, ways,
+    left, right)``, w3 = sum (2 v + 1) over left and n_left = len(left),
+    carried as the parts grow.
 
-    Returns ``(parts, ways)`` pairs, ``parts`` one sorted tuple per group;
-    ``ways`` = prod_v m_v! / (c_{0,v}! ... c_{groups-1,v}!), m_v copies of v
-    with c_{j,v} in part j, counts the index-subset splits it stands for, so
-    the ``ways`` sum to groups ** len(entries).  Two parts are built one
-    distinct value at a time, the first part's share of the smallest value
-    varying slowest; more parts split the second part again.
+    The parts are built one distinct value at a time, the left part's share
+    of the smallest value varying slowest; ``ways`` = prod_v m_v! /
+    (c_v! (m_v - c_v)!), m_v copies of v with c_v of them on the left,
+    counts the index-subset splits the pair stands for.
     """
-    if groups < 2:
-        raise ValueError("multiset_splits needs groups >= 2")
-    t = sorted(entries)
-    halves = [(((), ()), 1)]
+    halves = [(0, 0, 1, (), ())]
     i = 0
     while i < len(t):
         v = t[i]
         m = bisect_right(t, v, i) - i
         i += m
         runs = [(v,) * c for c in range(m + 1)]
-        shares = [(runs[c], runs[m - c], math.comb(m, c)) for c in range(m + 1)]
-        halves = [
-            ((first + x, rest + y), ways * w)
-            for (first, rest), ways in halves
-            for x, y, w in shares
+        shares = [
+            (c * (2 * v + 1), c, math.comb(m, c), runs[c], runs[m - c])
+            for c in range(m + 1)
         ]
+        halves = [
+            (w3 + dw, n + c, ways * w, left + x, right + y)
+            for w3, n, ways, left, right in halves
+            for dw, c, w, x, y in shares
+        ]
+    return halves
+
+
+def multiset_splits(entries: DVec, groups: int = 2) -> list:
+    """Every ordered split of a multiset into ``groups`` >= 2 labelled parts.
+
+    Returns ``(parts, ways)`` pairs, ``parts`` one sorted tuple per group;
+    ``ways`` = prod_v m_v! / (c_{0,v}! ... c_{groups-1,v}!), m_v copies of v
+    with c_{j,v} in part j, counts the index-subset splits it stands for, so
+    the ``ways`` sum to groups ** len(entries).  Two parts come from
+    ``_two_part_splits``; more parts split the second part again.
+    """
+    if groups < 2:
+        raise ValueError("multiset_splits needs groups >= 2")
+    halves = [
+        ((left, right), ways)
+        for _, _, ways, left, right in _two_part_splits(tuple(sorted(entries)))
+    ]
     if groups == 2:
         return halves
     return [
@@ -308,12 +329,11 @@ def multiset_splits(entries: DVec, groups: int = 2) -> list:
 
 
 def _split_table(rest: tuple) -> Tuple[list, list, list]:
-    """The 2-part splits of ``rest`` as ``(w3, n_left, ways, left, right)``,
-    bucketed by w3 mod 3, w3 = sum (2 v + 1) over left."""
+    """The ``_two_part_splits`` of ``rest``, bucketed by w3 mod 3 in their
+    order."""
     buckets: Tuple[list, list, list] = ([], [], [])
-    for (left, right), ways in multiset_splits(rest):
-        w3 = 2 * sum(left) + len(left)
-        buckets[w3 % 3].append((w3, len(left), ways, left, right))
+    for split in _two_part_splits(rest):
+        buckets[split[0] % 3].append(split)
     return buckets
 
 
@@ -322,6 +342,12 @@ def _expand(t: tuple, pivot_pos: int, table: dict, splits: dict):
     with X(t) >= 2.  A generator: each child is built sorted and read from
     ``table``; a miss is yielded, its N expected back.  Returns N(t).
     ``splits`` holds the ``_split_table`` of each ``rest`` met so far.
+
+    Both quadratic sums run over a <= b only.  Each connected term with
+    a < b counts twice.  Each separable term with a < b is added once: the
+    term of (b, J, I) equals that of (a, I, J), and the ordered sum is
+    halved.  Only the a = b part, whose splits pair off among themselves,
+    is halved here, and checked to be even.
     """
     X = x_int(t)
     g = genus_of(t)
@@ -349,7 +375,7 @@ def _expand(t: tuple, pivot_pos: int, table: dict, splits: dict):
     if p < 2:
         return total
 
-    # Quadratic terms: ordered pairs (a, b) with a + b = p - 2.  First the
+    # Quadratic terms: pairs a <= b with a + b = p - 2.  First the
     # connected ones, where (a, b) and (b, a) give the same child.
     connected = 0
     for a in range(p // 2):
@@ -369,9 +395,9 @@ def _expand(t: tuple, pivot_pos: int, table: dict, splits: dict):
     if buckets is None:
         buckets = splits[rest] = _split_table(rest)
     comb = math.comb
-    separable = 0
-    for a in range(p - 1):
+    for a in range(p // 2):
         b = p - 2 - a
+        separable = 0
         for w3, n_left, ways, left, right in buckets[-(2 * a + 1) % 3]:
             x1 = (2 * a + 1 + w3) // 3
             if x1 >= X - 1:
@@ -399,10 +425,12 @@ def _expand(t: tuple, pivot_pos: int, table: dict, splits: dict):
             if n2 is None:
                 n2 = yield child
             separable += ways * comb(g, g1) * f1 * f2 * n1 * n2
-    half, odd = divmod(separable, 2)
-    if odd:
-        raise ArithmeticError(f"odd separable sum expanding {t} at {pivot_pos}")
-    return total + half
+        if a == b:  # (a, I, J) and (a, J, I) give equal terms
+            separable, odd = divmod(separable, 2)
+            if odd:
+                raise ArithmeticError(f"odd separable sum expanding {t} at {pivot_pos}")
+        total += separable
+    return total
 
 
 def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:

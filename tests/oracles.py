@@ -1,7 +1,8 @@
 """Reference evaluators that the tests compare the library against.
 
 Each one reaches its value by a slower or more transparent route than the
-code under test: a single DVV expansion at a chosen pivot, the n-point
+code under test: a single DVV expansion at a chosen pivot, that expansion
+with every ordered pair and split summed and halved, the n-point
 trace sum without window or permutation pruning, series substitution by
 Horner composition instead of the closed-form reindex, the one-point
 series from its ratio functional equation instead of Stirling jets, and
@@ -18,7 +19,7 @@ and the evaluation of a table polynomial (mult_poly_eval).
 from __future__ import annotations
 
 from itertools import product as _iproduct
-from math import factorial
+from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from psiclass.asym import (
@@ -40,6 +41,7 @@ from psiclass.dvv import (
     c_value,
     default_cache,
     genus_of,
+    multiset_splits,
     n_value,
     x_int,
 )
@@ -56,9 +58,6 @@ def c_value_with_pivot(d: DVec, pivot_pos: int, cache: Optional[MemoCache] = Non
     come from the memoized engine, and the expansion's N is converted to C
     at the end.  Exists to let tests check that every pivot choice yields
     the same value.
-
-    The expansion reads the memo itself and yields each child that misses;
-    this driver answers every one with ``n_value``.
     """
     t = tuple(sorted(d))
     g = genus_of(t)
@@ -68,15 +67,67 @@ def c_value_with_pivot(d: DVec, pivot_pos: int, cache: Optional[MemoCache] = Non
     if X is not None and X < 2:
         # X = 1 vectors are the base cases and admit no expansion (X - 1 = 0).
         return c_value(t, cache)
-    table = (default_cache() if cache is None else cache).table
-    expansion = _expand(t, t.index(d[pivot_pos]), table, {})
+    return Q(n_value_with_pivot(t, t.index(d[pivot_pos]), cache), _c_scale(g, X))
+
+
+def n_value_with_pivot(
+    t: tuple, pivot_pos: int, cache: Optional[MemoCache] = None, table=None
+) -> int:
+    """N(t) from one ``_expand`` of the sorted geometric t (X >= 2) at
+    ``t[pivot_pos]``.
+
+    The expansion reads ``table`` (by default the memo of ``cache``) itself
+    and yields each child that misses; this driver answers every one with
+    ``n_value`` on ``cache``.
+    """
+    if table is None:
+        table = (default_cache() if cache is None else cache).table
+    expansion = _expand(t, pivot_pos, table, {})
     n = None
     while True:
         try:
             child = expansion.send(n)
         except StopIteration as done:
-            return Q(done.value, _c_scale(g, X))
+            return done.value
         n = n_value(child, cache)
+
+
+def expand_ordered_reference(
+    t: tuple, pivot_pos: int, cache: Optional[MemoCache] = None
+) -> int:
+    """N(t) from one DVV expansion at ``t[pivot_pos]`` as the recursion is
+    written: one linear term per entry of rest, the connected and separable
+    terms over every ordered pair (a, b), the separable ones over every
+    ordered split of rest with its multiplicity, and the separable sum
+    halved at the end, checked to be exact.
+
+    Children are read from ``n_value``, which takes any vector (zero off
+    geometry), so no residue, genus or dilaton shortcut is applied.
+    """
+    g = genus_of(t)
+    p = t[pivot_pos]
+    rest = t[:pivot_pos] + t[pivot_pos + 1 :]
+    total = sum(
+        (2 * v + 1) * n_value(rest[:j] + (v + p - 1,) + rest[j + 1 :], cache)
+        for j, v in enumerate(rest)
+    )
+    separable = 0
+    for a in range(p - 1):
+        b = p - 2 - a
+        total += 12 * g * n_value((a, b) + rest, cache)
+        for (left, right), ways in multiset_splits(rest):
+            g1 = genus_of((a,) + left)
+            if g1 is None:
+                continue
+            separable += (
+                ways
+                * comb(g, g1)
+                * n_value((a,) + left, cache)
+                * n_value((b,) + right, cache)
+            )
+    half, odd = divmod(separable, 2)
+    assert not odd, (t, pivot_pos)
+    return total + half
 
 
 def matrix_coeff_reference(k: int) -> tuple:

@@ -31,8 +31,9 @@ from psiclass.dvv import (
     x_of,
 )
 from psiclass.exact import ONE, Q, ZERO
+from psiclass.partitions import primitive_vectors
 
-from oracles import c_value_with_pivot
+from oracles import c_value_with_pivot, expand_ordered_reference, n_value_with_pivot
 
 
 def test_base_cases():
@@ -90,6 +91,66 @@ def test_pivot_invariance():
         want = c_value(d)
         for pos in range(len(d)):
             assert c_value_with_pivot(d, pos) == want, (d, pos)
+
+
+# Pivots with p even (an a = b separable part) and odd, repeated entries,
+# and rests holding 0s and 1s, which no memo key has; on the last two, some
+# splits give a child of negative genus, skipped by the g1 test.
+_EXPAND_GRID = [
+    (2, 3, 3, 4, 8),
+    (2, 2, 3, 3, 7),
+    (0, 1, 1, 4, 5),
+    (0, 0, 3, 3, 5),
+    (1, 2, 2, 2, 2, 6),
+    (0, 0, 1, 2, 8),
+    (4, 4, 4),
+    (0, 1, 2, 3, 3, 3),
+    (0, 0, 0, 0, 0, 0, 4),
+    (0, 0, 0, 0, 0, 2, 5),
+]
+
+
+def test_expand_matches_ordered_reference():
+    """Summing each unordered split pair once gives the N of the ordered
+    sum halved: on every primitive key up to genus 6 at the engine's pivot
+    (the largest entry), and at every pivot of a grid."""
+    cache = MemoCache()
+    for g in range(2, 7):
+        for d in primitive_vectors(g):
+            t = tuple(sorted(d))
+            pos = len(t) - 1
+            want = expand_ordered_reference(t, pos, cache)
+            assert n_value_with_pivot(t, pos, cache) == want, t
+            assert n_value(t, cache) == want, t
+    for t in _EXPAND_GRID:
+        assert genus_of(t) is not None and x_int(t) >= 2, t
+        want = n_value(t, cache)
+        for pos in range(len(t)):
+            assert expand_ordered_reference(t, pos, cache) == want, (t, pos)
+            assert n_value_with_pivot(t, pos, cache) == want, (t, pos)
+
+
+class _CountingTable(dict):
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def test_separable_loop_reads_each_unordered_split_once():
+    """The separable loop reads two children per split in the residue
+    bucket of each a <= b, never one for a > b: the gets of one expansion
+    are one per run of rest (linear), one per a <= b (connected) and
+    2 sum_{a <= (p-2)/2} |bucket(a)|."""
+    for t in ((2, 2, 3, 3, 7), (2, 3, 3, 4, 8)):
+        cache = MemoCache()
+        n_value(t, cache)
+        table = _CountingTable(cache.table)
+        table.gets = 0
+        p, rest = t[-1], t[:-1]
+        assert n_value_with_pivot(t, len(t) - 1, cache, table) == cache.table[t]
+        buckets = _split_table(rest)
+        splits = sum(len(buckets[-(2 * a + 1) % 3]) for a in range((p - 2) // 2 + 1))
+        assert table.gets == len(set(rest)) + p // 2 + 2 * splits, t
 
 
 def test_positivity_small_grid():
