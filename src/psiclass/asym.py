@@ -31,9 +31,9 @@ only from the final determinant.
 The majorant f(X, n) = r/pi + s runs on integers: each X-row holds the
 numerators of r and s over one common denominator (see _majorant_row) and
 is built from the row below, so neither f_bound nor lemma6_check recurses.
-f_bound builds its PiLinear of rationals at the boundary; lemma6_check
-compares against the pi interval by integer cross-multiplication and
-builds one rational, the excess bound.
+f_bound keeps no state: each call builds rows 1..X and its PiLinear of
+rationals at the boundary.  lemma6_check compares against the pi interval
+by integer cross-multiplication and builds one rational, the excess bound.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .exact import (
     pi_interval,
     pi_value,
     rat_str,
+    rounded,
     to_decimal,
 )
 from .painleve import cg_asymptotic_series
@@ -311,31 +312,10 @@ def _poly_normalize(coeffs: List) -> List:
     return coeffs
 
 
-def _poly_divmod(a: List, b: List) -> Tuple[List, List]:
-    a = list(a)
-    out = [ZERO] * max(1, len(a) - len(b) + 1)
-    inv = ONE / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        f = a[i + len(b) - 1] * inv
-        out[i] = f
-        if f:
-            for j, bv in enumerate(b):
-                a[i + j] -= f * bv
-    return _poly_normalize(out), _poly_normalize(a)
-
-
-def _poly_gcd(a: List, b: List) -> List:
-    a, b = _poly_normalize(list(a)), _poly_normalize(list(b))
-    while b != [ZERO] and any(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, _poly_normalize(r)
-    inv = ONE / a[-1]
-    return [c * inv for c in a]
-
-
 class RationalFunctionOfG(NamedTuple):
     """P(g)/Q(g) with exact rational coefficients, stored lowest-terms with
-    monic denominator, so equal functions are equal tuples."""
+    monic denominator, so equal functions are equal tuples (fit_rational
+    returns them so without a gcd step)."""
 
     num: Tuple
     den: Tuple
@@ -371,6 +351,10 @@ def fit_rational(
     rows are (b_i g_i^j | -a_i g_i^j), eliminated fraction-free, and the
     null vector and every sample check stay on integers.
 
+    The accepted pair is already coprime, so only the monic scaling is
+    left: a common factor would give a lower-degree representation, which
+    the climb would have accepted first.
+
     >>> f = fit_rational([(g, Q(1 + g * g, 3 + 2 * g)) for g in range(1, 8)])
     >>> f.num, f.den
     ((Fraction(1, 2), Fraction(0, 1), Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 1)))
@@ -400,8 +384,6 @@ def fit_rational(
             vec[c] = -red[r][free]
         num = _poly_normalize(vec[: d + 1])
         den = _poly_normalize(vec[d + 1 :])
-        if not any(den):
-            continue
         ok = True
         for g, a, b in points:
             dv = _poly_eval(den, g)
@@ -410,10 +392,6 @@ def fit_rational(
                 break
         if not ok:
             continue
-        gcd = _poly_gcd(num, den)
-        if len(gcd) > 1:
-            num, _ = _poly_divmod(num, gcd)
-            den, _ = _poly_divmod(den, gcd)
         inv = ONE / den[-1]
         return RationalFunctionOfG(
             tuple(c * inv for c in num), tuple(c * inv for c in den)
@@ -608,10 +586,7 @@ def corollary1_deviation(g: int, k: int, precision: int = 50) -> HPDecimal:
     with localcontext() as ctx:
         ctx.prec = precision + 10
         val = abs(pi.value * cd.value * ek.value - 1)
-    with localcontext() as ctx:
-        ctx.prec = precision
-        val = +val
-    return HPDecimal(val, precision)
+    return rounded(val, precision)
 
 
 class PiLinear(NamedTuple):
@@ -654,26 +629,18 @@ def _majorant_row(X: int, prev: Optional[MajorantRow]) -> MajorantRow:
     return den, rs, ss
 
 
-_FB_LAST: list = [0, None]  # (X, row) of the latest f_bound call
-
-
 def f_bound(X: int, n: int) -> PiLinear:
     """The recursive majorant: f = 1/pi on the strata X <= 7 or n <= 2, else
 
         f(X, n) = (2/3) f(X-1, n-1) + (1/3) f(X-1, n+1) + 4/((X-1)(X-2)).
 
-    Rows are built upward from X = 1 (see _majorant_row); the latest row is
-    kept, so calls at the same or the next X cost a lookup or one row.
+    Stateless: each call builds rows 1..X upward (see _majorant_row).
     """
     if X < 1 or n < 1:
         raise ValueError("f_bound needs X >= 1 and n >= 1")
-    x, row = _FB_LAST
-    if X < x:
-        x, row = 0, None
-    while x < X:
-        x += 1
+    row = None
+    for x in range(1, X + 1):
         row = _majorant_row(x, row)
-    _FB_LAST[:] = (X, row)
     den, rs, ss = row
     i = min(n, len(rs)) - 1
     return PiLinear(Q(rs[i], den), Q(ss[i], den))
@@ -689,9 +656,7 @@ def _pi_bound(r: int, s: int, upper: bool, ends) -> Tuple[int, int]:
     return r * pd + s * pn, pn
 
 
-def lemma6_check(
-    xmax: int = 200, nmax: int = 120, digits: int = 50
-) -> Tuple[bool, object]:
+def lemma6_check(xmax: int = 200, nmax: int = 120) -> Tuple[bool, object]:
     """Interval-verify the majorant's three properties up to (xmax, nmax):
 
     (1) 1/pi <= f(X, n) <= 1, (2) f(X, n) nondecreasing in n, and (3) the
@@ -704,7 +669,7 @@ def lemma6_check(
     """
     if xmax < 1 or nmax < 1:
         raise ValueError("lemma6_check needs xmax >= 1 and nmax >= 1")
-    lo, hi = pi_interval(digits)
+    lo, hi = pi_interval(50)
     ends = ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
 
     ok = True

@@ -48,7 +48,7 @@ skips each k that leaves none, before any matrix product or trace.
 from __future__ import annotations
 
 from itertools import accumulate, permutations
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd
 from typing import Dict, Sequence, Tuple
 
 from .exact import Q, ZERO, odd_double_factorial
@@ -75,7 +75,7 @@ def _int_matrix(k: int) -> IMat:
         return hit
     h = (k + 1) // 3
     den = 24**h * factorial(h)
-    dfact = prod(range(6 * h - 1, 0, -2))  # (6h-1)!!, with (-1)!! = 1
+    dfact = odd_double_factorial(6 * h - 1)
     r = k % 3
     if r == 1:
         num = (6 * h + 1) * dfact
@@ -159,7 +159,7 @@ def two_point_bdy(d1: int, d2: int):
         tr, den = _trace_with(_int_matrix(l - 1), 3 * g - l)
         if tr:
             acc += (d1 + 1 - l) * tr * (D // den)
-    dfact = prod(range(2 * d1 + 1, 0, -2)) * prod(range(2 * d2 + 1, 0, -2))
+    dfact = odd_double_factorial(2 * d1 + 1) * odd_double_factorial(2 * d2 + 1)
     return Q(acc, D * dfact)
 
 
@@ -180,7 +180,7 @@ def two_point_zograf(d1: int, d2: int):
         return ZERO
     g = (s + 1) // 3
     acc = 0
-    hi, lo = prod(range(6 * g - 1, 0, -2)), 1  # (6g-3-2d)!!, (2d+1)!! at d = -1
+    hi, lo = odd_double_factorial(6 * g - 1), 1  # (6g-3-2d)!!, (2d+1)!! at d = -1
     for d in range(-1, d1):
         if (d + 1) % 3 == 0:
             j = (d + 1) // 3
@@ -261,9 +261,7 @@ def four_point(d: Sequence[int]):
                 continue
             for k3 in range(-1, budget - k1 - k2 + 1):
                 k4 = s - k1 - k2 - k3
-                e4 = k4 - d4
-                if e4 < 1:
-                    continue
+                e4 = k4 - d4  # >= 1: k3 stops at budget - k1 - k2
                 br = (
                     m_floor(d1 - k1, d1 + d2 - k1 - k2, e4)
                     - m_floor(d1 - k2, d1 + d2 - k2 - k3, d1 + d3 - k1 - k2, e4)

@@ -266,7 +266,7 @@ def cache_load(source) -> MemoCache:
         value = int(val_s, 16)
         if len(key) == 1:
             g = (key[0] + 2) // 3
-            if value != math.prod(range(6 * g - 3, 0, -2)):
+            if value != odd_double_factorial(6 * g - 3):
                 raise ValueError(
                     f"line {lineno}: entry {line[:80]!r} fails"
                     f" N((3g-2,)) = (6g-3)!! at g = {g}"
@@ -390,7 +390,8 @@ def _expand(t: tuple, pivot_pos: int, table: dict, splits: dict):
     total += 12 * g * connected
 
     # The residue of a split's w3 fixes whether the left child has an
-    # integral X, X1 = (2a + 1 + w3) / 3, so each a visits one bucket.
+    # integral X, X1 = (2a + 1 + w3) / 3, so each a visits one bucket.  The
+    # right child's X2 = X - 1 - X1 = (2b + 1 + w3(J)) / 3 is then >= 1.
     buckets = splits.get(rest)
     if buckets is None:
         buckets = splits[rest] = _split_table(rest)
@@ -400,8 +401,6 @@ def _expand(t: tuple, pivot_pos: int, table: dict, splits: dict):
         separable = 0
         for w3, n_left, ways, left, right in buckets[-(2 * a + 1) % 3]:
             x1 = (2 * a + 1 + w3) // 3
-            if x1 >= X - 1:
-                continue  # X2 = X - 1 - X1 < 1
             # X1 = 2 g1 - 2 + (n_left + 1); the right child has genus g - g1.
             g1 = (x1 - n_left + 1) // 2
             if g1 < 0 or g1 > g:
@@ -538,7 +537,7 @@ def gamma_norm(X: int):
         )
     h = (X + 1) // 2
     den = 2**h * 3 ** ((3 * X + 1) // 2) * math.factorial(h) * math.factorial(X - 1)
-    return odd_double_factorial(3 * X) / den
+    return Q(odd_double_factorial(3 * X), den)
 
 
 def chat_value(d: DVec):

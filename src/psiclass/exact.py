@@ -7,10 +7,10 @@ behind rational fitting run on Python ints and build a rational only at
 their boundary; the rest (series jets, the identity checks) runs on ``Q``,
 which is ``fractions.Fraction``.
 
-The double factorial's negative-argument convention lives here and
-nowhere else: ``(-1)!! = 1`` (empty product); even or smaller arguments
-are an error.  (``closed.two_point_zograf`` sums binomials, and
-``math.comb`` is 0 past its range.)
+The odd double factorial lives here and nowhere else:
+``odd_double_factorial`` returns an ``int``, with ``(-1)!! = 1`` (empty
+product); even or smaller arguments are an error.  So does the rounding of
+a working-precision ``Decimal`` into an ``HPDecimal`` (``rounded``).
 """
 
 from __future__ import annotations
@@ -49,6 +49,14 @@ class HPDecimal(NamedTuple):
         return str(self.value)
 
 
+def rounded(value: Decimal, precision: int) -> HPDecimal:
+    """``value``, computed at a working precision, rounded to ``precision``
+    significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = precision
+        return HPDecimal(+value, precision)
+
+
 def to_decimal(q, precision: int) -> HPDecimal:
     """Round the exact rational ``q`` to ``precision`` significant digits."""
     if precision < 1:
@@ -72,10 +80,7 @@ def pi_value(precision: int) -> HPDecimal:
             f"precision {precision} exceeds the stored constant's cap of "
             f"{PI_PRECISION_CAP} digits"
         )
-    with localcontext() as ctx:
-        ctx.prec = precision
-        val = +Decimal(_PI_DIGITS)
-    return HPDecimal(val, precision)
+    return rounded(Decimal(_PI_DIGITS), precision)
 
 
 def pi_interval(digits: int = 50):
@@ -93,17 +98,15 @@ def pi_interval(digits: int = 50):
     return Q(mantissa, scale), Q(mantissa + 1, scale)
 
 
-def odd_double_factorial(m: int):
-    """m!! for odd m >= -1, with (-1)!! = 1 (empty product).
+def odd_double_factorial(m: int) -> int:
+    """m!! for odd m >= -1, as an int, with (-1)!! = 1 (empty product).
 
-    >>> int(odd_double_factorial(9))
+    >>> odd_double_factorial(9)
     945
     """
     if m % 2 == 0 or m < -1:
         raise ValueError(f"undefined double factorial: {m}!!")
-    if m == -1:
-        return ONE
-    return Q(math.prod(range(m, 0, -2)))
+    return math.prod(range(m, 0, -2))
 
 
 _BERNOULLI: list = [ONE, Q(-1, 2)]
@@ -146,7 +149,4 @@ def exp_decimal(q, precision: int) -> HPDecimal:
     with localcontext() as ctx:
         ctx.prec = precision + 5
         val = (Decimal(q.numerator) / Decimal(q.denominator)).exp()
-    with localcontext() as ctx:
-        ctx.prec = precision
-        val = +val
-    return HPDecimal(val, precision)
+    return rounded(val, precision)

@@ -30,7 +30,7 @@ from .dvv import (
     multiset_splits,
     x_int,
 )
-from .exact import HPDecimal, Q, ZERO, odd_double_factorial, pi_value, to_decimal
+from .exact import HPDecimal, Q, ZERO, odd_double_factorial, pi_value, rounded, to_decimal
 from .partitions import partition_count, partitions, primitive_vectors
 
 # ----------------------------------------------------------------------
@@ -51,17 +51,15 @@ class SweepReport(NamedTuple):
 
 
 def sweep_nesting(
-    g_max: int,
-    digits: int = 50,
-    cache: Optional[MemoCache] = None,
+    g_max: int, cache: Optional[MemoCache] = None
 ) -> List[SweepReport]:
     """For each genus 2..g_max, scan every primitive class and report the
     extremes, whether they sit at (3g-2) and (2,...,2), and the worst
-    g*|C - 1/pi| at the requested precision."""
+    g*|C - 1/pi| to 50 digits."""
     if g_max < 2:
         raise ValueError("sweep_nesting needs g_max >= 2")
     reports: List[SweepReport] = []
-    work_prec = digits + 10
+    work_prec = 60
     with localcontext() as ctx:
         ctx.prec = work_prec
         inv_pi = 1 / pi_value(work_prec).value
@@ -78,9 +76,6 @@ def sweep_nesting(
                 dev = abs(to_decimal(v, work_prec).value - inv_pi) * g
                 if dev > worst:
                     worst = dev
-        with localcontext() as ctx:
-            ctx.prec = digits
-            worst = +worst
         expect_min = (3 * g - 2,)
         expect_max = (2,) * (3 * g - 3)
         reports.append(
@@ -96,7 +91,7 @@ def sweep_nesting(
                     and vectors[max_i] == expect_max
                     and len(vectors) == partition_count(3 * g - 3)
                 ),
-                max_scaled_deviation=HPDecimal(worst, digits),
+                max_scaled_deviation=rounded(worst, 50),
                 seconds=time.time() - t0,
             )
         )
@@ -226,41 +221,21 @@ def check_omega11_identity(d: Sequence[int]) -> bool:
     assert X is not None
     denom = factorial(X + 1)
     rhs = c_value((0,) * 6 + t)
-
-    def quad(z1: int, z2: int, coeff):
+    for zeros, coeff in (((3, 3), Q(3, 2)), ((2, 4), Q(6)), ((2, 2, 2), Q(3))):
         acc = ZERO
-        for (I, J), ways in multiset_splits(t, 2):
-            d1, d2 = (0,) * z1 + I, (0,) * z2 + J
-            x1, x2 = x_int(d1), x_int(d2)
-            if x1 is None or x2 is None or x1 < 1 or x2 < 1:
-                continue
-            term = (
-                Q(ways)
-                * factorial(x1 - 1)
-                * factorial(x2 - 1)
-                / denom
-                * c_value(d1)
-                * c_value(d2)
-            )
-            acc += term
-        return coeff * acc
-
-    rhs += quad(3, 3, Q(3, 2))
-    rhs += quad(2, 4, Q(6))
-    cubic = ZERO
-    for split, ways in multiset_splits(t, 3):
-        parts = [(0, 0) + part for part in split]
-        xs = [x_int(part) for part in parts]
-        if any(x is None or x < 1 for x in xs):
-            continue
-        w = Q(ways)
-        for x in xs:
-            w *= factorial(x - 1)
-        w /= denom
-        for part in parts:
-            w *= c_value(part)
-        cubic += w
-    rhs += Q(3) * cubic
+        for split, ways in multiset_splits(t, len(zeros)):
+            parts = [(0,) * z + part for z, part in zip(zeros, split)]
+            xs = [x_int(part) for part in parts]
+            if any(x is None or x < 1 for x in xs):
+                continue  # before any c_value: the other parts stay out of the memo
+            w = Q(ways)
+            for x in xs:
+                w *= factorial(x - 1)
+            w /= denom
+            for part in parts:
+                w *= c_value(part)
+            acc += w
+        rhs += coeff * acc
     return c_value(t) == rhs
 
 
@@ -305,7 +280,7 @@ def check_lemma3(d: Sequence[int]) -> bool:
     return acc <= Q(2, (X - 1) * (X - 2))
 
 
-def lemma7_check(x_max: int = 14, digits: int = 50) -> bool:
+def lemma7_check(x_max: int = 14) -> bool:
     """theta_{X,n} <= f(X, n) for every feasible (X, n) with X <= x_max.
 
     The comparison is made safe against pi rounding: with f = r/pi + s and
@@ -314,7 +289,7 @@ def lemma7_check(x_max: int = 14, digits: int = 50) -> bool:
     from .asym import f_bound
     from .exact import pi_interval
 
-    pi_lo, pi_hi = pi_interval(digits)
+    pi_lo, pi_hi = pi_interval(50)
     for X in range(1, x_max + 1):
         for n in range(1, X + 1):
             if (3 * X - n) % 2 != 0 or (3 * X - n) // 2 < n:
@@ -376,75 +351,18 @@ def counterexample_suite() -> CounterexampleReport:
     return CounterexampleReport(values_ok, inequalities_ok, rows)
 
 
-# ----------------------------------------------------------------------
-# Deviation sweeps for the uniform product law.
-# ----------------------------------------------------------------------
-
-
-def theorem2_family(g: int, max_zeros: int = 6) -> Iterator[Tuple[int, ...]]:
-    """Genus-g vectors made of k zeros (k <= max_zeros) plus parts >= 2.
-
-    1-entries are dilaton-invariant for both C and the product bound, so
-    this family covers the general statement without double counting.
-    """
-    for k in range(0, max_zeros + 1):
-        # sum(d) = 3g - 3 + n with n = k + m parts, zeros contribute 0
-        # parts >= 2: sum = 3g - 3 + k + m over m parts, each >= 2, i.e.
-        # partitions of 3g - 3 + k into m parts after the shift by 1.
-        m_total = 3 * g - 3 + k
-        if m_total <= 0:
-            continue
-        for p in partitions(m_total):
-            yield (0,) * k + tuple(v + 1 for v in reversed(p))
-
-
-def theorem2_deviation_sweep(
-    g_min: int = 2,
-    g_max: int = 5,
-    max_zeros: int = 6,
-    digits: int = 50,
-) -> Tuple[HPDecimal, Tuple[int, ...]]:
-    """max over the family of g * |pi C(d) / product(d) - 1| plus argmax."""
-    from .asym import theorem2_product
-
-    work = digits + 10
-    pi = pi_value(work)
-    worst = Decimal(0)
-    arg: Tuple[int, ...] = ()
-    with localcontext() as ctx:
-        ctx.prec = work
-        for g in range(g_min, g_max + 1):
-            for d in theorem2_family(g, max_zeros):
-                prod = theorem2_product(d)
-                c = c_value(d)
-                dev = abs(
-                    pi.value
-                    * to_decimal(c, work).value
-                    / to_decimal(prod, work).value
-                    - 1
-                ) * g
-                if dev > worst:
-                    worst, arg = dev, d
-    with localcontext() as ctx:
-        ctx.prec = digits
-        worst = +worst
-    return HPDecimal(worst, digits), arg
-
-
-def sample_vectors(
-    count: int, x_cap: int = 9, seed: int = 91117, n_cap: int = 5
-) -> List[Tuple[int, ...]]:
-    """Deterministic sample of distinct geometric vectors with X(d) <= x_cap,
-    drawn as 1..n_cap entries in 0..7; count may not exceed the number of
-    such vectors."""
+def sample_vectors(count: int, seed: int = 91117) -> List[Tuple[int, ...]]:
+    """Deterministic sample of distinct geometric vectors with X(d) <= 9,
+    drawn as 1..5 entries in 0..7; count may not exceed the number of such
+    vectors."""
     if count < 0:
         raise ValueError("sample_vectors needs count >= 0")
     pool = set()
-    for n in range(1, n_cap + 1):
+    for n in range(1, 6):
         for d in combinations_with_replacement(range(8), n):
             t = canonical_tuple(d)
             x = x_int(t)
-            if genus_of(t) is not None and x is not None and 1 <= x <= x_cap:
+            if genus_of(t) is not None and x is not None and 1 <= x <= 9:
                 pool.add(t)
     if count > len(pool):
         raise ValueError(
@@ -454,7 +372,7 @@ def sample_vectors(
     rng = random.Random(seed)
     out: List[Tuple[int, ...]] = []
     while len(out) < count:
-        n = rng.randint(1, n_cap)
+        n = rng.randint(1, 5)
         t = canonical_tuple([rng.randint(0, 7) for _ in range(n)])
         if t in pool:
             pool.remove(t)

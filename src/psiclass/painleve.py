@@ -41,7 +41,7 @@ from math import factorial
 from typing import List
 
 from .dvv import c_value
-from .exact import HPDecimal, ONE, Q, ZERO, pi_value, to_decimal
+from .exact import HPDecimal, ONE, Q, ZERO, pi_value, rounded, to_decimal
 from .series import SeriesInvX
 
 _CG: List[int] = [-1, 2, 98]
@@ -137,10 +137,7 @@ def theorem_a_constant(precision: int = 30) -> HPDecimal:
     with localcontext() as ctx:
         ctx.prec = precision + 10
         val = Decimal(3).sqrt() / Decimal(5).sqrt() / (2 * pi.value**2)
-    with localcontext() as ctx:
-        ctx.prec = precision
-        val = +val
-    return HPDecimal(val, precision)
+    return rounded(val, precision)
 
 
 def theorem_a_estimate(

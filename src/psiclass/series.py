@@ -76,9 +76,6 @@ class SeriesInvX:
     def __repr__(self) -> str:
         return f"SeriesInvX({list(self.coeffs)!r})"
 
-    def truncate(self, order: int) -> "SeriesInvX":
-        return SeriesInvX(self.coeffs, order)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "SeriesInvX":
@@ -96,9 +93,6 @@ class SeriesInvX:
 
     def __sub__(self, other) -> "SeriesInvX":
         return self + (-other if isinstance(other, SeriesInvX) else SeriesInvX.constant(-Q(other), self.order))
-
-    def __rsub__(self, other) -> "SeriesInvX":
-        return SeriesInvX.constant(other, self.order) - self
 
     def __mul__(self, other) -> "SeriesInvX":
         if not isinstance(other, SeriesInvX):

@@ -13,24 +13,26 @@ rational fitting that the library computes on integers.
 It also holds the views of library data that only tests read: the rational
 entries of the integer matrices (matrix_coeff), the trace of a product of
 them (trace_product), the trace-normalized coefficients a(k) (a_value)
-and the evaluation of a table polynomial (mult_poly_eval).
+and the evaluation of a table polynomial (mult_poly_eval).  Last come the
+polynomial gcd that reduces the reference fit and the Theorem 2 deviation
+sweep (theorem2_family, theorem2_deviation_sweep), which only tests run.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from itertools import product as _iproduct
 from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from psiclass.asym import (
     MultPoly,
     PiLinear,
     RationalFunctionOfG,
     _mono_value,
-    _poly_divmod,
     _poly_eval,
-    _poly_gcd,
     _poly_normalize,
+    theorem2_product,
 )
 from psiclass.closed import _c_prefactor, _imul, _int_matrix, _perm_data
 from psiclass.dvv import (
@@ -45,7 +47,18 @@ from psiclass.dvv import (
     n_value,
     x_int,
 )
-from psiclass.exact import ONE, Q, ZERO, odd_double_factorial, pi_interval
+from psiclass.exact import (
+    HPDecimal,
+    ONE,
+    Q,
+    ZERO,
+    odd_double_factorial,
+    pi_interval,
+    pi_value,
+    rounded,
+    to_decimal,
+)
+from psiclass.partitions import partitions
 from psiclass.series import SeriesInvX
 
 
@@ -267,7 +280,7 @@ def compose(outer: SeriesInvX, inner: SeriesInvX) -> SeriesInvX:
     K = min(outer.order, inner.order)
     result = SeriesInvX.constant(outer.coeffs[K], K)
     for j in range(K - 1, -1, -1):
-        result = result * inner.truncate(K) + outer.coeffs[j]
+        result = result * SeriesInvX(inner.coeffs, K) + outer.coeffs[j]
     return result
 
 
@@ -316,6 +329,28 @@ def rref_reference(rows: List[List]) -> Tuple[List[List], List[int]]:
         if r == m:
             break
     return rows, pivots
+
+
+def _poly_divmod(a: List, b: List) -> Tuple[List, List]:
+    a = list(a)
+    out = [ZERO] * max(1, len(a) - len(b) + 1)
+    inv = ONE / b[-1]
+    for i in range(len(a) - len(b), -1, -1):
+        f = a[i + len(b) - 1] * inv
+        out[i] = f
+        if f:
+            for j, bv in enumerate(b):
+                a[i + j] -= f * bv
+    return _poly_normalize(out), _poly_normalize(a)
+
+
+def _poly_gcd(a: List, b: List) -> List:
+    a, b = _poly_normalize(list(a)), _poly_normalize(list(b))
+    while b != [ZERO] and any(b):
+        _, r = _poly_divmod(a, b)
+        a, b = b, _poly_normalize(r)
+    inv = ONE / a[-1]
+    return [c * inv for c in a]
 
 
 def fit_rational_reference(samples, max_degree: int = 40) -> RationalFunctionOfG:
@@ -424,3 +459,48 @@ def lemma6_check_reference(xmax: int, nmax: int, digits: int = 50):
                 if up > excess:
                     excess = up
     return ok, excess
+
+
+def theorem2_family(g: int, max_zeros: int = 6) -> Iterator[Tuple[int, ...]]:
+    """Genus-g vectors made of k zeros (k <= max_zeros) plus parts >= 2.
+
+    1-entries are dilaton-invariant for both C and the product bound, so
+    this family covers the general statement without double counting.
+    """
+    for k in range(0, max_zeros + 1):
+        # sum(d) = 3g - 3 + n with n = k + m parts, zeros contribute 0
+        # parts >= 2: sum = 3g - 3 + k + m over m parts, each >= 2, i.e.
+        # partitions of 3g - 3 + k into m parts after the shift by 1.
+        m_total = 3 * g - 3 + k
+        if m_total <= 0:
+            continue
+        for p in partitions(m_total):
+            yield (0,) * k + tuple(v + 1 for v in reversed(p))
+
+
+def theorem2_deviation_sweep(
+    g_min: int = 2,
+    g_max: int = 5,
+    max_zeros: int = 6,
+    digits: int = 50,
+) -> Tuple[HPDecimal, Tuple[int, ...]]:
+    """max over the family of g * |pi C(d) / product(d) - 1| plus argmax."""
+    work = digits + 10
+    pi = pi_value(work)
+    worst = Decimal(0)
+    arg: Tuple[int, ...] = ()
+    with localcontext() as ctx:
+        ctx.prec = work
+        for g in range(g_min, g_max + 1):
+            for d in theorem2_family(g, max_zeros):
+                prod = theorem2_product(d)
+                c = c_value(d)
+                dev = abs(
+                    pi.value
+                    * to_decimal(c, work).value
+                    / to_decimal(prod, work).value
+                    - 1
+                ) * g
+                if dev > worst:
+                    worst, arg = dev, d
+    return rounded(worst, digits), arg

@@ -41,7 +41,6 @@ from psiclass.harness import (
     partition_count,
     sample_vectors,
     sweep_nesting,
-    theorem2_deviation_sweep,
 )
 from psiclass.painleve import (
     p1_residual,
@@ -50,6 +49,8 @@ from psiclass.painleve import (
     theorem_a_constant,
     theorem_a_estimate,
 )
+
+from oracles import theorem2_deviation_sweep
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -265,7 +266,7 @@ def test_criterion_07_painleve_bridge():
 @pytest.fixture(scope="module")
 def sweep7():
     t0 = time.monotonic()
-    reports = sweep_nesting(7, digits=50)
+    reports = sweep_nesting(7)
     return reports, time.monotonic() - t0
 
 
@@ -342,7 +343,7 @@ def test_criterion_11_majorant():
     from psiclass.exact import to_decimal
 
     t0 = time.monotonic()
-    ok6, excess = lemma6_check(xmax=200, nmax=120, digits=50)
+    ok6, excess = lemma6_check(xmax=200, nmax=120)
     # Frozen scale of the certified excess bound from the recorded run.
     excess_ok = Q(9) < excess < Q(10)
     ok7 = lemma7_check(14)

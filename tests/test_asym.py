@@ -287,6 +287,11 @@ def test_fit_rational_matches_reference():
         got = fit_rational(samples, max_degree=5)
         assert got == want, samples
         assert all(got(g) == v for g, v in samples)
+    # Samples of (g+1)(g+2)/((g+1)(g+3)): the fit has no gcd step, yet the
+    # first vector it accepts is the reduced pair, returned monic.
+    samples = [(g, Q((g + 1) * (g + 2), (g + 1) * (g + 3))) for g in range(1, 9)]
+    want = RationalFunctionOfG((Q(2), ONE), (Q(3), ONE))
+    assert fit_rational(samples) == fit_rational_reference(samples) == want
 
 
 def test_series_at_infinity():

@@ -143,6 +143,12 @@ def test_compute_json(capsys):
     assert payload["value"] == "1015/3888"
     assert payload["genus"] == 2
     assert payload["norm"] == "c"
+    # CSV of a payload without rows: one key,value line per field.
+    code, out = run(capsys, "compute", "2,3", "--format", "csv")
+    assert code == 0
+    lines = list(csv.reader(io.StringIO(out)))
+    assert lines[0] == ["key", "value"]
+    assert ["value", "1015/3888"] in lines and ["genus", "2"] in lines
 
 
 def test_compute_norms(capsys):
@@ -211,6 +217,24 @@ def test_check_formulas_smoke(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert len(payload["rows"]) == 5
+
+
+def test_check_formulas_mismatch_row(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "three_point", lambda d: exact.Q(-1))
+    code, out = run(capsys, "check-formulas", "--budget", "smoke")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    row = next(r for r in payload["rows"] if r["suite"] == "three_point")
+    assert row == {
+        "suite": "three_point",
+        "count": 1,
+        "ok": False,
+        "mismatch_d": "0,0,0",
+        "mismatch_closed": "-1/1",
+        "mismatch_recursion": "1/3",  # C(0,0,0) = <tau_0^3> / 3
+    }
+    assert all(r["ok"] for r in payload["rows"] if r is not row)
 
 
 def test_check_identities(capsys):

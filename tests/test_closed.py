@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from math import prod
 
+import pytest
+
 from psiclass import closed
 from psiclass.closed import (
     _common_den,
@@ -159,6 +161,19 @@ def test_two_point_formulas_against_recursion():
 def test_two_point_argument_order():
     assert two_point_zograf(0, 5) == two_point_zograf(5, 0)
     assert two_point_bdy(1, 4) == two_point_bdy(4, 1)
+
+
+def test_closed_formulas_off_geometry():
+    # A negative entry, or d1 + d2 not 2 mod 3, has no two-point class.
+    for d in ((-1, 3), (2, -1), (1, 2), (0, 0), (3, 3)):
+        assert two_point_bdy(*d) == ZERO, d
+        assert two_point_zograf(*d) == ZERO == c_value(d), d
+    with pytest.raises(ValueError, match="exactly three"):
+        three_point((1, 2))
+    with pytest.raises(ValueError, match="exactly four"):
+        four_point((1, 2, 3))
+    with pytest.raises(ValueError, match="at least one"):
+        n_point(())
 
 
 def test_three_point_against_recursion():

@@ -151,6 +151,11 @@ def test_separable_loop_reads_each_unordered_split_once():
         buckets = _split_table(rest)
         splits = sum(len(buckets[-(2 * a + 1) % 3]) for a in range((p - 2) // 2 + 1))
         assert table.gets == len(set(rest)) + p // 2 + 2 * splits, t
+        # Both children of every admitted split have X >= 1: X1 + X2 = X - 1.
+        X = x_int(t)
+        for a in range((p - 2) // 2 + 1):
+            for w3, *_ in buckets[-(2 * a + 1) % 3]:
+                assert 1 <= (2 * a + 1 + w3) // 3 <= X - 2, (t, a, w3)
 
 
 def test_positivity_small_grid():
@@ -256,6 +261,8 @@ def test_cache_load_error_lines():
         cache_load(io.StringIO(_v2("2,3 = 23af\n2,3 = 23af\n")))
     with pytest.raises(ValueError, match="line 2: value '2/4' is not a positive hex"):
         cache_load(io.StringIO(_v2("2,3 = 2/4\n")))
+    with pytest.raises(ValueError, match="line 3: the file does not end in a newline"):
+        cache_load(io.StringIO(_v2("2,3 = 23af\n4 = 3b1")))
 
 
 def test_cache_load_checks_header_count_and_hash():

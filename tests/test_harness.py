@@ -17,11 +17,11 @@ from psiclass.harness import (
     lemma7_check,
     sample_vectors,
     sweep_nesting,
-    theorem2_deviation_sweep,
-    theorem2_family,
     theta_sweep,
 )
 from psiclass.partitions import partition_count, partitions, primitive_vectors
+
+from oracles import theorem2_deviation_sweep, theorem2_family
 
 
 def test_partition_count_pentagonal():

@@ -86,6 +86,6 @@ def test_reindex():
 
 def test_truncate_and_eq_ignore_order_mismatch():
     s = SeriesInvX([ONE, Q(2), Q(3)])
-    t = s.truncate(1)
+    t = SeriesInvX(s.coeffs, 1)
     assert t.coeffs == (ONE, Q(2))
     assert t != s
