@@ -464,9 +464,14 @@ def _pattern_c(pattern: tuple, dn: int):
     raise ValueError("patterns with more than three fixed entries unsupported")
 
 
-def _pattern_ctilde_series(pattern: tuple, K: int) -> SeriesInvX:
-    """pi*C(pattern, d_n) as a 1/X-series for the family d_n = 3g-3+n-|pattern|."""
+def _pattern_ctilde_series(pattern: tuple, one_point: SeriesInvX) -> SeriesInvX:
+    """pi*C(pattern, d_n) as a 1/X-series for the family d_n = 3g-3+n-|pattern|.
+
+    ``one_point`` is one_point_series(K), shared by every pattern of a fit;
+    the result has its order K.
+    """
     n = len(pattern) + 1
+    K = one_point.order
     if n == 1:
         ser_g = SeriesInvX.one(K)
     else:
@@ -477,7 +482,7 @@ def _pattern_ctilde_series(pattern: tuple, K: int) -> SeriesInvX:
             samples.append((g, _pattern_c(pattern, dn) / one_point_c(3 * g - 2)))
         ser_g = fit_rational(samples).series_at_infinity(K)
     # 1/g -> 1/X via g = (X + 2 - n)/2, i.e. 1/g = 2x/(1 - (n-2)x)
-    return (ser_g * one_point_series(K)).reindex(2, n - 2)
+    return (ser_g * one_point).reindex(2, n - 2)
 
 
 def pi_gamma_series(K: int) -> SeriesInvX:
@@ -492,12 +497,14 @@ def table2_fit(K: int = TABLE2_CAP) -> Dict[str, Dict[int, MultPoly]]:
     Returns {"ctilde": {k: MultPoly}, "chat": {k: MultPoly}} where ctilde_k
     are the 1/X^k coefficients of pi*C(d) and chat_k those of C(d)/gamma(X).
     Every fit is overdetermined by >= 3 pattern rows and must hold exactly.
-    Memoized per K.
+    Memoized per K.  One one_point_series(K) serves every pattern row and
+    pi*gamma (its reindex at g = (X+1)/2, as in pi_gamma_series).
     """
     if not 1 <= K <= TABLE2_CAP:
         raise ValueError(f"table2_fit supports 1 <= K <= {TABLE2_CAP}")
-    ctilde_rows = {p: _pattern_ctilde_series(p, K) for p in PATTERNS}
-    pg = pi_gamma_series(K)
+    one_point = one_point_series(K)
+    ctilde_rows = {p: _pattern_ctilde_series(p, one_point) for p in PATTERNS}
+    pg = one_point.reindex(2, -1)
     chat_rows = {p: ser / pg for p, ser in ctilde_rows.items()}
     result: Dict[str, Dict[int, MultPoly]] = {"ctilde": {}, "chat": {}}
     for name, rows in (("ctilde", ctilde_rows), ("chat", chat_rows)):
@@ -656,16 +663,26 @@ def _pi_bound(r: int, s: int, upper: bool, ends) -> Tuple[int, int]:
     return r * pd + s * pn, pn
 
 
+# The smallest X at which lemma6_check bounds the scaled excess, property (3).
+EXCESS_XMIN = 50
+
+
 def lemma6_check(xmax: int = 200, nmax: int = 120) -> Tuple[bool, object]:
     """Interval-verify the majorant's three properties up to (xmax, nmax):
 
     (1) 1/pi <= f(X, n) <= 1, (2) f(X, n) nondecreasing in n, and (3) the
     scaled excess X (f(X, n) - 1/pi) over n <= X/5, 50 <= X, stays bounded.
-    Returns (all checks passed, certified upper bound for the excess).
+    Returns (all checks passed, certified upper bound for the excess); the
+    bound is 0, and certifies nothing, when xmax < 50 (EXCESS_XMIN).
 
     Each bound of r/pi + s is taken at the end of the pi interval that makes
     it safe, which depends on the sign of r; all comparisons are integer
     cross-multiplications on the rows' numerators.
+
+    n runs over the columns a row stores, up to nmax + 1.  A column past
+    them repeats the row's last entry, so (1) would repeat that entry's
+    outcome and (2) would compare equal entries; (3) never reaches them,
+    since X // 5 < X - 5, the stored count, for X >= 50.
     """
     if xmax < 1 or nmax < 1:
         raise ValueError("lemma6_check needs xmax >= 1 and nmax >= 1")
@@ -679,9 +696,8 @@ def lemma6_check(xmax: int = 200, nmax: int = 120) -> Tuple[bool, object]:
         row = _majorant_row(X, row)
         den, rs, ss = row
         prev_r = prev_s = 0
-        for n in range(1, nmax + 2):
-            i = min(n, len(rs)) - 1
-            r, s = rs[i], ss[i]  # f(X, n) = (r/pi + s) / den
+        for n in range(1, min(nmax + 1, len(rs)) + 1):
+            r, s = rs[n - 1], ss[n - 1]  # f(X, n) = (r/pi + s) / den
             # (1) f - 1/pi >= 0 and f <= 1; (2) f(X, n) - f(X, n-1) >= 0.
             if (
                 _pi_bound(r - den, s, False, ends)[0] < 0
@@ -691,7 +707,7 @@ def lemma6_check(xmax: int = 200, nmax: int = 120) -> Tuple[bool, object]:
             if n > 1 and _pi_bound(r - prev_r, s - prev_s, False, ends)[0] < 0:
                 ok = False
             prev_r, prev_s = r, s
-            if X >= 50 and n <= X // 5:
+            if X >= EXCESS_XMIN and n <= X // 5:
                 num, pn = _pi_bound(r - den, s, True, ends)
                 num, pn = X * num, pn * den
                 if num * ex_den > ex_num * pn:

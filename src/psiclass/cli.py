@@ -246,10 +246,15 @@ def _cmd_bounds(args) -> Tuple[dict, bool]:
 
     ok6, excess = asym.lemma6_check(xmax=args.gmax)
     ok7 = harness.lemma7_check(min(args.gmax, 14))
+    # Below EXCESS_XMIN no X was checked for property (3): no bound to report.
+    if args.gmax < asym.EXCESS_XMIN:
+        excess_bound = None
+    else:
+        excess_bound = str(to_decimal(excess, 20).value)
     payload = {
         "x_max": args.gmax,
         "lemma6_ok": ok6,
-        "excess_bound": str(to_decimal(excess, 20).value),
+        "excess_bound": excess_bound,
         "lemma7_ok": ok7,
         "lemma7_x_max": min(args.gmax, 14),
     }

@@ -37,6 +37,11 @@ smaller entries of d, not on the genus.  Inputs are sorted so the largest
 entry sits in that slot; the values are symmetric (tests check this), only
 the work depends on the ordering.
 
+The four-point sum narrows its window further.  Two of its three brackets
+vanish once k1 reaches the smallest entry d1, so from there on the loops
+run only over the window where the remaining bracket's floor arguments are
+all positive; every triple they skip has three zero brackets.
+
 Inside its window the general n-point sum also prunes permutations: each
 permutation's weight is a minimum over some partial sums less a maximum
 over the others, and fixing one more k can only lower the first or raise
@@ -195,11 +200,6 @@ def two_point_zograf(d1: int, d2: int):
     return Q(acc, 54**g * factorial(2 * g - 1) * g * factorial(g))
 
 
-def m_floor(*entries: int) -> int:
-    """M(e_1, ..., e_r) = max(0, min e_i)."""
-    return max(0, min(entries))
-
-
 def three_point(d: Sequence[int]):
     """C(d1, d2, d3) = 2 sum_k a(k) M(d1-k1, d1+d2-k1-k2) over sum k = sum d.
 
@@ -237,7 +237,10 @@ def four_point(d: Sequence[int]):
 
     over k_i >= -1 with sum k = sum d.  Every bracket needs k4 >= d4 + 1,
     so k1+k2+k3 <= d1+d2+d3-1; d is sorted ascending to make that window
-    as small as possible.
+    as small as possible.  The first and third brackets need k1 <= d1 - 1,
+    so for k1 >= d1 the loops cover only the middle bracket's window:
+    k2 <= min(d1 - 1, d1 + d3 - 1 - k1) and k3 <= d1 + d2 - 1 - k2, which
+    leaves no k2 once k1 > d1 + d3.
     """
     if len(d) != 4:
         raise ValueError("four_point takes exactly four exponents")
@@ -253,19 +256,26 @@ def four_point(d: Sequence[int]):
     budget = d1 + d2 + d3 - 1
     D = _common_den(4, s)
     acc = 0
-    for k1 in range(-1, budget + 3):
+    for k1 in range(-1, d1 + d3 + 1):
         a1 = _int_matrix(k1)
-        for k2 in range(-1, budget - k1 + 2):
+        middle_only = k1 >= d1
+        k2_top = budget - k1 + 1
+        if middle_only:
+            k2_top = min(k2_top, d1 - 1, d1 + d3 - 1 - k1)
+        for k2 in range(-1, k2_top + 1):
             m12 = _imul(a1, _int_matrix(k2))
             if not (m12[0] or m12[1] or m12[2] or m12[3]):
                 continue
-            for k3 in range(-1, budget - k1 - k2 + 1):
+            k3_top = budget - k1 - k2
+            if middle_only:
+                k3_top = min(k3_top, d1 + d2 - 1 - k2)
+            for k3 in range(-1, k3_top + 1):
                 k4 = s - k1 - k2 - k3
                 e4 = k4 - d4  # >= 1: k3 stops at budget - k1 - k2
                 br = (
-                    m_floor(d1 - k1, d1 + d2 - k1 - k2, e4)
-                    - m_floor(d1 - k2, d1 + d2 - k2 - k3, d1 + d3 - k1 - k2, e4)
-                    - m_floor(d1 - k1, d2 - k3, k2 - d3, e4)
+                    max(0, min(d1 - k1, d1 + d2 - k1 - k2, e4))
+                    - max(0, min(d1 - k2, d1 + d2 - k2 - k3, d1 + d3 - k1 - k2, e4))
+                    - max(0, min(d1 - k1, d2 - k3, k2 - d3, e4))
                 )
                 if not br:
                     continue

@@ -37,7 +37,7 @@ order by order determines the b_j; only h <= (K+1)/2 matter for b_1..b_K.
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
-from math import factorial
+from math import comb, factorial
 from typing import List
 
 from .dvv import c_value
@@ -73,13 +73,14 @@ def p1_residual(g: int):
     """c_g e_g (e_g - 1) + (1/16) sum_{g1+g2=g+1} c_{g1} c_{g2}, e_g=(1-5g)/2.
 
     Identically zero; a nonzero value would flag a defect in the recursion.
+    With e_g (e_g - 1) = (25g^2 - 1)/4, 64 times the residual is the integer
+    16 c_g (25g^2 - 1) + 4 sum c_{g1} c_{g2}, summed on the ints of _CG.
     """
-    e = Q(1 - 5 * g, 2)
-    acc = painleve_coeff(g) * e * (e - 1)
-    conv = ZERO
-    for g1 in range(0, g + 2):
-        conv += painleve_coeff(g1) * painleve_coeff(g + 1 - g1)
-    return acc + conv / 16
+    if g < 0:
+        raise ValueError("p1_residual needs g >= 0")
+    painleve_coeff(g + 1)  # fills _CG up to c_{g+1}
+    conv = sum(_CG[g1] * _CG[g + 1 - g1] for g1 in range(g + 2))
+    return Q(16 * _CG[g] * (25 * g * g - 1) + 4 * conv, 64)
 
 
 def painleve_from_intersections(g: int):
@@ -102,7 +103,9 @@ def cg_asymptotic_series(K: int) -> List:
     docstring: with b_1..b_{J-1} known and b_J trialled as 0, the residual's
     x^(J+1) coefficient equals J * b_J (b_J enters the left side at that
     order through the 1/(g-1) substitution only, and the right side not
-    before x^(J+4)).
+    before x^(J+4)).  Step J reads only that one coefficient, so it is
+    summed directly from the prefactors and the closed-form coefficients of
+    each reindexed S (_shifted_coeff), without building the residual series.
 
     >>> cg_asymptotic_series(3)[2] == Q(-49, 3750)
     True
@@ -123,12 +126,33 @@ def cg_asymptotic_series(K: int) -> List:
             )
         prefs.append((h, pref))
     for J in range(1, K + 1):
-        S = SeriesInvX(b, N)
-        resid = S - S.reindex(1, 1)
+        # S's own x^(J+1) coefficient is b_(J+1), still 0.
+        r = -_shifted_coeff(b, 1, J + 1)
         for h, pref in prefs:
-            resid = resid - pref * S.reindex(1, h)
-        b[J] = resid.coeffs[J + 1] / J
+            for i in range(2 * h, J + 2):
+                r -= pref.coeffs[i] * _shifted_coeff(b, h, J + 1 - i)
+        b[J] = r / J
     return b[1:]
+
+
+def _shifted_coeff(b: List, h: int, m: int):
+    """[x^m] S(x/(1-hx)) for S = sum_j b_j x^j, from the closed form
+
+        [x^m] (x/(1-hx))^j = binom(m-1, j-1) h^(m-j),  1 <= j <= m,
+
+    with b_0 alone at m = 0.  The sum starts at ZERO, so it stays a
+    rational when every term vanishes.
+    """
+    if m == 0:
+        return b[0]
+    return sum(
+        (
+            bj * (comb(m - 1, j - 1) * h ** (m - j))
+            for j, bj in enumerate(b[1 : m + 1], start=1)
+            if bj
+        ),
+        ZERO,
+    )
 
 
 def theorem_a_constant(precision: int = 30) -> HPDecimal:

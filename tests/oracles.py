@@ -3,12 +3,14 @@
 Each one reaches its value by a slower or more transparent route than the
 code under test: a single DVV expansion at a chosen pivot, that expansion
 with every ordered pair and split summed and halved, the n-point
-trace sum without window or permutation pruning, series substitution by
-Horner composition instead of the closed-form reindex, the one-point
-series from its ratio functional equation instead of Stirling jets, and
-the rational-valued forms of the closed-formula matrices and traces, the
-Painleve I recursion, the majorant and the linear elimination and
-rational fitting that the library computes on integers.
+trace sum without window or permutation pruning, the four-point sum
+without its middle-bracket window, series substitution by Horner
+composition instead of the closed-form reindex, the one-point series from
+its ratio functional equation instead of Stirling jets, the Painleve I
+correction series from the whole residual series at each step, and the
+rational-valued forms of the closed-formula matrices and traces, the
+Painleve I recursion and residual, the majorant and the linear
+elimination and rational fitting that the library computes on integers.
 
 It also holds the views of library data that only tests read: the rational
 entries of the integer matrices (matrix_coeff), the trace of a product of
@@ -34,7 +36,14 @@ from psiclass.asym import (
     _poly_normalize,
     theorem2_product,
 )
-from psiclass.closed import _c_prefactor, _imul, _int_matrix, _perm_data
+from psiclass.closed import (
+    _c_prefactor,
+    _common_den,
+    _imul,
+    _int_matrix,
+    _perm_data,
+    _trace_with,
+)
 from psiclass.dvv import (
     DVec,
     MemoCache,
@@ -58,6 +67,7 @@ from psiclass.exact import (
     rounded,
     to_decimal,
 )
+from psiclass.painleve import painleve_coeff
 from psiclass.partitions import partitions
 from psiclass.series import SeriesInvX
 
@@ -272,6 +282,43 @@ def n_point_reference(d: Sequence[int]):
     return total * _c_prefactor(g, n)
 
 
+def four_point_reference(d: Sequence[int]):
+    """four_point over its whole k4 >= d4 + 1 window: every (k1, k2, k3)
+    with k1 + k2 + k3 <= d1 + d2 + d3 - 1 and A_k1 A_k2 != 0 evaluates all
+    three brackets, including the triples with k1 >= d1 where two of them
+    vanish."""
+
+    def m_floor(*entries: int) -> int:
+        return max(0, min(entries))
+
+    d1, d2, d3, d4 = sorted(d)
+    s = d1 + d2 + d3 + d4
+    if min(d) < 0 or (s - 4) % 3:
+        return ZERO
+    g = 1 + (s - 4) // 3
+    budget = d1 + d2 + d3 - 1
+    D = _common_den(4, s)
+    acc = 0
+    for k1 in range(-1, budget + 3):
+        a1 = _int_matrix(k1)
+        for k2 in range(-1, budget - k1 + 2):
+            m12 = _imul(a1, _int_matrix(k2))
+            if not (m12[0] or m12[1] or m12[2] or m12[3]):
+                continue
+            for k3 in range(-1, budget - k1 - k2 + 1):
+                k4 = s - k1 - k2 - k3
+                e4 = k4 - d4
+                br = (
+                    m_floor(d1 - k1, d1 + d2 - k1 - k2, e4)
+                    - m_floor(d1 - k2, d1 + d2 - k2 - k3, d1 + d3 - k1 - k2, e4)
+                    - m_floor(d1 - k1, d2 - k3, k2 - d3, e4)
+                )
+                if br:
+                    tr, den = _trace_with(_imul(m12, _int_matrix(k3)), k4)
+                    acc += br * tr * (D // den)
+    return Q(2 * acc, D) * _c_prefactor(g, 4)
+
+
 def compose(outer: SeriesInvX, inner: SeriesInvX) -> SeriesInvX:
     """outer(inner(u)) by Horner's rule, K series products; the inner
     series must have zero constant term."""
@@ -406,6 +453,41 @@ def painleve_coeff_reference(g: int):
             conv += _CG_REF[h] * _CG_REF[m - h]
         _CG_REF.append(50 * (m - 1) ** 2 * _CG_REF[m - 1] + conv / 2)
     return _CG_REF[g]
+
+
+def p1_residual_reference(g: int):
+    """The Painleve I residual c_g e_g (e_g - 1) + (1/16) sum c_{g1} c_{g2},
+    e_g = (1 - 5g)/2, in rationals over painleve_coeff."""
+    e = Q(1 - 5 * g, 2)
+    acc = painleve_coeff(g) * e * (e - 1)
+    conv = ZERO
+    for g1 in range(0, g + 2):
+        conv += painleve_coeff(g1) * painleve_coeff(g + 1 - g1)
+    return acc + conv / 16
+
+
+def cg_asymptotic_series_reference(K: int) -> List:
+    """[b_1, ..., b_K] by building the whole residual series at each step:
+    S - S(x/(1-x)) - sum_h pref_h S(x/(1-hx)), of which step J reads the
+    x^(J+1) coefficient."""
+    N = K + 1
+    b = [ONE] + [ZERO] * K
+    H = (K + 1) // 2
+    prefs = []
+    for h in range(2, H + 1):
+        pref = SeriesInvX.monomial(painleve_coeff(h) * Q(1, 50**h), 2 * h, N)
+        for i in range(1, h + 1):
+            pref = pref * SeriesInvX(
+                [(m + 1) * Q(i) ** m for m in range(N + 1)], N
+            )
+        prefs.append((h, pref))
+    for J in range(1, K + 1):
+        S = SeriesInvX(b, N)
+        resid = S - S.reindex(1, 1)
+        for h, pref in prefs:
+            resid = resid - pref * S.reindex(1, h)
+        b[J] = resid.coeffs[J + 1] / J
+    return b[1:]
 
 
 _FB_REF: Dict[Tuple[int, int], PiLinear] = {}

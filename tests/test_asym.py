@@ -453,7 +453,11 @@ def test_pi_bound_takes_the_safe_end():
                 assert den > 0 and Q(num, den) == want, (r, s, upper)
 
 
-@pytest.mark.parametrize("xmax, nmax", [(60, 40), (100, 120)])
+# Row X stores one column for X <= 7 and X - 5 from X = 8 on: fewer than
+# nmax + 1 at (7, 50), (30, 200) and (100, 120), more at (60, 40) and (120, 10).
+@pytest.mark.parametrize(
+    "xmax, nmax", [(60, 40), (100, 120), (7, 50), (30, 200), (120, 10)]
+)
 def test_lemma6_matches_rational_loop(xmax, nmax):
     assert lemma6_check(xmax=xmax, nmax=nmax) == lemma6_check_reference(xmax, nmax)
 

@@ -298,6 +298,19 @@ def test_bounds(capsys):
     assert payload["lemma7_x_max"] == 14
 
 
+def test_bounds_excess_bound_starts_at_x50(capsys):
+    # lemma6_check bounds the scaled excess only from X = 50 on; below that
+    # the payload has no bound to certify.
+    for gmax, certified in ((7, False), (49, False), (50, True)):
+        code, out = run(capsys, "bounds", "--gmax", str(gmax))
+        assert code == 0
+        bound = json.loads(out)["excess_bound"]
+        assert (bound is not None) == certified, gmax
+    code, out = run(capsys, "bounds", "--gmax", "7", "--format", "csv")
+    assert code == 0
+    assert "excess_bound,\r\n" in out
+
+
 @pytest.mark.parametrize(
     "command, flag, value, message",
     [

@@ -23,9 +23,11 @@ from psiclass.closed import (
 from psiclass.dvv import c_value, gamma_norm, genus_of, intersection_number
 from psiclass.exact import ONE, Q, ZERO
 
+import oracles
 from oracles import (
     _omega,
     a_value,
+    four_point_reference,
     matrix_coeff,
     matrix_coeff_reference,
     n_point_reference,
@@ -186,6 +188,45 @@ def test_four_point_against_recursion():
     for g in range(0, 3):
         for d in _multisets(4, 3 * g + 1):
             assert four_point(d) == c_value(d), d
+
+
+# perfbench's `formulas` four-point inputs at seeds 1-5 and 601.
+_BENCH_FOUR_POINT = (
+    (4, 6, 20, 40),
+    (2, 12, 16, 34),
+    (9, 9, 12, 40),
+    (5, 12, 13, 40),
+    (3, 4, 23, 31),
+    (4, 12, 14, 40),
+)
+
+
+def test_four_point_window_skips_only_zero_brackets():
+    for total in range(0, 33):
+        for d in _multisets(4, total):
+            if max(d) <= 8:
+                assert four_point(d) == four_point_reference(d), d
+    for d in _BENCH_FOUR_POINT:
+        assert four_point(d) == four_point_reference(d), d
+
+
+def test_four_point_window_halves_bracket_evaluations(monkeypatch):
+    # Each bracket evaluation calls max three times, in both loops.
+    calls = 0
+
+    def counting_max(*args):
+        nonlocal calls
+        calls += 1
+        return max(*args)
+
+    d = (3, 4, 23, 31)
+    monkeypatch.setattr(oracles, "max", counting_max, raising=False)
+    four_point_reference(d)
+    assert calls == 3 * 4961
+    calls = 0
+    monkeypatch.setattr(closed, "max", counting_max, raising=False)
+    four_point(d)
+    assert calls % 3 == 0 and calls // 3 <= 4961 // 2
 
 
 def test_n_point_against_recursion_n5():

@@ -8,6 +8,8 @@ a ladder of genera; they are then frozen here as exact rationals.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from psiclass import painleve
@@ -21,7 +23,11 @@ from psiclass.painleve import (
     theorem_a_estimate,
 )
 
-from oracles import painleve_coeff_reference
+from oracles import (
+    cg_asymptotic_series_reference,
+    p1_residual_reference,
+    painleve_coeff_reference,
+)
 
 
 def test_first_coefficients():
@@ -60,6 +66,18 @@ def test_residual_identity():
         assert p1_residual(g) == ZERO, g
 
 
+def test_residual_matches_rational_form(monkeypatch):
+    # The true c_g give 0 on both sides; perturbed ones pin the integer sum.
+    painleve_coeff(30)
+    cg = [c + (-1) ** g * g for g, c in enumerate(painleve._CG[:31])]
+    monkeypatch.setattr(painleve, "_CG", cg)
+    got = [p1_residual(g) for g in range(0, 30)]
+    assert got == [p1_residual_reference(g) for g in range(0, 30)]
+    assert all(got[1:])
+    with pytest.raises(ValueError, match="g >= 0"):
+        p1_residual(-1)
+
+
 def test_bridge_small_genus():
     for g in range(2, 7):
         assert painleve_from_intersections(g) == painleve_coeff(g), g
@@ -78,6 +96,15 @@ def test_correction_series_frozen():
     assert b[3] == Q(-49, 1250)
     assert b[4] == Q(-2009, 18750)
     assert b[5] == Q(-9920099, 28125000)
+
+
+def test_correction_series_matches_full_series_loop():
+    # Each step sums one residual coefficient; the reference builds the
+    # whole residual series.  An empty sum must not turn a b_j into an int.
+    for K in range(1, 13):
+        b = cg_asymptotic_series(K)
+        assert b == cg_asymptotic_series_reference(K), K
+        assert all(isinstance(bj, Fraction) for bj in b), K
 
 
 def test_theorem_a_constant_digits():
