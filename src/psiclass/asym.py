@@ -339,17 +339,16 @@ class RationalFunctionOfG(NamedTuple):
         return SeriesInvX(nh, K) / SeriesInvX(dh, K)
 
 
-def fit_rational(
-    samples: Sequence[Tuple[int, object]], max_degree: int = 40
-) -> RationalFunctionOfG:
+def fit_rational(samples: Sequence[Tuple[int, object]]) -> RationalFunctionOfG:
     """Recover the exact rational function through (g_i, q_i) samples.
 
     Climbs degrees d = 0, 1, ...: solves the homogeneous linear system
     P(g_i) - q_i Q(g_i) = 0 (deg P = deg Q = d) on 2d+1 samples and accepts
-    only if the result reproduces every remaining sample as well.  Raises
-    once d exceeds max_degree or the sample budget.  With q_i = a_i/b_i the
-    rows are (b_i g_i^j | -a_i g_i^j), eliminated fraction-free, and the
-    null vector and every sample check stay on integers.
+    only if the result reproduces every remaining sample as well.  m samples
+    cap d at m/2 - 1, leaving one to validate; past it the fit raises.  With
+    q_i = a_i/b_i the rows are (b_i g_i^j | -a_i g_i^j), eliminated
+    fraction-free, and the null vector and every sample check stay on
+    integers.
 
     The accepted pair is already coprime, so only the monic scaling is
     left: a common factor would give a lower-degree representation, which
@@ -367,10 +366,8 @@ def fit_rational(
         points.append((gi, v.numerator, v.denominator))
     if len(set(g for g, _, _ in points)) != len(points):
         raise ValueError("duplicate sample points")
-    for d in range(0, max_degree + 1):
+    for d in range(len(points) // 2):
         need = 2 * d + 1
-        if need + 1 > len(points):
-            break
         rows = []
         for g, a, b in points[:need]:
             pows = [g**j for j in range(d + 1)]
@@ -396,7 +393,7 @@ def fit_rational(
         return RationalFunctionOfG(
             tuple(c * inv for c in num), tuple(c * inv for c in den)
         )
-    raise ValueError(f"not rational within cap (degree {max_degree})")
+    raise ValueError(f"not rational within cap ({len(points)} samples)")
 
 
 # ----------------------------------------------------------------------
@@ -451,17 +448,10 @@ def _mono_value(exps: Tuple[int, ...], pvec: Tuple[int, ...]):
 
 
 def _pattern_c(pattern: tuple, dn: int):
-    d = pattern + (dn,)
-    n = len(d)
-    if n == 1:
-        return one_point_c(dn)
-    if n == 2:
+    if len(pattern) == 1:
         return two_point_zograf(pattern[0], dn)
-    if n == 3:
-        return three_point(d)
-    if n == 4:
-        return four_point(d)
-    raise ValueError("patterns with more than three fixed entries unsupported")
+    d = pattern + (dn,)
+    return three_point(d) if len(d) == 3 else four_point(d)
 
 
 def _pattern_ctilde_series(pattern: tuple, one_point: SeriesInvX) -> SeriesInvX:
@@ -485,30 +475,23 @@ def _pattern_ctilde_series(pattern: tuple, one_point: SeriesInvX) -> SeriesInvX:
     return (ser_g * one_point).reindex(2, n - 2)
 
 
-def pi_gamma_series(K: int) -> SeriesInvX:
-    """pi * gamma(X) as a 1/X-series: the one-point series at g = (X+1)/2."""
-    return one_point_series(K).reindex(2, -1)
-
-
 @cache
-def table2_fit(K: int = TABLE2_CAP) -> Dict[str, Dict[int, MultPoly]]:
-    """Fit the universal polynomials for orders 1..K (K <= 4).
+def table2_fit() -> Dict[str, Dict[int, MultPoly]]:
+    """Fit the universal polynomials for orders 1..TABLE2_CAP.
 
     Returns {"ctilde": {k: MultPoly}, "chat": {k: MultPoly}} where ctilde_k
     are the 1/X^k coefficients of pi*C(d) and chat_k those of C(d)/gamma(X).
     Every fit is overdetermined by >= 3 pattern rows and must hold exactly.
-    Memoized per K.  One one_point_series(K) serves every pattern row and
-    pi*gamma (its reindex at g = (X+1)/2, as in pi_gamma_series).
+    Memoized: computed once.  One one_point_series(TABLE2_CAP) serves every
+    pattern row and pi*gamma(X), its reindex at g = (X+1)/2.
     """
-    if not 1 <= K <= TABLE2_CAP:
-        raise ValueError(f"table2_fit supports 1 <= K <= {TABLE2_CAP}")
-    one_point = one_point_series(K)
+    one_point = one_point_series(TABLE2_CAP)
     ctilde_rows = {p: _pattern_ctilde_series(p, one_point) for p in PATTERNS}
     pg = one_point.reindex(2, -1)
     chat_rows = {p: ser / pg for p, ser in ctilde_rows.items()}
     result: Dict[str, Dict[int, MultPoly]] = {"ctilde": {}, "chat": {}}
     for name, rows in (("ctilde", ctilde_rows), ("chat", chat_rows)):
-        for k in range(1, K + 1):
+        for k in range(1, TABLE2_CAP + 1):
             monos = table2_monomials(k)
             if len(PATTERNS) - len(monos) < 3:
                 raise ArithmeticError(
@@ -531,7 +514,7 @@ def _table_poly(name: str, k: int) -> MultPoly:
         raise ValueError(f"{name}_poly supports 0 <= k <= {TABLE2_CAP}")
     if k == 0:
         return {(0, 0, 0, 0): ONE}
-    return table2_fit(TABLE2_CAP)[name][k]
+    return table2_fit()[name][k]
 
 
 def ctilde_poly(k: int) -> MultPoly:

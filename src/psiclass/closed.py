@@ -251,8 +251,6 @@ def four_point(d: Sequence[int]):
     if (s - 4) % 3:
         return ZERO
     g = 1 + (s - 4) // 3
-    if g < 0:
-        return ZERO
     budget = d1 + d2 + d3 - 1
     D = _common_den(4, s)
     acc = 0

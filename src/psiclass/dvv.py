@@ -159,14 +159,11 @@ def cache_save(cache: MemoCache, destination) -> None:
     whole text is built before anything is written, so a table holding
     anything but positive integers raises TypeError and writes nothing.
 
-    A path destination is replaced atomically: the text goes to a temporary
-    file in the same directory, which is renamed over the target only once
-    it is complete, so a failed save leaves the previous file as it was.
+    The path (``str``, ``bytes`` or ``os.PathLike``) is replaced atomically:
+    the text goes to a temporary file in the same directory, renamed over
+    the target only once complete, so a failed save leaves the old file.
     """
     text = _table_text(cache)
-    if not isinstance(destination, (str, bytes)):
-        destination.write(text)
-        return
     path = os.fsdecode(destination)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -206,8 +203,9 @@ _HEX = re.compile(r"[1-9a-f][0-9a-f]*")
 def cache_load(source) -> MemoCache:
     """Load a ``dvvcache v2`` file, rejecting anything a save cannot write.
 
-    Checked in order: the header (a v1 file is refused by name), the entry
-    count and the body hash it states, then per entry a canonical key of an
+    ``source`` is a path (``str``, ``bytes`` or ``os.PathLike``).  Checked
+    in order: the header (a v1 file is refused by name), the entry count
+    and the body hash it states, then per entry a canonical key of an
     expandable geometric vector (X >= 2), a positive hexadecimal integer
     value, no duplicate key, and for a one-entry key (3g-2,) the value
     N = (6g-3)!!, from the one-point number 1/(24^g g!).  Errors are
@@ -215,13 +213,8 @@ def cache_load(source) -> MemoCache:
     Entries of more than one element are not checked against the
     recursion.
     """
-    own = isinstance(source, (str, bytes))
-    fh = open(source, "r", encoding="utf-8") if own else source
-    try:
+    with open(source, encoding="utf-8") as fh:
         text = fh.read()
-    finally:
-        if own:
-            fh.close()
     header, _, body = text.partition("\n")
     if header.startswith("dvvcache v1"):
         raise ValueError(

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import psiclass
-from psiclass import asym, cli, dvv, exact, harness
+from psiclass import asym, dvv, exact, harness
 from psiclass.cli import main
 from psiclass.dvv import MemoCache, cache_load, n_value
 
@@ -130,10 +130,6 @@ def test_star_import_binds_every_name_lazily():
     before, unbound = json.loads(out)
     assert before == []
     assert unbound == []
-
-
-def test_budget_choices_match_harness():
-    assert list(cli._BUDGETS) == sorted(harness.BUDGETS)
 
 
 def test_compute_json(capsys):
@@ -314,8 +310,10 @@ def test_bounds_excess_bound_starts_at_x50(capsys):
 @pytest.mark.parametrize(
     "command, flag, value, message",
     [
-        pytest.param("bounds", "--gmax", "0", "lemma6_check needs xmax >= 1 and nmax >= 1", id="0"),
-        pytest.param("bounds", "--gmax", "-3", "lemma6_check needs xmax >= 1 and nmax >= 1", id="-3"),
+        pytest.param("bounds", "--gmax", "0", "gmax must be at least 1", id="0"),
+        pytest.param("bounds", "--gmax", "-3", "gmax must be at least 1", id="-3"),
+        pytest.param("check-formulas", "--budget", "none", "unknown budget 'none' (one of ['default', 'smoke'])", id="check-formulas--budget=none"),
+        pytest.param("check-formulas", "--budget", "foo", "unknown budget 'foo' (one of ['default', 'smoke'])", id="check-formulas--budget=foo"),
         pytest.param("painleve", "--gmax", "-1", "gmax must be at least 0", id="painleve--gmax=-1"),
         pytest.param("check-identities", "--sample", "-3", "sample_vectors needs count >= 0", id="check-identities--sample=-3"),
         pytest.param("check-identities", "--sample", "67", "sample_vectors needs count <= 66, the number of distinct vectors it draws from", id="check-identities--sample=67"),

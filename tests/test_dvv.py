@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import random
 import subprocess
@@ -227,73 +226,84 @@ def _v2(body: str) -> str:
     return f"{MemoCache.FORMAT} entries={count} sha256={digest}\n{body}"
 
 
-def test_cache_round_trip():
+def _load_text(path, text: str) -> MemoCache:
+    """cache_load of a file at ``path`` holding exactly ``text``."""
+    path.write_bytes(text.encode())
+    return cache_load(path)
+
+
+def test_cache_round_trip(tmp_path):
+    # Paths as pathlib.Path, bytes and str: cache_save and cache_load take
+    # any of them.
+    path = tmp_path / "memo.cache"
     cache = MemoCache()
     c_value((2, 2, 5), cache)
-    buf = io.StringIO()
-    cache_save(cache, buf)
-    text = buf.getvalue()
+    cache_save(cache, path)
+    text = path.read_text(encoding="utf-8")
     assert text.startswith(MemoCache.FORMAT + " entries=")
     assert text == _v2(text.partition("\n")[2])
-    loaded = cache_load(io.StringIO(text))
+    loaded = cache_load(path)
     assert loaded.table == cache.table
     # Bytes identical on resave, entries sorted.
-    buf2 = io.StringIO()
-    cache_save(loaded, buf2)
-    assert buf2.getvalue() == text
+    again = tmp_path / "again.cache"
+    cache_save(loaded, os.fsencode(again))
+    assert again.read_bytes() == path.read_bytes()
     # Values past the 4300-digit cap of decimal int/str conversion, as
     # N(0^n, n+1) = (2n+3)!! is from n = 1422 on.
     big = MemoCache()
     big.table[(0,) * 1500 + (1501,)] = 10**5000 + 1
-    buf3 = io.StringIO()
-    cache_save(big, buf3)
-    assert cache_load(io.StringIO(buf3.getvalue())).table == big.table
+    cache_save(big, str(path))
+    assert cache_load(str(path)).table == big.table
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.cache", "memo.cache"]
 
 
-def test_cache_load_error_lines():
+def test_cache_load_error_lines(tmp_path):
+    path = tmp_path / "memo.cache"
     with pytest.raises(ValueError, match="line 1"):
-        cache_load(io.StringIO("wrong header\n"))
+        _load_text(path, "wrong header\n")
     with pytest.raises(ValueError, match="line 2"):
-        cache_load(io.StringIO(_v2("garbage\n")))
+        _load_text(path, _v2("garbage\n"))
     with pytest.raises(ValueError, match="line 2: non-canonical"):
-        cache_load(io.StringIO(_v2("3,2 = 23af\n")))
+        _load_text(path, _v2("3,2 = 23af\n"))
     with pytest.raises(ValueError, match="line 3: duplicate"):
-        cache_load(io.StringIO(_v2("2,3 = 23af\n2,3 = 23af\n")))
+        _load_text(path, _v2("2,3 = 23af\n2,3 = 23af\n"))
     with pytest.raises(ValueError, match="line 2: value '2/4' is not a positive hex"):
-        cache_load(io.StringIO(_v2("2,3 = 2/4\n")))
+        _load_text(path, _v2("2,3 = 2/4\n"))
     with pytest.raises(ValueError, match="line 3: the file does not end in a newline"):
-        cache_load(io.StringIO(_v2("2,3 = 23af\n4 = 3b1")))
+        _load_text(path, _v2("2,3 = 23af\n4 = 3b1"))
 
 
-def test_cache_load_checks_header_count_and_hash():
+def test_cache_load_checks_header_count_and_hash(tmp_path):
+    path = tmp_path / "memo.cache"
     good = _v2("2,3 = 23af\n4 = 3b1\n")
-    assert cache_load(io.StringIO(good)).table == {(2, 3): 9135, (4,): 945}
+    assert _load_text(path, good).table == {(2, 3): 9135, (4,): 945}
     with pytest.raises(ValueError, match="line 1: a dvvcache v1 file"):
-        cache_load(io.StringIO("dvvcache v1\n2,3 = 1015/3888\n"))
+        _load_text(path, "dvvcache v1\n2,3 = 1015/3888\n")
     header, _, body = good.partition("\n")
     with pytest.raises(ValueError, match="line 1: the header counts 3 entries"):
-        cache_load(io.StringIO(header.replace("entries=2", "entries=3") + "\n" + body))
+        _load_text(path, header.replace("entries=2", "entries=3") + "\n" + body)
     with pytest.raises(ValueError, match="line 1: the body does not match"):
-        cache_load(io.StringIO(header + "\n" + body.replace("3b1", "3b2")))
+        _load_text(path, header + "\n" + body.replace("3b1", "3b2"))
     with pytest.raises(ValueError, match="line 2: key '0,0,0' is not a geometric"):
-        cache_load(io.StringIO(_v2("0,0,0 = 1\n")))
+        _load_text(path, _v2("0,0,0 = 1\n"))
 
 
-def test_cache_load_checks_one_point_entries():
+def test_cache_load_checks_one_point_entries(tmp_path):
+    path = tmp_path / "memo.cache"
     # N((3g-2,)) = (6g-3)!!: 9!! = 945 = 0x3b1 at g = 2, and the engine's
     # own N((7,)) at g = 3.
     seven = n_value((7,), MemoCache())
     good = _v2(f"4 = 3b1\n7 = {seven:x}\n")
-    assert cache_load(io.StringIO(good)).table == {(4,): 945, (7,): seven}
+    assert _load_text(path, good).table == {(4,): 945, (7,): seven}
     # Well-formed files with the right count and hash, holding a forged
     # one-point value.
     with pytest.raises(
         ValueError,
         match=r"line 2: entry '4 = 1' fails N\(\(3g-2,\)\) = \(6g-3\)!! at g = 2",
     ):
-        cache_load(io.StringIO(_v2("4 = 1\n")))
+        _load_text(path, _v2("4 = 1\n"))
     with pytest.raises(ValueError, match="line 3: entry '7 = 3b1' fails"):
-        cache_load(io.StringIO(_v2("4 = 3b1\n7 = 3b1\n")))
+        _load_text(path, _v2("4 = 3b1\n7 = 3b1\n"))
 
 
 def test_cache_save_failure_keeps_previous_file(tmp_path):
@@ -414,7 +424,7 @@ _FILL_VECTORS = [
 ]
 
 
-def test_memo_fill_order_frozen():
+def test_memo_fill_order_frozen(tmp_path):
     """The memo a fixed sequence of cold queries leaves, in insertion order
     and as saved text, against digests of the engine before its children
     were built sorted (same entries, same order, same file)."""
@@ -427,10 +437,10 @@ def test_memo_fill_order_frozen():
         hashlib.sha256(items).hexdigest()
         == "30b6cc7bd26ed4d78b28ed8ae3934fcd9a7f8f130f5ed4c51c20ee7b6a48cceb"
     )
-    buf = io.StringIO()
-    cache_save(cache, buf)
+    path = tmp_path / "memo.cache"
+    cache_save(cache, path)
     assert (
-        hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        hashlib.sha256(path.read_bytes()).hexdigest()
         == "a256525b6f56febc9eb2e59a6ad47fbd2f917024f3f4a926105249d4f95b7342"
     )
 
@@ -461,7 +471,7 @@ def test_no_module_state_left_after_a_call():
     assert proc.stdout == "ok\n"
 
 
-def test_negative_entry_is_zero_and_not_stored():
+def test_negative_entry_is_zero_and_not_stored(tmp_path):
     """<... tau_{-1} ...> = 0: no value, no memo entry, and the memo still
     saves."""
     cache = MemoCache()
@@ -471,7 +481,7 @@ def test_negative_entry_is_zero_and_not_stored():
         assert n_value(d, cache) == 0, d
         assert c_value(d, cache) == ZERO, d
     assert list(cache.table.items()) == before
-    cache_save(cache, io.StringIO())
+    cache_save(cache, tmp_path / "memo.cache")
 
 
 def test_recursion_limit_bump():

@@ -6,8 +6,9 @@ draws the same examples.  Skipped where hypothesis is not installed.
 
 from __future__ import annotations
 
-import io
 import math
+import os
+import tempfile
 
 import pytest
 
@@ -90,10 +91,14 @@ def test_property_memo_round_trip(vectors):
     cache = MemoCache()
     for d in vectors:
         n_value(d, cache)
-    buf = io.StringIO()
-    cache_save(cache, buf)
-    loaded = cache_load(io.StringIO(buf.getvalue()))
-    assert loaded.table == cache.table
-    again = io.StringIO()
-    cache_save(loaded, again)
-    assert again.getvalue() == buf.getvalue()
+    # A directory per example: Hypothesis refuses function-scoped fixtures
+    # such as tmp_path.
+    with tempfile.TemporaryDirectory() as tmp:
+        first = os.path.join(tmp, "memo.cache")
+        cache_save(cache, first)
+        loaded = cache_load(first)
+        assert loaded.table == cache.table
+        again = os.path.join(tmp, "again.cache")
+        cache_save(loaded, again)
+        with open(first, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
