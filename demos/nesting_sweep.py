@@ -28,10 +28,8 @@ def main() -> int:
 
     print()
     rep = counterexample_suite()
-    for row in rep.rows:
-        if len(row) == 2:
-            name, ok = row
-            print(f"  {name}: {'holds' if ok else 'FAILS'}")
+    for name, ok in rep.inequalities:
+        print(f"  {name}: {'holds' if ok else 'FAILS'}")
     return 0 if rep.ok else 1
 
 

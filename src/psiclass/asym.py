@@ -187,7 +187,7 @@ def one_point_series(K: int) -> SeriesInvX:
     True
     """
     if not 1 <= K <= ONE_POINT_CAP:
-        raise ValueError(f"one_point_series supports 1 <= K <= {ONE_POINT_CAP}")
+        raise ValueError(f"order must be between 1 and {ONE_POINT_CAP}")
     E = (
         log_gamma_expansion(6, -1, K)
         - log_gamma_expansion(3, 0, K)
@@ -210,7 +210,7 @@ def largest_series(K: int) -> SeriesInvX:
     True
     """
     if not 1 <= K <= LARGEST_CAP:
-        raise ValueError(f"largest_series supports 1 <= K <= {LARGEST_CAP}")
+        raise ValueError(f"order must be between 1 and {LARGEST_CAP}")
     b_series = SeriesInvX([ONE] + list(cg_asymptotic_series(K)), K)
     E = (
         _terms({"ln3": Q(1, 2), "ln5": Q(-1, 2), "ln2": -ONE, "lnpi": -ONE}, K)  # pi A
@@ -511,7 +511,7 @@ def table2_fit() -> Dict[str, Dict[int, MultPoly]]:
 
 def _table_poly(name: str, k: int) -> MultPoly:
     if not 0 <= k <= TABLE2_CAP:
-        raise ValueError(f"{name}_poly supports 0 <= k <= {TABLE2_CAP}")
+        raise ValueError(f"k must be between 0 and {TABLE2_CAP}")
     if k == 0:
         return {(0, 0, 0, 0): ONE}
     return table2_fit()[name][k]

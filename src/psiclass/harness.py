@@ -57,7 +57,7 @@ def sweep_nesting(
     extremes, whether they sit at (3g-2) and (2,...,2), and the worst
     g*|C - 1/pi| to 50 digits."""
     if g_max < 2:
-        raise ValueError("sweep_nesting needs g_max >= 2")
+        raise ValueError("gmax must be at least 2")
     reports: List[SweepReport] = []
     work_prec = 60
     with localcontext() as ctx:
@@ -105,7 +105,7 @@ def theta_sweep(X: int, n: int):
     it is empty unless X >= n >= 1 and X == n (mod 2).
     """
     if X < 1 or n < 1:
-        raise ValueError("theta_sweep needs X >= 1 and n >= 1")
+        raise ValueError("x and n must be at least 1")
     s2 = 3 * X - n
     if s2 % 2 != 0 or s2 // 2 < n:
         raise ValueError("empty feasible set")
@@ -289,9 +289,9 @@ def lemma7_check(x_max: int = 14) -> bool:
 
     pi_lo, pi_hi = pi_interval(50)
     for X in range(1, x_max + 1):
-        for n in range(1, X + 1):
-            if (3 * X - n) % 2 != 0 or (3 * X - n) // 2 < n:
-                continue
+        # theta_sweep's feasible n: 3X - n even and (3X - n)/2 >= n, that
+        # is n == X (mod 2) and n <= X.
+        for n in range(2 - X % 2, X + 1, 2):
             theta = theta_sweep(X, n)
             r, s = f_bound(X, n)
             if r < 0:
@@ -307,9 +307,16 @@ def lemma7_check(x_max: int = 14) -> bool:
 
 
 class CounterexampleReport(NamedTuple):
-    values_ok: bool
-    inequalities_ok: bool
-    rows: List[tuple]
+    values: List[tuple]  # (vector, value, frozen value, equal)
+    inequalities: List[tuple]  # (statement, holds)
+
+    @property
+    def values_ok(self) -> bool:
+        return all(row[3] for row in self.values)
+
+    @property
+    def inequalities_ok(self) -> bool:
+        return all(row[1] for row in self.inequalities)
 
     @property
     def ok(self) -> bool:
@@ -327,15 +334,13 @@ _COUNTEREXAMPLE_VALUES = (
 def counterexample_suite() -> CounterexampleReport:
     """Zeros break the nesting: frozen rationals and the four strict
     inequalities around them."""
-    rows = []
-    values_ok = True
+    values = []
     got: Dict[tuple, object] = {}
     for vec, want in _COUNTEREXAMPLE_VALUES:
         have = c_value(vec)
         got[vec] = have
-        rows.append((vec, have, want, have == want))
-        values_ok = values_ok and have == want
-    ineqs = (
+        values.append((vec, have, want, have == want))
+    inequalities = [
         ("C(0^6,10) < C(4)", got[(0,) * 6 + (10,)] < c_value((4,))),
         ("C(0^2,6) > C(2,2,2)", got[(0, 0, 6)] > c_value((2, 2, 2))),
         (
@@ -343,18 +348,14 @@ def counterexample_suite() -> CounterexampleReport:
             got[(2,) * 5 + (8,)] < got[(3,) * 4 + (5,)],
         ),
         ("C(4,4) < C(3,5)", c_value((4, 4)) < c_value((3, 5))),
-    )
-    inequalities_ok = all(okv for _, okv in ineqs)
-    rows.extend((name, okv) for name, okv in ineqs)
-    return CounterexampleReport(values_ok, inequalities_ok, rows)
+    ]
+    return CounterexampleReport(values, inequalities)
 
 
 def sample_vectors(count: int) -> List[Tuple[int, ...]]:
     """Deterministic sample of distinct geometric vectors with X(d) <= 9,
     drawn as 1..5 entries in 0..7; count may not exceed the number of such
     vectors.  A larger count extends a smaller one's sample."""
-    if count < 0:
-        raise ValueError("sample_vectors needs count >= 0")
     pool = set()
     for n in range(1, 6):
         for d in combinations_with_replacement(range(8), n):
@@ -362,11 +363,8 @@ def sample_vectors(count: int) -> List[Tuple[int, ...]]:
             x = x_int(t)
             if genus_of(t) is not None and x is not None and 1 <= x <= 9:
                 pool.add(t)
-    if count > len(pool):
-        raise ValueError(
-            f"sample_vectors needs count <= {len(pool)}, "
-            "the number of distinct vectors it draws from"
-        )
+    if not 0 <= count <= len(pool):
+        raise ValueError(f"sample must be between 0 and {len(pool)}")
     rng = random.Random(91117)
     out: List[Tuple[int, ...]] = []
     while len(out) < count:

@@ -85,7 +85,7 @@ def primitive_vectors(g: int) -> List[Tuple[int, ...]]:
     vector gives a partition of 3g-3, so the list has p(3g-3) members.
     """
     if g < 2:
-        raise ValueError("primitive_vectors needs g >= 2")
+        raise ValueError("genus must be at least 2")
     m = 3 * g - 3
     parts_list = [tuple(v + 1 for v in reversed(p)) for p in partitions(m)]
     parts_list.sort(key=lambda t: _colex_key(t, m + 1))

@@ -275,14 +275,14 @@ def test_asym_series(capsys, monkeypatch):
     assert payload["rows"][1]["coefficient"] == "-2/9"
     assert payload["rows"][2]["coefficient"] == "-238/2025"
 
-    # An order past the cap is refused before any series is built.
-    def refuse(order):
-        raise AssertionError(f"series of order {order} built")
+    # An order past the cap is refused before any expansion is built.
+    def refuse(*args):
+        raise AssertionError(f"log-gamma expansion {args} built")
 
-    monkeypatch.setattr(asym, "one_point_series", refuse)
+    monkeypatch.setattr(asym, "log_gamma_expansion", refuse)
     code = main(["asym", "series", "--which", "onepoint", "--order", "99"])
     assert code == 2
-    assert capsys.readouterr().err == "error: order capped at 10 for onepoint\n"
+    assert capsys.readouterr().err == "error: order must be between 1 and 10\n"
 
 
 def test_bounds(capsys):
@@ -308,20 +308,29 @@ def test_bounds_excess_bound_starts_at_x50(capsys):
 
 
 @pytest.mark.parametrize(
-    "command, flag, value, message",
+    "argv, message",
     [
-        pytest.param("bounds", "--gmax", "0", "gmax must be at least 1", id="0"),
-        pytest.param("bounds", "--gmax", "-3", "gmax must be at least 1", id="-3"),
-        pytest.param("check-formulas", "--budget", "none", "unknown budget 'none' (one of ['default', 'smoke'])", id="check-formulas--budget=none"),
-        pytest.param("check-formulas", "--budget", "foo", "unknown budget 'foo' (one of ['default', 'smoke'])", id="check-formulas--budget=foo"),
-        pytest.param("painleve", "--gmax", "-1", "gmax must be at least 0", id="painleve--gmax=-1"),
-        pytest.param("check-identities", "--sample", "-3", "sample_vectors needs count >= 0", id="check-identities--sample=-3"),
-        pytest.param("check-identities", "--sample", "67", "sample_vectors needs count <= 66, the number of distinct vectors it draws from", id="check-identities--sample=67"),
+        pytest.param(["bounds", "--gmax", "0"], "gmax must be at least 1", id="0"),
+        pytest.param(["bounds", "--gmax", "-3"], "gmax must be at least 1", id="-3"),
+        pytest.param(["check-formulas", "--budget", "none"], "unknown budget 'none' (one of ['default', 'smoke'])", id="check-formulas--budget=none"),
+        pytest.param(["check-formulas", "--budget", "foo"], "unknown budget 'foo' (one of ['default', 'smoke'])", id="check-formulas--budget=foo"),
+        pytest.param(["painleve", "--gmax", "-1"], "gmax must be at least 0", id="painleve--gmax=-1"),
+        pytest.param(["check-identities", "--sample", "-3"], "sample must be between 0 and 66", id="check-identities--sample=-3"),
+        pytest.param(["check-identities", "--sample", "67"], "sample must be between 0 and 66", id="check-identities--sample=67"),
+        pytest.param(["table", "--genus", "0"], "genus must be at least 2", id="table--genus=0"),
+        pytest.param(["sweep-nesting", "--gmax", "1"], "gmax must be at least 2", id="sweep-nesting--gmax=1"),
+        pytest.param(["theta", "--x", "0", "--n", "1"], "x and n must be at least 1", id="theta--x=0"),
+        pytest.param(["asym", "series", "--which", "onepoint", "--order", "0"], "order must be between 1 and 10", id="asym-series-onepoint--order=0"),
+        pytest.param(["asym", "series", "--which", "largest", "--order", "7"], "order must be between 1 and 6", id="asym-series-largest--order=7"),
+        pytest.param(["asym", "fit", "--k", "5"], "k must be between 0 and 4", id="asym-fit--k=5"),
     ],
 )  # fmt: skip
-def test_bounds_rejects_gmax_below_one(command, flag, value, message, capsys):
-    # An empty range is a usage error, not a run of no checks that passes.
-    code = main([command, flag, value])
+def test_bounds_rejects_gmax_below_one(argv, message, capsys):
+    # Each range check has one owner: the library guard, or the handler
+    # where an empty loop would otherwise pass.  Either way the message
+    # names the quantity the user sets, and an empty range is a usage
+    # error, not a run of no checks that passes.
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -436,7 +445,12 @@ def test_unusable_path_is_an_error(where, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--threads", "2", "compute", "1"], ["cache", "save", "x"]]
+    "argv",
+    [
+        ["--threads", "2", "compute", "1"],
+        ["cache", "save", "x"],
+        ["painleve", "--gmax", "5", "--bridge-gmax", "1"],
+    ],
 )
 def test_removed_options_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

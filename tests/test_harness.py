@@ -169,8 +169,8 @@ def test_counterexample_suite():
     rep = counterexample_suite()
     assert rep.ok
     assert rep.values_ok and rep.inequalities_ok
-    kinds = [row for row in rep.rows if len(row) == 4]
-    assert len(kinds) == 4
+    assert len(rep.values) == 4
+    assert len(rep.inequalities) == 4
 
 
 def test_sample_vectors_deterministic():
@@ -187,7 +187,7 @@ def test_sample_vectors_bounded_by_its_pool():
     full = sample_vectors(66)
     assert len(set(full)) == 66
     assert full[:50] == sample_vectors(50)
-    with pytest.raises(ValueError, match="count <= 66"):
+    with pytest.raises(ValueError, match="^sample must be between 0 and 66$"):
         sample_vectors(67)
 
 
