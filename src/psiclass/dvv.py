@@ -198,6 +198,8 @@ def _sha256(body: str) -> str:
 
 _HEADER = re.compile(r"dvvcache v2 entries=(\d+) sha256=([0-9a-f]{64})")
 _HEX = re.compile(r"[1-9a-f][0-9a-f]*")
+# A whole entry line of ASCII digits and commas, " = " and a positive hex N.
+_ENTRY = re.compile(r"(?m)^([0-9,]+) = ([1-9a-f][0-9a-f]*)$")
 
 
 def cache_load(source) -> MemoCache:
@@ -208,11 +210,11 @@ def cache_load(source) -> MemoCache:
     and the body hash it states, then per entry a canonical key of an
     expandable geometric vector (X >= 2), a positive hexadecimal integer
     value, no duplicate key, and for a one-entry key (3g-2,) the value
-    N = (6g-3)!!, from the one-point number 1/(24^g g!).  Errors are
-    ValueErrors that start ``line N:``, with the 1-based line number.
-    Entries of more than one element are not checked against the
-    recursion.
-    """
+    N = (6g-3)!!, from the one-point number 1/(24^g g!); longer entries are
+    not checked against the recursion.  Errors are ValueErrors that start
+    ``line N:``.  A bulk pass (``_bulk_fill``) accepts the entries; the
+    per-line rules, which state what a file may hold, run only on a file it
+    refuses, to name its first bad line."""
     with open(source, encoding="utf-8") as fh:
         text = fh.read()
     header, _, body = text.partition("\n")
@@ -225,18 +227,23 @@ def cache_load(source) -> MemoCache:
     head = _HEADER.fullmatch(header)
     if head is None:
         raise ValueError(f"line 1: bad version header {header[:80]!r}")
-    lines = body.split("\n")
-    if lines.pop() != "":
-        raise ValueError(f"line {len(lines) + 2}: the file does not end in a newline")
-    if len(lines) != int(head.group(1)):
+    count = body.count("\n")
+    if body[-1:] not in ("", "\n"):
+        raise ValueError(f"line {count + 2}: the file does not end in a newline")
+    if count != int(head.group(1)):
         raise ValueError(
             f"line 1: the header counts {head.group(1)} entries,"
-            f" the body has {len(lines)}"
+            f" the body has {count}"
         )
     if _sha256(body) != head.group(2):
         raise ValueError("line 1: the body does not match the header's SHA-256")
+    # Matches never span a newline, so one per line means every line matched.
+    entries = _ENTRY.findall(body)
     cache = MemoCache()
-    for lineno, line in enumerate(lines, start=2):
+    if len(entries) == count and _bulk_fill(cache.table, entries):
+        return cache
+    seen = set()
+    for lineno, line in enumerate(body.split("\n")[:-1], start=2):
         key_s, sep, val_s = line.partition(" = ")
         try:
             if not sep:
@@ -254,18 +261,39 @@ def cache_load(source) -> MemoCache:
             raise ValueError(
                 f"line {lineno}: value {val_s[:80]!r} is not a positive hex integer"
             )
-        if key in cache.table:
+        if key in seen:
             raise ValueError(f"line {lineno}: duplicate key {key_s!r}")
-        value = int(val_s, 16)
+        seen.add(key)
         if len(key) == 1:
             g = (key[0] + 2) // 3
-            if value != odd_double_factorial(6 * g - 3):
+            if int(val_s, 16) != odd_double_factorial(6 * g - 3):
                 raise ValueError(
                     f"line {lineno}: entry {line[:80]!r} fails"
                     f" N((3g-2,)) = (6g-3)!! at g = {g}"
                 )
-        cache.table[key] = value
-    return cache
+    raise AssertionError("the bulk pass refused a file that every line rule admits")
+
+
+def _bulk_fill(table: dict, entries: list) -> bool:
+    """Enter the ``_ENTRY`` matches into ``table`` in file order; False when
+    one breaks a rule.  One ``json.loads`` reads every key."""
+    import json  # only memo files need it, as with hashlib
+
+    try:  # JSON refuses a leading zero and an empty part
+        keys = json.loads("[[" + "],[".join([k for k, _ in entries]) + "]]")
+    except ValueError:
+        return False
+    for key, (_, hex_value) in zip(keys, entries):
+        n, s = len(key), sum(key)
+        if key != sorted(key) or 1 in key:  # not canonical
+            return False
+        if (s - n) % 3 or s - n < -3 or 2 * s + n < 6:  # g not in Z>=0, or X < 2
+            return False
+        value = int(hex_value, 16)
+        if n == 1 and value != odd_double_factorial(2 * s + 1):  # (6g-3)!!
+            return False
+        table[tuple(key)] = value
+    return len(table) == len(entries)  # else a duplicate key
 
 
 def _two_part_splits(t: tuple) -> list:

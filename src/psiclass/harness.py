@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from decimal import Decimal, localcontext
+from decimal import localcontext
 from itertools import combinations_with_replacement
 from math import factorial
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -69,13 +69,12 @@ def sweep_nesting(
         values = [c_value(d, cache) for d in vectors]
         min_i = min(range(len(vectors)), key=lambda i: values[i])
         max_i = max(range(len(vectors)), key=lambda i: values[i])
-        worst = Decimal(0)
+        # |v - 1/pi| g peaks at the least or the greatest v, and each
+        # rounding below is monotone: only the two extremes are converted.
         with localcontext() as ctx:
             ctx.prec = work_prec
-            for v in values:
-                dev = abs(to_decimal(v, work_prec).value - inv_pi) * g
-                if dev > worst:
-                    worst = dev
+            ends = (values[min_i], values[max_i])
+            worst = max(abs(to_decimal(v, work_prec).value - inv_pi) * g for v in ends)
         expect_min = (3 * g - 2,)
         expect_max = (2,) * (3 * g - 3)
         reports.append(
@@ -108,7 +107,10 @@ def theta_sweep(X: int, n: int):
         raise ValueError("x and n must be at least 1")
     s2 = 3 * X - n
     if s2 % 2 != 0 or s2 // 2 < n:
-        raise ValueError("empty feasible set")
+        raise ValueError(
+            "empty feasible set: n must be at most x and have the parity of x"
+            f" (x={X}, n={n})"
+        )
     return max(c_value(d) for d in partitions(s2 // 2, n))
 
 

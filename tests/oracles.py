@@ -18,10 +18,15 @@ them (trace_product), the trace-normalized coefficients a(k) (a_value)
 and the evaluation of a table polynomial (mult_poly_eval).  Last come the
 polynomial gcd that reduces the reference fit and the Theorem 2 deviation
 sweep (theorem2_family, theorem2_deviation_sweep), which only tests run.
+The memo loader closes the file: cache_load_reference reads a memo file
+line by line, each line parsed and checked on its own, where cache_load
+accepts the body in one bulk pass.
 """
 
 from __future__ import annotations
 
+import hashlib
+import re
 from decimal import Decimal, localcontext
 from itertools import product as _iproduct
 from math import comb, factorial
@@ -50,6 +55,7 @@ from psiclass.dvv import (
     _c_scale,
     _expand,
     c_value,
+    canonical_tuple,
     default_cache,
     genus_of,
     multiset_splits,
@@ -586,3 +592,66 @@ def theorem2_deviation_sweep(
                 if dev > worst:
                     worst, arg = dev, d
     return rounded(worst, digits), arg
+
+
+_MEMO_HEADER = re.compile(r"dvvcache v2 entries=(\d+) sha256=([0-9a-f]{64})")
+_MEMO_HEX = re.compile(r"[1-9a-f][0-9a-f]*")
+
+
+def cache_load_reference(source) -> MemoCache:
+    """cache_load one line at a time: each key parsed by int() and checked
+    against its canonical spelling, each value against a hex regex, in file
+    order, so the first bad line raises the first error."""
+    with open(source, encoding="utf-8") as fh:
+        text = fh.read()
+    header, _, body = text.partition("\n")
+    if header.startswith("dvvcache v1"):
+        raise ValueError(
+            "line 1: a dvvcache v1 file, which holds C values; psiclass now"
+            " stores integer N values (dvvcache v2) and no longer reads v1"
+            " files: delete it and let the next run rebuild it"
+        )
+    head = _MEMO_HEADER.fullmatch(header)
+    if head is None:
+        raise ValueError(f"line 1: bad version header {header[:80]!r}")
+    lines = body.split("\n")
+    if lines.pop() != "":
+        raise ValueError(f"line {len(lines) + 2}: the file does not end in a newline")
+    if len(lines) != int(head.group(1)):
+        raise ValueError(
+            f"line 1: the header counts {head.group(1)} entries,"
+            f" the body has {len(lines)}"
+        )
+    if hashlib.sha256(body.encode()).hexdigest() != head.group(2):
+        raise ValueError("line 1: the body does not match the header's SHA-256")
+    cache = MemoCache()
+    for lineno, line in enumerate(lines, start=2):
+        key_s, sep, val_s = line.partition(" = ")
+        try:
+            if not sep:
+                raise ValueError(f"malformed entry {line[:80]!r}")
+            key = tuple(int(p) for p in key_s.split(","))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if ",".join(map(str, canonical_tuple(key))) != key_s:
+            raise ValueError(f"line {lineno}: non-canonical key {key_s!r}")
+        if min(key) < 0 or genus_of(key) is None or x_int(key) < 2:
+            raise ValueError(
+                f"line {lineno}: key {key_s!r} is not a geometric vector with X >= 2"
+            )
+        if not _MEMO_HEX.fullmatch(val_s):
+            raise ValueError(
+                f"line {lineno}: value {val_s[:80]!r} is not a positive hex integer"
+            )
+        if key in cache.table:
+            raise ValueError(f"line {lineno}: duplicate key {key_s!r}")
+        value = int(val_s, 16)
+        if len(key) == 1:
+            g = (key[0] + 2) // 3
+            if value != odd_double_factorial(6 * g - 3):
+                raise ValueError(
+                    f"line {lineno}: entry {line[:80]!r} fails"
+                    f" N((3g-2,)) = (6g-3)!! at g = {g}"
+                )
+        cache.table[key] = value
+    return cache

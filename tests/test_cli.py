@@ -320,6 +320,8 @@ def test_bounds_excess_bound_starts_at_x50(capsys):
         pytest.param(["table", "--genus", "0"], "genus must be at least 2", id="table--genus=0"),
         pytest.param(["sweep-nesting", "--gmax", "1"], "gmax must be at least 2", id="sweep-nesting--gmax=1"),
         pytest.param(["theta", "--x", "0", "--n", "1"], "x and n must be at least 1", id="theta--x=0"),
+        pytest.param(["theta", "--x", "4", "--n", "3"], "empty feasible set: n must be at most x and have the parity of x (x=4, n=3)", id="theta--x=4--n=3"),
+        pytest.param(["theta", "--x", "3", "--n", "5"], "empty feasible set: n must be at most x and have the parity of x (x=3, n=5)", id="theta--x=3--n=5"),
         pytest.param(["asym", "series", "--which", "onepoint", "--order", "0"], "order must be between 1 and 10", id="asym-series-onepoint--order=0"),
         pytest.param(["asym", "series", "--which", "largest", "--order", "7"], "order must be between 1 and 6", id="asym-series-largest--order=7"),
         pytest.param(["asym", "fit", "--k", "5"], "k must be between 0 and 4", id="asym-fit--k=5"),

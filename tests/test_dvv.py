@@ -273,6 +273,27 @@ def test_cache_load_error_lines(tmp_path):
         _load_text(path, _v2("2,3 = 23af\n4 = 3b1"))
 
 
+@pytest.mark.parametrize("key", ["+2,3", "02,3", "0_2,3", " 2,3", "\u0662,3"])
+def test_cache_load_refuses_key_spellings_int_reads(key, tmp_path):
+    # int() reads the first part of each as 2 (the last is an Arabic-Indic
+    # digit two), but a save only ever writes "2,3".
+    assert tuple(int(p) for p in key.split(",")) == (2, 3)
+    with pytest.raises(ValueError) as exc:
+        _load_text(tmp_path / "memo.cache", _v2(f"{key} = 23af\n4 = 3b1\n"))
+    assert str(exc.value) == f"line 2: non-canonical key {key!r}"
+
+
+def test_cache_load_empty_body(tmp_path):
+    assert _load_text(tmp_path / "memo.cache", _v2("")).table == {}
+
+
+def test_cache_load_refuses_negative_genus_at_x_two(tmp_path):
+    # g = 1 + (0 - 6)/3 = -1 while X = 6/3 = 2: the genus rule alone
+    # refuses this key.
+    with pytest.raises(ValueError, match="line 2: key '0,0,0,0,0,0' is not a geometric"):
+        _load_text(tmp_path / "memo.cache", _v2("0,0,0,0,0,0 = 1\n"))
+
+
 def test_cache_load_checks_header_count_and_hash(tmp_path):
     path = tmp_path / "memo.cache"
     good = _v2("2,3 = 23af\n4 = 3b1\n")

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from decimal import localcontext
 
 import pytest
 
 from psiclass.dvv import c_value, x_int
-from psiclass.exact import Q
+from psiclass.exact import Q, pi_value, rounded, to_decimal
 from psiclass.harness import (
     check_c4_inequalities,
     check_cross_formulas,
@@ -89,6 +90,20 @@ def test_sweep_nesting_small():
     assert r3.min_value == Q(25025, 93312)
     assert r3.max_value == Q(546875, 1889568)
     assert r3.max_scaled_deviation.precision == 50
+
+
+def test_sweep_deviation_is_the_maximum_over_every_class():
+    # sweep_nesting converts only the least and the greatest C of a genus;
+    # the maximum of g |C - 1/pi| over every class must print the same.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        inv_pi = 1 / pi_value(60).value
+        for r in sweep_nesting(7):
+            devs = [
+                abs(to_decimal(c_value(d), 60).value - inv_pi) * r.genus
+                for d in primitive_vectors(r.genus)
+            ]
+            assert str(r.max_scaled_deviation.value) == str(rounded(max(devs), 50).value)
 
 
 def test_theta_values_and_feasibility():
