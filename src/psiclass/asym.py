@@ -160,15 +160,6 @@ def log_gamma_expansion(a: int, b, K: int) -> LogExpansion:
     return LogExpansion(terms, SeriesInvX(tail))
 
 
-def log_linear_expansion(a: int, b, K: int) -> LogExpansion:
-    """ln(a g + b) as a LogExpansion (a >= 1 integer, 2-3-5-smooth)."""
-    if a < 1:
-        raise ValueError("log_linear_expansion needs a >= 1")
-    r = Q(b) / a
-    tail = [ZERO] + [-((-r) ** m) / m for m in range(1, K + 1)]
-    return LogExpansion({"ln g": ONE} | _ln_basis(a), SeriesInvX(tail))
-
-
 # ----------------------------------------------------------------------
 # The two closed one-parameter families.
 # ----------------------------------------------------------------------
@@ -222,7 +213,8 @@ def largest_series(K: int) -> SeriesInvX:
         - _terms({"g ln2": ONE}, K)  # 2^g
         - _terms({"g ln3": Q(3), "ln3": Q(-2)}, K)  # 3^(3g-2)
         - log_gamma_expansion(5, -4, K)
-        - log_linear_expansion(5, -3, K)
+        - log_gamma_expansion(5, -2, K)  # ln(5g-3) = lnGamma(5g-2) - lnGamma(5g-3)
+        + log_gamma_expansion(5, -3, K)
     )
     tail = E.pure_tail_or_raise()
     return tail.exp()
@@ -320,18 +312,8 @@ class RationalFunctionOfG(NamedTuple):
     num: Tuple
     den: Tuple
 
-    def __call__(self, g):
-        dv = _poly_eval(self.den, Q(g))
-        if not dv:
-            raise ZeroDivisionError(f"denominator vanishes at g={g}")
-        return _poly_eval(self.num, Q(g)) / dv
-
-    @property
-    def degrees(self) -> Tuple[int, int]:
-        return len(self.num) - 1, len(self.den) - 1
-
     def series_at_infinity(self, K: int) -> SeriesInvX:
-        dp, dq = self.degrees
+        dp, dq = len(self.num) - 1, len(self.den) - 1
         if dp > dq:
             raise ValueError("series at infinity needs deg num <= deg den")
         nh = [ZERO] * (dq - dp) + list(reversed(self.num))
@@ -584,9 +566,6 @@ class PiLinear(NamedTuple):
 
     r: object
     s: object
-
-    def __str__(self) -> str:
-        return f"{self.r}/pi + {self.s}"
 
 
 # One row of the majorant, (D, R, S): f(X, n) = R[i]/(D pi) + S[i]/D at

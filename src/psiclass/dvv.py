@@ -196,7 +196,7 @@ def _sha256(body: str) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-_HEADER = re.compile(r"dvvcache v2 entries=(\d+) sha256=([0-9a-f]{64})")
+_HEADER = re.compile(r"dvvcache v2 entries=([0-9]+) sha256=([0-9a-f]{64})")
 _HEX = re.compile(r"[1-9a-f][0-9a-f]*")
 # A whole entry line of ASCII digits and commas, " = " and a positive hex N.
 _ENTRY = re.compile(r"(?m)^([0-9,]+) = ([1-9a-f][0-9a-f]*)$")
@@ -206,17 +206,26 @@ def cache_load(source) -> MemoCache:
     """Load a ``dvvcache v2`` file, rejecting anything a save cannot write.
 
     ``source`` is a path (``str``, ``bytes`` or ``os.PathLike``).  Checked
-    in order: the header (a v1 file is refused by name), the entry count
-    and the body hash it states, then per entry a canonical key of an
-    expandable geometric vector (X >= 2), a positive hexadecimal integer
-    value, no duplicate key, and for a one-entry key (3g-2,) the value
-    N = (6g-3)!!, from the one-point number 1/(24^g g!); longer entries are
-    not checked against the recursion.  Errors are ValueErrors that start
-    ``line N:``.  A bulk pass (``_bulk_fill``) accepts the entries; the
-    per-line rules, which state what a file may hold, run only on a file it
-    refuses, to name its first bad line."""
-    with open(source, encoding="utf-8") as fh:
-        text = fh.read()
+    in order: UTF-8 text, the header (a v1 file is refused by name), the
+    entry count in ASCII digits and the body hash it states, then per entry
+    a canonical key of an expandable geometric vector (X >= 2), a positive
+    hexadecimal integer value, no duplicate key, and for a one-entry key
+    (3g-2,) the value N = (6g-3)!!, from the one-point number
+    1/(24^g g!); longer entries are not checked against the recursion.
+    Errors are ValueErrors that start ``line N:``.  A bulk pass
+    (``_bulk_fill``) accepts the entries; the per-line rules, which state
+    what a file may hold, run only on a file it refuses, to name its first
+    bad line."""
+    with open(source, "rb") as fh:
+        # Newlines translated as a text-mode read would, so CRLF files load.
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        lineno = 1 + data.count(b"\n", 0, exc.start)
+        raise ValueError(
+            f"line {lineno}: byte {data[exc.start]:#04x} is not UTF-8 text"
+        ) from None
     header, _, body = text.partition("\n")
     if header.startswith("dvvcache v1"):
         raise ValueError(

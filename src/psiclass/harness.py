@@ -126,25 +126,18 @@ class SuiteResult(NamedTuple):
     first_mismatch: Optional[tuple]
 
 
-class CrossFormulaReport(NamedTuple):
-    suites: List[SuiteResult]
-
-    @property
-    def ok(self) -> bool:
-        return all(s.ok for s in self.suites)
-
-
 BUDGETS = {
     "smoke": (3, 2, 2, 1),
     "default": (8, 5, 4, 3),
 }
 
 
-def check_cross_formulas(budget: str = "default") -> CrossFormulaReport:
+def check_cross_formulas(budget: str = "default") -> List[SuiteResult]:
     """Compare every closed formula against the recursion up to the genera
     of the row of BUDGETS that ``budget`` names (any other name raises
     ValueError): BDY and Zograf on all two-point vectors, the 3-/4-point
-    formulas, and the general n-point formula at n=5."""
+    formulas, and the general n-point formula at n=5.  Returns one
+    SuiteResult per suite, in that order."""
     if budget not in BUDGETS:
         raise ValueError(f"unknown budget {budget!r} (one of {sorted(BUDGETS)})")
     g2, g3, g4, g5 = BUDGETS[budget]
@@ -182,7 +175,7 @@ def check_cross_formulas(budget: str = "default") -> CrossFormulaReport:
     run("three_point", vectors(3, g3), three_point)
     run("four_point", vectors(4, g4), four_point)
     run("n_point(n=5)", vectors(5, g5), n_point)
-    return CrossFormulaReport(suites)
+    return suites
 
 
 def _bdy_as_c(d: Tuple[int, int]):
@@ -313,16 +306,10 @@ class CounterexampleReport(NamedTuple):
     inequalities: List[tuple]  # (statement, holds)
 
     @property
-    def values_ok(self) -> bool:
-        return all(row[3] for row in self.values)
-
-    @property
-    def inequalities_ok(self) -> bool:
-        return all(row[1] for row in self.inequalities)
-
-    @property
     def ok(self) -> bool:
-        return self.values_ok and self.inequalities_ok
+        return all(row[3] for row in self.values) and all(
+            row[1] for row in self.inequalities
+        )
 
 
 _COUNTEREXAMPLE_VALUES = (

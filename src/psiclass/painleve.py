@@ -37,12 +37,12 @@ order by order determines the b_j; only h <= (K+1)/2 matter for b_1..b_K.
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
-from math import comb, factorial
+from math import factorial
 from typing import List
 
 from .dvv import c_value
 from .exact import HPDecimal, ONE, Q, ZERO, pi_value, rounded, to_decimal
-from .series import SeriesInvX
+from .series import SeriesInvX, reindex_coeff
 
 _CG: List[int] = [-1, 2, 98]
 
@@ -105,7 +105,8 @@ def cg_asymptotic_series(K: int) -> List:
     order through the 1/(g-1) substitution only, and the right side not
     before x^(J+4)).  Step J reads only that one coefficient, so it is
     summed directly from the prefactors and the closed-form coefficients of
-    each reindexed S (_shifted_coeff), without building the residual series.
+    each reindexed S (series.reindex_coeff with a = 1, c = h), without
+    building the residual series.
 
     >>> cg_asymptotic_series(3)[2] == Q(-49, 3750)
     True
@@ -127,32 +128,12 @@ def cg_asymptotic_series(K: int) -> List:
         prefs.append((h, pref))
     for J in range(1, K + 1):
         # S's own x^(J+1) coefficient is b_(J+1), still 0.
-        r = -_shifted_coeff(b, 1, J + 1)
+        r = -reindex_coeff(b, 1, 1, J + 1)
         for h, pref in prefs:
             for i in range(2 * h, J + 2):
-                r -= pref.coeffs[i] * _shifted_coeff(b, h, J + 1 - i)
+                r -= pref.coeffs[i] * reindex_coeff(b, 1, h, J + 1 - i)
         b[J] = r / J
     return b[1:]
-
-
-def _shifted_coeff(b: List, h: int, m: int):
-    """[x^m] S(x/(1-hx)) for S = sum_j b_j x^j, from the closed form
-
-        [x^m] (x/(1-hx))^j = binom(m-1, j-1) h^(m-j),  1 <= j <= m,
-
-    with b_0 alone at m = 0.  The sum starts at ZERO, so it stays a
-    rational when every term vanishes.
-    """
-    if m == 0:
-        return b[0]
-    return sum(
-        (
-            bj * (comb(m - 1, j - 1) * h ** (m - j))
-            for j, bj in enumerate(b[1 : m + 1], start=1)
-            if bj
-        ),
-        ZERO,
-    )
 
 
 def theorem_a_constant(precision: int = 30) -> HPDecimal:

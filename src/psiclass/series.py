@@ -11,8 +11,10 @@ min(K, M)-jet.
 
 Every change of variable the package makes (1/g -> 1/(g-h), and 1/g -> 1/X
 for g = (X + 2 - n)/2) is the Moebius map u -> a u / (1 - c u) with
-integers a and c; ``reindex`` substitutes it from its closed-form powers,
-with no series products.
+integers a and c.  ``reindex_coeff`` states the closed form of one
+coefficient of the substituted series, with no series products;
+``SeriesInvX.reindex`` maps it over every order, and
+``painleve.cg_asymptotic_series`` reads single coefficients from it.
 """
 
 from __future__ import annotations
@@ -61,9 +63,6 @@ class SeriesInvX:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __getitem__(self, j: int):
-        return self.coeffs[j]
 
     def __eq__(self, other) -> bool:
         return (
@@ -134,17 +133,9 @@ class SeriesInvX:
     # -- substitution and transcendental jets ------------------------
 
     def reindex(self, a: int, c: int) -> "SeriesInvX":
-        """self(a u / (1 - c u)), from the closed form
-
-            [u^m] (a u / (1 - c u))^j = a^j binom(m-1, j-1) c^(m-j),  1 <= j <= m.
-        """
+        """self(a u / (1 - c u)), one reindex_coeff per order."""
         s = self.coeffs
-        out = [s[0]] + [ZERO] * self.order
-        for j in range(1, len(s)):
-            if s[j]:
-                for m in range(j, len(s)):
-                    out[m] += s[j] * (a**j * comb(m - 1, j - 1) * c ** (m - j))
-        return SeriesInvX(out)
+        return SeriesInvX([reindex_coeff(s, a, c, m) for m in range(len(s))])
 
     def exp(self) -> "SeriesInvX":
         """exp of a series with zero constant term."""
@@ -173,3 +164,23 @@ class SeriesInvX:
                     acc -= k * out[k] * self.coeffs[m - k]
             out[m] = acc / m
         return SeriesInvX(out)
+
+
+def reindex_coeff(s: Sequence, a: int, c: int, m: int):
+    """[u^m] S(a u / (1 - c u)) for S = sum_j s_j u^j, from the closed form
+
+        [u^m] (a u / (1 - c u))^j = a^j binom(m-1, j-1) c^(m-j),  1 <= j <= m,
+
+    with s_0 alone at m = 0.  The sum starts at ZERO, so it stays a
+    rational when every term vanishes.
+    """
+    if m == 0:
+        return s[0]
+    return sum(
+        (
+            sj * (a**j * comb(m - 1, j - 1) * c ** (m - j))
+            for j, sj in enumerate(s[1 : m + 1], start=1)
+            if sj
+        ),
+        ZERO,
+    )

@@ -406,6 +406,11 @@ def _poly_gcd(a: List, b: List) -> List:
     return [c * inv for c in a]
 
 
+def rf_value(f: RationalFunctionOfG, g):
+    """f.num(g) / f.den(g), exactly."""
+    return _poly_eval(f.num, Q(g)) / _poly_eval(f.den, Q(g))
+
+
 def fit_rational_reference(samples, max_degree: int = 40) -> RationalFunctionOfG:
     """fit_rational's degree climb with rational rows (1, g, .. | -v, -v g, ..)
     reduced by rref_reference and every sample checked in rationals."""
@@ -427,7 +432,7 @@ def fit_rational_reference(samples, max_degree: int = 40) -> RationalFunctionOfG
         num = _poly_normalize(vec[: d + 1])
         den = _poly_normalize(vec[d + 1 :])
         f = RationalFunctionOfG(tuple(num), tuple(den))
-        if not any(den) or any(not _poly_eval(den, g) or f(g) != v for g, v in samples):
+        if not any(den) or any(not _poly_eval(den, g) or rf_value(f, g) != v for g, v in samples):
             continue
         gcd = _poly_gcd(num, den)
         if len(gcd) > 1:
@@ -594,7 +599,7 @@ def theorem2_deviation_sweep(
     return rounded(worst, digits), arg
 
 
-_MEMO_HEADER = re.compile(r"dvvcache v2 entries=(\d+) sha256=([0-9a-f]{64})")
+_MEMO_HEADER = re.compile(r"dvvcache v2 entries=([0-9]+) sha256=([0-9a-f]{64})")
 _MEMO_HEX = re.compile(r"[1-9a-f][0-9a-f]*")
 
 

@@ -51,6 +51,7 @@ from oracles import (
     lemma6_check_reference,
     mult_poly_eval,
     one_point_series_by_ratio,
+    rf_value,
     rref_reference,
 )
 
@@ -72,13 +73,14 @@ LARGEST_COEFFS = [
     Q(-238, 2025),
     Q(-198149, 2733750),
     Q(-1636229, 24603750),
+    Q(-634956973, 5535843750),
+    Q(-5031906167099, 14946778125000),
 ]
 
 
 def test_one_point_series_frozen():
     s = one_point_series(6)
-    for i, want in enumerate(ONE_POINT_COEFFS):
-        assert s[i] == want, i
+    assert s.coeffs[: len(ONE_POINT_COEFFS)] == tuple(ONE_POINT_COEFFS)
 
 
 def test_one_point_series_two_routes_agree():
@@ -126,9 +128,8 @@ def test_one_point_series_numeric_probe():
 
 
 def test_largest_series_frozen():
-    s = largest_series(5)
-    for i, want in enumerate(LARGEST_COEFFS):
-        assert s[i] == want, i
+    # Up to LARGEST_CAP, the top order the CLI prints.
+    assert largest_series(LARGEST_CAP).coeffs == tuple(LARGEST_COEFFS)
 
 
 def test_pi_gamma_series_probe():
@@ -165,9 +166,9 @@ def test_solve_linear_exact():
 
 def test_fit_rational_recovers_function():
     target = RationalFunctionOfG([Q(1), ZERO, Q(1)], [Q(3), Q(2)])  # (1+g^2)/(3+2g)
-    samples = [(Q(g), target(Q(g))) for g in range(1, 30)]
+    samples = [(Q(g), rf_value(target, g)) for g in range(1, 30)]
     fitted = fit_rational(samples)
-    assert fitted(Q(101)) == target(Q(101))
+    assert rf_value(fitted, 101) == rf_value(target, 101)
     # Monic denominator normalization.
     assert fitted.den[-1] == ONE
 
@@ -186,7 +187,7 @@ def test_fit_rational_rejects_duplicates():
 
 def test_fit_rational_rejects_non_integral_points():
     target = RationalFunctionOfG([Q(1), ZERO, Q(1)], [Q(3), Q(2)])  # (1+g^2)/(3+2g)
-    samples = [(Q(2 * g + 1, 2), target(Q(2 * g + 1, 2))) for g in range(1, 30)]
+    samples = [(Q(2 * g + 1, 2), rf_value(target, Q(2 * g + 1, 2))) for g in range(1, 30)]
     with pytest.raises(ValueError, match="sample points must be integers"):
         fit_rational(samples)
 
@@ -278,7 +279,7 @@ def test_fit_rational_matches_reference():
         if trial % 5 == 0:  # not rational at these degrees
             samples = [(g, Q(2) ** g) for g in points]
         else:
-            samples = [(g, f(g)) for g in points]
+            samples = [(g, rf_value(f, g)) for g in points]
         try:  # 16 samples cap the degree at 7
             want = fit_rational_reference(samples, max_degree=7)
         except ValueError as err:
@@ -287,7 +288,7 @@ def test_fit_rational_matches_reference():
             continue
         got = fit_rational(samples)
         assert got == want, samples
-        assert all(got(g) == v for g, v in samples)
+        assert all(rf_value(got, g) == v for g, v in samples)
     # Samples of (g+1)(g+2)/((g+1)(g+3)): the fit has no gcd step, yet the
     # first vector it accepts is the reduced pair, returned monic.
     samples = [(g, Q((g + 1) * (g + 2), (g + 1) * (g + 3))) for g in range(1, 9)]
@@ -368,7 +369,7 @@ def test_ctilde_constants_match_one_point_reindexed():
     )
     reindexed = compose(s, inv_g)
     for k in range(0, TABLE2_CAP + 1):
-        assert mult_poly_eval(ctilde_poly(k), (0, 0, 0, 0)) == reindexed[k], k
+        assert mult_poly_eval(ctilde_poly(k), (0, 0, 0, 0)) == reindexed.coeffs[k], k
 
 
 def test_monomial_budget():
@@ -421,10 +422,6 @@ def test_f_bound_base_and_step():
     assert f_bound(7, 9) == PiLinear(ONE, ZERO)
     # One step of the recursion: f(8,3) = (2/3)f(7,2) + (1/3)f(7,4) + 4/(7*6)
     assert f_bound(8, 3) == PiLinear(ONE, Q(2, 21))
-
-
-def test_f_bound_str():
-    assert str(f_bound(8, 3)) == "1/pi + 2/21"
 
 
 def test_f_bound_matches_recursive_form():

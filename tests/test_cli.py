@@ -434,6 +434,35 @@ def test_cache_load_rejects_forged_one_point_entry(tmp_path, capsys):
     assert path.read_text() == text
 
 
+@pytest.mark.parametrize(
+    "fault, error",
+    [
+        ("count", "error: line 1: bad version header 'dvvcache v2 entries=\u0662 "),
+        ("byte", "error: line 3: byte 0xff is not UTF-8 text\n"),
+    ],
+    ids=["count", "byte"],
+)
+def test_cache_load_refuses_non_ascii_count_and_non_utf8_byte(
+    fault, error, tmp_path, capsys
+):
+    # A valid two-entry body; the header's count is the Arabic-Indic digit
+    # two, or the second entry's value starts with a 0xff byte.
+    body = "2,3 = 23af\n4 = 3b1\n"
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    data = f"dvvcache v2 entries=2 sha256={digest}\n{body}".encode()
+    if fault == "count":
+        data = data.replace(b"entries=2", "entries=\u0662".encode())
+    else:
+        data = data.replace(b"4 = ", b"4 = \xff")
+    path = tmp_path / "bad.memo"
+    path.write_bytes(data)
+    assert main(["--cache", str(path), "compute", "2,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(error)
+    assert path.read_bytes() == data
+
+
 @pytest.mark.parametrize("where", ["cache", "out"])
 def test_unusable_path_is_an_error(where, tmp_path, capsys):
     if where == "cache":

@@ -283,6 +283,16 @@ def test_cache_load_refuses_key_spellings_int_reads(key, tmp_path):
     assert str(exc.value) == f"line 2: non-canonical key {key!r}"
 
 
+def test_cache_load_names_the_line_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "memo.cache"
+    good = _v2("2,3 = 23af\n4 = 3b1\n").encode()
+    for at, lineno in ((0, 1), (good.index(b"23af"), 2), (good.index(b"3b1"), 3)):
+        path.write_bytes(good[:at] + b"\xff" + good[at:])
+        with pytest.raises(ValueError) as exc:
+            cache_load(path)
+        assert str(exc.value) == f"line {lineno}: byte 0xff is not UTF-8 text"
+
+
 def test_cache_load_empty_body(tmp_path):
     assert _load_text(tmp_path / "memo.cache", _v2("")).table == {}
 
@@ -305,6 +315,12 @@ def test_cache_load_checks_header_count_and_hash(tmp_path):
         _load_text(path, header.replace("entries=2", "entries=3") + "\n" + body)
     with pytest.raises(ValueError, match="line 1: the body does not match"):
         _load_text(path, header + "\n" + body.replace("3b1", "3b2"))
+    # int() reads the Arabic-Indic digit two as 2, but a save writes the
+    # count in ASCII digits only.
+    with pytest.raises(ValueError, match="line 1: bad version header"):
+        _load_text(path, header.replace("entries=2", "entries=\u0662") + "\n" + body)
+    # Line ends are read as a text-mode read would: CRLF loads the same.
+    assert _load_text(path, good.replace("\n", "\r\n")).table == {(2, 3): 9135, (4,): 945}
     with pytest.raises(ValueError, match="line 2: key '0,0,0' is not a geometric"):
         _load_text(path, _v2("0,0,0 = 1\n"))
 
