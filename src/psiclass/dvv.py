@@ -58,8 +58,8 @@ term-for-term but exponentially cheaper on vectors with many repeats.
 3X-weight and length as the parts grow, and ``multiset_splits`` (also for
 ``harness``) is built on it.  An expansion buckets the splits of ``rest``
 by the residue mod 3 of that weight, so each ``a`` visits only splits
-whose left child has integral X.  One table per ``rest``, held by the
-top-level ``n_value`` call and dropped when it returns.
+whose left child has integral X.  Each expansion builds the table of its
+own ``rest``, which lives as long as that expansion.
 
 The memo file (format ``dvvcache v2``) is plain text: a header line with
 the entry count and the SHA-256 of the body, then one ``key = N`` line per
@@ -367,11 +367,12 @@ def _split_table(rest: tuple) -> Tuple[list, list, list]:
     return buckets
 
 
-def _expand(t: tuple, pivot_pos: int, table: dict, splits: dict):
+def _expand(t: tuple, pivot_pos: int, table: dict):
     """One DVV expansion of N(t) at ``t[pivot_pos]``, for sorted geometric t
     with X(t) >= 2.  A generator: each child is built sorted and read from
     ``table``; a miss is yielded, its N expected back.  Returns N(t).
-    ``splits`` holds the ``_split_table`` of each ``rest`` met so far.
+    The ``_split_table`` of ``rest`` is built here and lives as long as
+    this expansion.
 
     Both quadratic sums run over a <= b only.  Each connected term with
     a < b counts twice.  Each separable term with a < b is added once: the
@@ -422,9 +423,7 @@ def _expand(t: tuple, pivot_pos: int, table: dict, splits: dict):
     # The residue of a split's w3 fixes whether the left child has an
     # integral X, X1 = (2a + 1 + w3) / 3, so each a visits one bucket.  The
     # right child's X2 = X - 1 - X1 = (2b + 1 + w3(J)) / 3 is then >= 1.
-    buckets = splits.get(rest)
-    if buckets is None:
-        buckets = splits[rest] = _split_table(rest)
+    buckets = _split_table(rest)
     comb = math.comb
     for a in range(p // 2):
         b = p - 2 - a
@@ -470,7 +469,6 @@ def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:
     (945, 8505)
     """
     table = (_DEFAULT_CACHE if cache is None else cache).table
-    splits: dict = {}  # the split tables of this call only
     stack = []  # suspended expansions: (generator, key, length asked)
     asked = tuple(sorted(d))
     while True:
@@ -481,7 +479,7 @@ def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:
             n = 0 if off else _N_BASE.get(key)
         if n is None:  # a miss: the send below starts its expansion
             pivot_pos = 0 if key[0] == 0 else len(key) - 1  # a 0, else the largest
-            stack.append((_expand(key, pivot_pos, table, splits), key, len(asked)))
+            stack.append((_expand(key, pivot_pos, table), key, len(asked)))
         length = len(asked)
         # Hand n to the caller, or to the waiting expansion; an expansion
         # that returns completes its own key, which is handed on in turn.

@@ -41,10 +41,6 @@ class SeriesInvX:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, c, order: int) -> "SeriesInvX":
-        return cls([c], order)
-
-    @classmethod
     def one(cls, order: int) -> "SeriesInvX":
         return cls([ONE], order)
 
@@ -64,34 +60,13 @@ class SeriesInvX:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SeriesInvX) and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"SeriesInvX({list(self.coeffs)!r})"
-
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other) -> "SeriesInvX":
-        if not isinstance(other, SeriesInvX):
-            other = SeriesInvX.constant(other, self.order)
+    def __add__(self, other: "SeriesInvX") -> "SeriesInvX":
         K = min(self.order, other.order)
         return SeriesInvX(
             [self.coeffs[j] + other.coeffs[j] for j in range(K + 1)]
         )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SeriesInvX":
-        return SeriesInvX([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "SeriesInvX":
-        return self + (-other if isinstance(other, SeriesInvX) else SeriesInvX.constant(-Q(other), self.order))
 
     def __mul__(self, other) -> "SeriesInvX":
         if not isinstance(other, SeriesInvX):
@@ -108,11 +83,7 @@ class SeriesInvX:
                     out[i + j] += a * b
         return SeriesInvX(out)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "SeriesInvX":
-        if not isinstance(other, SeriesInvX):
-            return self * (ONE / Q(other))
+    def __truediv__(self, other: "SeriesInvX") -> "SeriesInvX":
         return self * other.inverse()
 
     def inverse(self) -> "SeriesInvX":

@@ -111,7 +111,7 @@ def n_value_with_pivot(
     """
     if table is None:
         table = (default_cache() if cache is None else cache).table
-    expansion = _expand(t, pivot_pos, table, {})
+    expansion = _expand(t, pivot_pos, table)
     n = None
     while True:
         try:
@@ -325,15 +325,21 @@ def four_point_reference(d: Sequence[int]):
     return Q(2 * acc, D) * _c_prefactor(g, 4)
 
 
+def series_sub(a: SeriesInvX, b: SeriesInvX) -> SeriesInvX:
+    """a - b, truncated to the smaller order."""
+    return a + b * -1
+
+
 def compose(outer: SeriesInvX, inner: SeriesInvX) -> SeriesInvX:
     """outer(inner(u)) by Horner's rule, K series products; the inner
     series must have zero constant term."""
     if inner.coeffs[0]:
         raise ValueError("composition needs inner constant term 0")
     K = min(outer.order, inner.order)
-    result = SeriesInvX.constant(outer.coeffs[K], K)
+    inner = SeriesInvX(inner.coeffs, K)
+    result = SeriesInvX([outer.coeffs[K]], K)
     for j in range(K - 1, -1, -1):
-        result = result * SeriesInvX(inner.coeffs, K) + outer.coeffs[j]
+        result = result * inner + SeriesInvX([outer.coeffs[j]], K)
     return result
 
 
@@ -353,7 +359,7 @@ def one_point_series_by_ratio(K: int) -> SeriesInvX:
     s = [ONE] + [ZERO] * K
     for J in range(1, K + 1):
         ser = SeriesInvX(s, Kp)
-        resid = compose(ser, inner) - ser * R
+        resid = series_sub(compose(ser, inner), ser * R)
         s[J] = resid.coeffs[J + 1] / J
     return SeriesInvX(s, K)
 
@@ -494,9 +500,9 @@ def cg_asymptotic_series_reference(K: int) -> List:
         prefs.append((h, pref))
     for J in range(1, K + 1):
         S = SeriesInvX(b, N)
-        resid = S - S.reindex(1, 1)
+        resid = series_sub(S, S.reindex(1, 1))
         for h, pref in prefs:
-            resid = resid - pref * S.reindex(1, h)
+            resid = series_sub(resid, pref * S.reindex(1, h))
         b[J] = resid.coeffs[J + 1] / J
     return b[1:]
 

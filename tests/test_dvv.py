@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -483,7 +484,7 @@ def test_memo_fill_order_frozen(tmp_path):
 
 
 def test_no_module_state_left_after_a_call():
-    """Split tables live for one top-level call: in a fresh interpreter, no
+    """Split tables live for one expansion: in a fresh interpreter, no
     container or cached function of the dvv module grows while a fresh
     memo is filled, so no state outlives the call."""
     code = (
@@ -506,6 +507,20 @@ def test_no_module_state_left_after_a_call():
     proc = _fresh_interpreter(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_deep_call_holds_no_more_than_its_memo():
+    """A deep call's traced peak stays within 1.5x of what it leaves behind,
+    the memo: no split table is kept past its expansion."""
+    tracemalloc.start()
+    try:
+        cache = MemoCache()
+        n_value((40,), cache)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == 4215
+    assert peak <= 1.5 * after, (peak, after)
 
 
 def test_negative_entry_is_zero_and_not_stored(tmp_path):

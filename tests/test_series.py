@@ -23,7 +23,7 @@ def test_constructors():
     s = SeriesInvX.monomial(Q(5), 2, 4)
     assert s.coeffs == (ZERO, ZERO, Q(5), ZERO, ZERO)
     assert SeriesInvX.one(3).coeffs[0] == ONE
-    assert SeriesInvX([ZERO, ZERO, ZERO]) == SeriesInvX.zero(2)
+    assert SeriesInvX([ZERO, ZERO, ZERO]).coeffs == SeriesInvX.zero(2).coeffs
 
 
 def test_mul_matches_convolution():
@@ -38,9 +38,9 @@ def test_inverse_and_division():
     for _ in range(30):
         s = _rand_series(rng, 6, unit=True)
         prod = s * s.inverse()
-        assert prod == SeriesInvX.one(6)
+        assert prod.coeffs == SeriesInvX.one(6).coeffs
         t = _rand_series(rng, 6)
-        assert (t / s) * s == t
+        assert ((t / s) * s).coeffs == t.coeffs
     with pytest.raises(ValueError):
         SeriesInvX([ZERO, ONE]).inverse()
 
@@ -52,7 +52,7 @@ def test_exp_log_inverse_pair():
         coeffs = list(s.coeffs)
         coeffs[0] = ZERO  # exp/log need vanishing constant term
         s = SeriesInvX(coeffs)
-        assert s.exp().log() == s
+        assert s.exp().log().coeffs == s.coeffs
         assert s.exp().coeffs[0] == ONE
 
 
@@ -63,7 +63,7 @@ def test_exp_of_sum_is_product():
         b = _rand_series(rng, 5)
         za = SeriesInvX([ZERO] + list(a.coeffs[1:]))
         zb = SeriesInvX([ZERO] + list(b.coeffs[1:]))
-        assert (za + zb).exp() == za.exp() * zb.exp()
+        assert (za + zb).exp().coeffs == (za.exp() * zb.exp()).coeffs
 
 
 def test_reindex():
@@ -79,7 +79,7 @@ def test_reindex():
             inner = SeriesInvX([ZERO, Q(a)], order) / SeriesInvX([ONE, Q(-c)], order)
             for _ in range(3):
                 s = _rand_series(rng, order)
-                assert s.reindex(a, c) == compose(s, inner), (a, c, order)
+                assert s.reindex(a, c).coeffs == compose(s, inner).coeffs, (a, c, order)
     with pytest.raises(ValueError):
         compose(f, SeriesInvX([ONE, ONE, ONE]))  # inner needs zero constant
 
@@ -88,4 +88,6 @@ def test_truncate_and_eq_ignore_order_mismatch():
     s = SeriesInvX([ONE, Q(2), Q(3)])
     t = SeriesInvX(s.coeffs, 1)
     assert t.coeffs == (ONE, Q(2))
-    assert t != s
+    # Sums and products truncate to the smaller order.
+    assert (s + t).coeffs == (Q(2), Q(4))
+    assert (s * t).coeffs == (ONE, Q(4))
