@@ -28,6 +28,7 @@ from .dvv import (
     canonical_tuple,
     genus_of,
     multiset_splits,
+    n_value,
     x_int,
 )
 from .exact import HPDecimal, Q, ZERO, odd_double_factorial, pi_value, rounded, to_decimal
@@ -66,9 +67,26 @@ def sweep_nesting(
     for g in range(2, g_max + 1):
         t0 = time.perf_counter()
         vectors = primitive_vectors(g)
-        values = [c_value(d, cache) for d in vectors]
-        min_i = min(range(len(vectors)), key=lambda i: values[i])
-        max_i = max(range(len(vectors)), key=lambda i: values[i])
+        # Classes with n entries share X = 2g - 2 + n and so the one factor
+        # N/C: within an n the integers N order the C values.  Keep the
+        # first index of the least and of the greatest N for each n.
+        lows: Dict[int, Tuple[int, int]] = {}
+        highs: Dict[int, Tuple[int, int]] = {}
+        for i, d in enumerate(vectors):
+            nv = n_value(d, cache)
+            n = len(d)
+            if n not in lows:
+                lows[n] = highs[n] = (nv, i)
+            elif nv < lows[n][0]:
+                lows[n] = (nv, i)
+            elif nv > highs[n][0]:
+                highs[n] = (nv, i)
+        # Across n, compare C on those candidates in index order, so the
+        # first index holding an extreme wins a tie as min/max would.
+        ends_at = sorted({i for _, i in (*lows.values(), *highs.values())})
+        values = {i: c_value(vectors[i], cache) for i in ends_at}
+        min_i = min(values, key=values.__getitem__)
+        max_i = max(values, key=values.__getitem__)
         # |v - 1/pi| g peaks at the least or the greatest v, and each
         # rounding below is monotone: only the two extremes are converted.
         with localcontext() as ctx:

@@ -4,10 +4,12 @@ Subtracting 1 from every entry of a primitive vector (all entries >= 2) of
 genus g gives a partition of 3g-3, so one generator serves the nesting
 sweep and the zero-insertion family; with a fixed number of parts it also
 gives the theta extremes and the n-point vectors of the cross-formula
-drives.  The count is cross-checked against the pentagonal-number
-recurrence, which never touches the generator's code path.  Standard
-library only, so a command that lists the primitive classes loads nothing
-else.
+drives.  The generator is iterative, in decreasing lexicographic order.
+Colex order of the primitive classes' multiplicity vectors is the reverse
+of that order, so primitive_vectors needs no sort.  The count is
+cross-checked against the pentagonal-number recurrence, which never
+touches the generator's code path.  Standard library only, so a command
+that lists the primitive classes loads nothing else.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ def partitions(
     decreasing lexicographic order; ``parts`` fixes their number and
     ``max_part`` caps the largest.
 
+    The generator steps one list from each partition to the next, so it
+    needs no stack however many parts a partition has.
+
     >>> list(partitions(6, parts=3))
     [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
     """
@@ -57,24 +62,51 @@ def partitions(
         if total == 0 and not parts:
             yield ()
         return
-    if max_part is None or max_part > total:
-        max_part = total
-    lo, rest = 1, None
-    if parts is not None:
-        # The largest part is at least the mean and leaves room for
-        # parts - 1 further parts of size >= 1.
-        lo, rest = -(-total // parts), parts - 1
-        max_part = min(max_part, total - rest)
-    for first in range(max_part, lo - 1, -1):
-        for tail in partitions(total - first, rest, first):
-            yield (first,) + tail
-
-
-def _colex_key(parts: Tuple[int, ...], span: int) -> Tuple[int, ...]:
-    mult = [0] * (span + 1)
-    for v in parts:
-        mult[v] += 1
-    return tuple(reversed(mult))
+    cap = total if max_part is None else min(max_part, total)
+    if parts is None:
+        if cap < 1:
+            return
+        lam, left, v = [], total, cap
+        while True:
+            # Fill greedily: parts of v, then what is left.
+            q, r = divmod(left, v)
+            lam += [v] * q
+            if r:
+                lam.append(r)
+            yield tuple(lam)
+            # Lower the rightmost part above 1; what follows it is refilled.
+            ones = lam.count(1)
+            if ones == len(lam):
+                return
+            del lam[len(lam) - ones :]
+            v = lam[-1] = lam[-1] - 1
+            left = ones + 1
+    if not 0 < parts <= total <= parts * cap:
+        return
+    lam, left, k, v = [], total, parts, cap
+    while True:
+        # The lexicographically largest fill of k parts of at most v:
+        # parts of v, one part between, then ones.
+        q, r = divmod(left - k, v - 1) if v > 1 else (0, 0)
+        lam += [v] * q
+        if q < k:
+            lam.append(r + 1)
+            lam += [1] * (k - q - 1)
+        yield tuple(lam)
+        # Lower the rightmost part whose k followers can take up the unit
+        # it gives up without exceeding its new size; they are refilled.
+        left, i = 1, parts - 1
+        while True:
+            left += lam[i]
+            i -= 1
+            if i < 0:
+                return
+            v = lam[i] - 1
+            k = parts - 1 - i
+            if left <= k * v:
+                break
+        lam[i] = v
+        del lam[i + 1 :]
 
 
 def primitive_vectors(g: int) -> List[Tuple[int, ...]]:
@@ -83,10 +115,11 @@ def primitive_vectors(g: int) -> List[Tuple[int, ...]]:
 
     The bijection: subtracting 1 from every entry of a primitive genus-g
     vector gives a partition of 3g-3, so the list has p(3g-3) members.
+    Colex order of multiplicities is increasing lex order of the partitions
+    as nonincreasing tuples, the reverse of ``partitions``' order: no sort.
     """
     if g < 2:
         raise ValueError("genus must be at least 2")
-    m = 3 * g - 3
-    parts_list = [tuple(v + 1 for v in reversed(p)) for p in partitions(m)]
-    parts_list.sort(key=lambda t: _colex_key(t, m + 1))
-    return parts_list
+    vectors = [tuple(v + 1 for v in reversed(p)) for p in partitions(3 * g - 3)]
+    vectors.reverse()
+    return vectors

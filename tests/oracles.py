@@ -20,7 +20,10 @@ polynomial gcd that reduces the reference fit and the Theorem 2 deviation
 sweep (theorem2_family, theorem2_deviation_sweep), which only tests run.
 The memo loader closes the file: cache_load_reference reads a memo file
 line by line, each line parsed and checked on its own, where cache_load
-accepts the body in one bulk pass.
+accepts the body in one bulk pass.  The partition enumerator has its
+recursive form (partitions_reference, one generator frame per part), and
+the primitive classes their order by an explicit colex sort
+(primitive_vectors_reference).
 """
 
 from __future__ import annotations
@@ -666,3 +669,42 @@ def cache_load_reference(source) -> MemoCache:
                 )
         cache.table[key] = value
     return cache
+
+
+def partitions_reference(
+    total: int, parts: Optional[int] = None, max_part: Optional[int] = None
+) -> Iterator[Tuple[int, ...]]:
+    """Partitions of ``total`` in decreasing lexicographic order, by
+    recursion on the largest part (one generator frame per part)."""
+    if total == 0 or parts == 0:
+        if total == 0 and not parts:
+            yield ()
+        return
+    if max_part is None or max_part > total:
+        max_part = total
+    lo, rest = 1, None
+    if parts is not None:
+        # The largest part is at least the mean and leaves room for
+        # parts - 1 further parts of size >= 1.
+        lo, rest = -(-total // parts), parts - 1
+        max_part = min(max_part, total - rest)
+    for first in range(max_part, lo - 1, -1):
+        for tail in partitions_reference(total - first, rest, first):
+            yield (first,) + tail
+
+
+def primitive_vectors_reference(g: int) -> List[Tuple[int, ...]]:
+    """The primitive classes of genus g, sorted by the colex key of their
+    multiplicity vectors (count of the largest entry first)."""
+    m = 3 * g - 3
+
+    def colex_key(d: Tuple[int, ...]) -> Tuple[int, ...]:
+        mult = [0] * (m + 2)
+        for v in d:
+            mult[v] += 1
+        return tuple(reversed(mult))
+
+    return sorted(
+        (tuple(v + 1 for v in reversed(p)) for p in partitions_reference(m)),
+        key=colex_key,
+    )

@@ -202,6 +202,11 @@ def test_theta(capsys):
     code, out = run(capsys, "theta", "--x", "3", "--n", "1")
     assert code == 0
     assert json.loads(out)["theta"] == "35/144"
+    # Classes with thousands of parts: C(1^n) = 1/6 at genus 1, and the
+    # genus-2 maximum C(2,2,2) = 175/648 survives 996 added ones.
+    for x, n, want in ((2001, 2001, "1/6"), (1001, 999, "175/648")):
+        code, out = run(capsys, "theta", "--x", str(x), "--n", str(n))
+        assert (code, json.loads(out)["theta"]) == (0, want)
     code = main(["theta", "--x", "4", "--n", "1"])
     assert code == 2
     assert "empty feasible set" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from decimal import localcontext
 
 import pytest
 
-from psiclass.dvv import c_value, x_int
+from psiclass.dvv import MemoCache, c_value, x_int
 from psiclass.exact import Q, pi_value, rounded, to_decimal
 from psiclass.harness import (
     check_c4_inequalities,
@@ -22,7 +22,12 @@ from psiclass.harness import (
 )
 from psiclass.partitions import partition_count, partitions, primitive_vectors
 
-from oracles import theorem2_deviation_sweep, theorem2_family
+from oracles import (
+    partitions_reference,
+    primitive_vectors_reference,
+    theorem2_deviation_sweep,
+    theorem2_family,
+)
 
 
 def test_partition_count_pentagonal():
@@ -48,16 +53,16 @@ def test_partitions_exact_length():
     assert list(partitions(0, parts=0)) == [()]
     assert list(partitions(3, parts=0)) == []
     assert list(partitions(0, parts=2)) == []
-    # Against a brute-force filter of all partitions, in the same order.
-    for t in range(0, 16):
-        every = list(partitions(t))
-        assert every == sorted(every, reverse=True)
-        for n in range(0, 7):
-            want = [p for p in every if len(p) == n]
-            assert list(partitions(t, parts=n)) == want, (t, n)
-            for cap in range(1, t + 1):
-                capped = [p for p in want if p[0] <= cap]
-                assert list(partitions(t, parts=n, max_part=cap)) == capped, (t, n, cap)
+    # Against the recursive reference, in the same order, empty cases
+    # (parts > total, parts * max_part < total) included.
+    for t in range(0, 25):
+        for n in (None, *range(0, t + 2)):
+            for cap in (None, *range(1, t + 2)):
+                want = list(partitions_reference(t, n, cap))
+                assert list(partitions(t, parts=n, max_part=cap)) == want, (t, n, cap)
+    # Deeper than the recursive reference could go: it nests one frame per part.
+    assert list(partitions(1500, parts=1500)) == [(1,) * 1500]
+    assert next(partitions(1500, parts=1499)) == (2,) + (1,) * 1498
 
 
 def test_primitive_vectors_count_and_order():
@@ -74,6 +79,8 @@ def test_primitive_vectors_count_and_order():
     vecs = primitive_vectors(3)
     assert vecs[0] == (2,) * 6
     assert vecs[-1] == (7,)
+    for g in range(2, 11):
+        assert primitive_vectors(g) == primitive_vectors_reference(g), g
     with pytest.raises(ValueError):
         primitive_vectors(1)
 
@@ -95,6 +102,18 @@ def test_sweep_nesting_small():
 def test_sweep_deviation_is_the_maximum_over_every_class():
     # sweep_nesting converts only the least and the greatest C of a genus;
     # the maximum of g |C - 1/pi| over every class must print the same.
+    # Its extremes are min/max over every index keyed by C, the first
+    # index winning a tie.
+    def extremes(g, cache=None):
+        vectors = primitive_vectors(g)
+        values = [c_value(d, cache) for d in vectors]
+        lo = min(range(len(vectors)), key=values.__getitem__)
+        hi = max(range(len(vectors)), key=values.__getitem__)
+        return vectors[lo], values[lo], vectors[hi], values[hi]
+
+    def reported(r):
+        return r.min_vector, r.min_value, r.max_vector, r.max_value
+
     with localcontext() as ctx:
         ctx.prec = 60
         inv_pi = 1 / pi_value(60).value
@@ -104,6 +123,24 @@ def test_sweep_deviation_is_the_maximum_over_every_class():
                 for d in primitive_vectors(r.genus)
             ]
             assert str(r.max_scaled_deviation.value) == str(rounded(max(devs), 50).value)
+            assert reported(r) == extremes(r.genus)
+    # No two classes of genus <= 8 share a C, so ties come from forged memo
+    # entries: (2,3) tied with (4) or with (2,2,2), which hold other entry
+    # counts, and (4,4) tied with (3,5), which share one.
+    forged = [
+        (2, {(2, 3): 8505}, (2, 3), (2, 2, 2)),
+        (2, {(2, 3): 9450}, (4,), (2, 2, 2)),
+        (3, {(3, 5): 1, (4, 4): 1}, (4, 4), (2,) * 6),
+        (3, {(3, 5): 10**60, (4, 4): 10**60}, (7,), (4, 4)),
+    ]
+    for g, entries, low, high in forged:
+        cache = MemoCache()
+        for d in primitive_vectors(g):
+            c_value(d, cache)
+        cache.table.update(entries)
+        r = sweep_nesting(g, cache)[-1]
+        assert reported(r) == extremes(g, cache)
+        assert (r.min_vector, r.max_vector) == (low, high), entries
 
 
 def test_theta_values_and_feasibility():
