@@ -45,12 +45,9 @@ def partition_count(n: int) -> int:
     return p[n]
 
 
-def partitions(
-    total: int, parts: Optional[int] = None, max_part: Optional[int] = None
-) -> Iterator[Tuple[int, ...]]:
+def partitions(total: int, parts: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
     """Partitions of ``total`` as nonincreasing tuples of parts >= 1, in
-    decreasing lexicographic order; ``parts`` fixes their number and
-    ``max_part`` caps the largest.
+    decreasing lexicographic order; ``parts`` fixes their number.
 
     The generator steps one list from each partition to the next, so it
     needs no stack however many parts a partition has.
@@ -58,15 +55,12 @@ def partitions(
     >>> list(partitions(6, parts=3))
     [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
     """
-    if total == 0 or parts == 0:
+    if total <= 0 or parts == 0:
         if total == 0 and not parts:
             yield ()
         return
-    cap = total if max_part is None else min(max_part, total)
     if parts is None:
-        if cap < 1:
-            return
-        lam, left, v = [], total, cap
+        lam, left, v = [], total, total
         while True:
             # Fill greedily: parts of v, then what is left.
             q, r = divmod(left, v)
@@ -81,9 +75,9 @@ def partitions(
             del lam[len(lam) - ones :]
             v = lam[-1] = lam[-1] - 1
             left = ones + 1
-    if not 0 < parts <= total <= parts * cap:
+    if not 0 < parts <= total:
         return
-    lam, left, k, v = [], total, parts, cap
+    lam, left, k, v = [], total, parts, total
     while True:
         # The lexicographically largest fill of k parts of at most v:
         # parts of v, one part between, then ones.

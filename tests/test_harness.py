@@ -53,13 +53,24 @@ def test_partitions_exact_length():
     assert list(partitions(0, parts=0)) == [()]
     assert list(partitions(3, parts=0)) == []
     assert list(partitions(0, parts=2)) == []
-    # Against the recursive reference, in the same order, empty cases
-    # (parts > total, parts * max_part < total) included.
+    assert list(partitions(-1)) == list(partitions(-1, parts=1)) == []
+    # By the definition: nonincreasing tuples of parts >= 1 summing to t,
+    # in strictly decreasing order, each fixed-length list the filter of
+    # the unrestricted one.
+    for t in range(0, 16):
+        every = list(partitions(t))
+        assert every == sorted(set(every), reverse=True)
+        for p in every:
+            assert sum(p) == t and all(v >= 1 for v in p)
+            assert list(p) == sorted(p, reverse=True)
+        for n in range(0, t + 2):
+            assert list(partitions(t, parts=n)) == [p for p in every if len(p) == n]
+    # Against the recursive reference, in the same order, the empty cases
+    # (parts > total) included.
     for t in range(0, 25):
         for n in (None, *range(0, t + 2)):
-            for cap in (None, *range(1, t + 2)):
-                want = list(partitions_reference(t, n, cap))
-                assert list(partitions(t, parts=n, max_part=cap)) == want, (t, n, cap)
+            want = list(partitions_reference(t, n))
+            assert list(partitions(t, parts=n)) == want, (t, n)
     # Deeper than the recursive reference could go: it nests one frame per part.
     assert list(partitions(1500, parts=1500)) == [(1,) * 1500]
     assert next(partitions(1500, parts=1499)) == (2,) + (1,) * 1498
