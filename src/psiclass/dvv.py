@@ -40,9 +40,11 @@ stored.  C leaves the module only through ``c_value``, which divides N by
 6^g g! 3^X (X-1)! once, at the boundary; ``intersection_number`` and
 ``u_value`` divide N by their own scales in the same way.
 
-The pivot is chosen for speed: a 0-entry when present (the string equation,
-which has no quadratic sum), else the maximal entry.  Any pivot yields the
-same value.
+Any pivot yields the same value; ``_pivot_pos`` picks one for speed: a
+0-entry when present (the string equation, which has no quadratic sum),
+else the smallest entry above 2, else a 2 (the key is all twos).  A large
+pivot beside small entries fans out into many deep children, and a
+repeated 2 as pivot merges into 3s that pile up; this rule avoids both.
 
 ``n_value`` runs the recursion from an explicit stack of suspended
 expansions, not the interpreter's, so a chain as deep as (0^k, k+1) needs
@@ -461,6 +463,13 @@ def _expand(t: tuple, pivot_pos: int, table: dict):
     return total
 
 
+def _pivot_pos(key: tuple) -> int:
+    """Where ``n_value`` expands the sorted key: a 0 when present, else the
+    smallest entry above 2, else (all twos) a 2."""
+    i = bisect_right(key, 2)
+    return 0 if key[0] == 0 or i == len(key) else i
+
+
 def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:
     """N(d) = 24^g g! prod (2 d_j + 1)!! I(d), an integer; 0 off geometry
     and when an entry is negative.
@@ -478,8 +487,7 @@ def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:
             off = genus_of(key) is None or x_int(key) < 1 or key[0] < 0
             n = 0 if off else _N_BASE.get(key)
         if n is None:  # a miss: the send below starts its expansion
-            pivot_pos = 0 if key[0] == 0 else len(key) - 1  # a 0, else the largest
-            stack.append((_expand(key, pivot_pos, table), key, len(asked)))
+            stack.append((_expand(key, _pivot_pos(key), table), key, len(asked)))
         length = len(asked)
         # Hand n to the caller, or to the waiting expansion; an expansion
         # that returns completes its own key, which is handed on in turn.

@@ -2,7 +2,8 @@
 
 Each one reaches its value by a slower or more transparent route than the
 code under test: a single DVV expansion at a chosen pivot, that expansion
-with every ordered pair and split summed and halved, the n-point
+with every ordered pair and split summed and halved, the whole recursion
+at the engine's former pivot rule (a 0, else the largest entry), the n-point
 trace sum without window or permutation pruning, the four-point sum
 without its middle-bracket window, series substitution by Horner
 composition instead of the closed-form reindex, the one-point series from
@@ -55,6 +56,7 @@ from psiclass.closed import (
 from psiclass.dvv import (
     DVec,
     MemoCache,
+    _N_BASE,
     _c_scale,
     _expand,
     c_value,
@@ -122,6 +124,39 @@ def n_value_with_pivot(
         except StopIteration as done:
             return done.value
         n = n_value(child, cache)
+
+
+def former_pivot_pos(key: tuple) -> int:
+    """The pivot the engine once chose in the sorted key: a 0 when present,
+    else the largest entry."""
+    return 0 if key[0] == 0 else len(key) - 1
+
+
+def n_value_largest_pivot(d: DVec, cache: MemoCache) -> int:
+    """N(d) by the recursion at ``former_pivot_pos``.
+
+    Recursive, one frame per expansion, so only for shallow vectors.  Every
+    key it expands goes into ``cache`` when its expansion completes, as in
+    the engine, so the memo it leaves is the one that rule builds.
+    """
+    key = canonical_tuple(d)
+    if genus_of(key) is None or x_int(key) < 1 or key[0] < 0:
+        return 0
+    n = cache.table.get(key) or _N_BASE.get(key)
+    if n is None:
+        expansion = _expand(key, former_pivot_pos(key), cache.table)
+        child_n = None
+        while True:
+            try:
+                child = expansion.send(child_n)
+            except StopIteration as done:
+                n = cache.table[key] = done.value
+                break
+            child_n = n_value_largest_pivot(child, cache)
+    x = x_int(key)
+    for i in range(len(d) - len(key)):
+        n *= 3 * (x + i)
+    return n
 
 
 def expand_ordered_reference(

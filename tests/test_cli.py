@@ -198,6 +198,20 @@ def test_sweep_nesting(capsys):
     assert rows[0]["precision"] == 50
 
 
+def test_sweep_nesting_memo_file_frozen(tmp_path, capsys, fresh_memo):
+    """The genus-7 sweep's memo file, which CI pins too: the same bytes
+    under the engine's pivot rule and the former one (a 0, else the largest
+    entry)."""
+    path = tmp_path / "memo.txt"
+    code, _ = run(capsys, "sweep-nesting", "--gmax", "7", "--cache", str(path))
+    assert code == 0
+    assert path.read_text().startswith("dvvcache v2 entries=1083 ")
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "5bca07994483df24beb527fb0a374ef74ec2aa2fa8f56198963bb2803f68b5e7"
+    )
+
+
 def test_theta(capsys):
     code, out = run(capsys, "theta", "--x", "3", "--n", "1")
     assert code == 0

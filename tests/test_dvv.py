@@ -14,6 +14,7 @@ import pytest
 import psiclass
 from psiclass.dvv import (
     MemoCache,
+    _pivot_pos,
     _split_table,
     c_value,
     cache_load,
@@ -33,7 +34,13 @@ from psiclass.dvv import (
 from psiclass.exact import ONE, Q, ZERO
 from psiclass.partitions import primitive_vectors
 
-from oracles import c_value_with_pivot, expand_ordered_reference, n_value_with_pivot
+from oracles import (
+    c_value_with_pivot,
+    expand_ordered_reference,
+    former_pivot_pos,
+    n_value_largest_pivot,
+    n_value_with_pivot,
+)
 
 
 def test_base_cases():
@@ -84,9 +91,39 @@ def test_permutation_invariance():
         assert c_value(tuple(base)) == want
 
 
+def test_pivot_rule():
+    """The engine expands at a 0, else at the smallest entry above 2, else
+    (all twos) at a 2."""
+    rule = [
+        ((0, 2, 5), 0),
+        ((2, 2, 5), 2),
+        ((2, 3, 3), 1),
+        ((2, 2, 2), 0),
+        ((3, 3), 0),
+        ((5,), 0),
+    ]
+    for key, pos in rule:
+        assert _pivot_pos(key) == pos, key
+
+
+def _assert_memo_matchesformer_pivot_pos(cache: MemoCache):
+    """Every memo entry equals one expansion of its key at the former pivot,
+    children read from a copy of the memo: a frozen memo shape can then
+    never hide a changed value."""
+    check = MemoCache()
+    check.table = dict(cache.table)
+    for key, n in cache.table.items():
+        assert n_value_with_pivot(key, former_pivot_pos(key), check) == n, key
+
+
 def test_pivot_invariance():
-    """Expanding at any position gives the same value."""
+    """Expanding at any position gives the same value, also on vectors where
+    the engine's pivot and the former one (the largest entry) differ."""
     vectors = [(0, 2, 4), (2, 3), (0, 0, 3), (2, 2, 2), (0, 2, 2, 3), (4, 4)]
+    differing = [(2, 3, 7), (2, 3, 4), (3, 3, 3), (3, 4, 5)]
+    for t in differing:
+        assert _pivot_pos(t) != former_pivot_pos(t), t
+    vectors += [(2, 2, 5)] + differing
     for d in vectors:
         want = c_value(d)
         for pos in range(len(d)):
@@ -113,15 +150,16 @@ _EXPAND_GRID = [
 def test_expand_matches_ordered_reference():
     """Summing each unordered split pair once gives the N of the ordered
     sum halved: on every primitive key up to genus 6 at the engine's pivot
-    (the largest entry), and at every pivot of a grid."""
+    and at the former one (the largest entry), and at every pivot of a
+    grid."""
     cache = MemoCache()
     for g in range(2, 7):
         for d in primitive_vectors(g):
             t = tuple(sorted(d))
-            pos = len(t) - 1
-            want = expand_ordered_reference(t, pos, cache)
-            assert n_value_with_pivot(t, pos, cache) == want, t
-            assert n_value(t, cache) == want, t
+            for pos in {_pivot_pos(t), former_pivot_pos(t)}:
+                want = expand_ordered_reference(t, pos, cache)
+                assert n_value_with_pivot(t, pos, cache) == want, (t, pos)
+                assert n_value(t, cache) == want, (t, pos)
     for t in _EXPAND_GRID:
         assert genus_of(t) is not None and x_int(t) >= 2, t
         want = n_value(t, cache)
@@ -464,23 +502,69 @@ _FILL_VECTORS = [
 
 def test_memo_fill_order_frozen(tmp_path):
     """The memo a fixed sequence of cold queries leaves, in insertion order
-    and as saved text, against digests of the engine before its children
-    were built sorted (same entries, same order, same file)."""
+    and as saved text, against digests of the engine at its pivot rule;
+    test_memo_built_at_the_former_pivot_serves_the_same_values pins the
+    memo the same queries left under the former rule."""
     cache = MemoCache()
     for d in _FILL_VECTORS:
         n_value(d, cache)
-    assert len(cache) == 90
+    assert len(cache) == 77
     items = repr(list(cache.table.items())).encode()
     assert (
         hashlib.sha256(items).hexdigest()
-        == "30b6cc7bd26ed4d78b28ed8ae3934fcd9a7f8f130f5ed4c51c20ee7b6a48cceb"
+        == "5e1c3a1ba0edc9d74cfed48e80249160fb57b134f6aa8a24dc9377f4f4fd54eb"
     )
     path = tmp_path / "memo.cache"
     cache_save(cache, path)
     assert (
         hashlib.sha256(path.read_bytes()).hexdigest()
+        == "0ffc843b947491f13b447daf59874234a25c29edda528876bde1c6e8a0620725"
+    )
+    _assert_memo_matchesformer_pivot_pos(cache)
+
+
+def test_memo_built_at_the_former_pivot_serves_the_same_values(tmp_path):
+    """A memo file saved under the former pivot rule (a 0, else the largest
+    entry) loads and serves each value it holds without adding an entry,
+    and a memo extended from it gives what a cold one gives."""
+    former = MemoCache()
+    for d in _FILL_VECTORS:
+        n_value_largest_pivot(d, former)
+    path = tmp_path / "former.cache"
+    cache_save(former, path)
+    # The memo and file that the engine wrote under the former rule.
+    assert len(former) == 90
+    items = repr(list(former.table.items())).encode()
+    assert (
+        hashlib.sha256(items).hexdigest()
+        == "30b6cc7bd26ed4d78b28ed8ae3934fcd9a7f8f130f5ed4c51c20ee7b6a48cceb"
+    )
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
         == "a256525b6f56febc9eb2e59a6ad47fbd2f917024f3f4a926105249d4f95b7342"
     )
+    loaded = cache_load(path)
+    cold = MemoCache()
+    for key in former.table:
+        assert c_value(key, loaded) == c_value(key, cold), key
+    assert loaded.table == former.table
+    for d in _EXPAND_GRID + primitive_vectors(5) + [(2, 2, 5), (2, 3, 7)]:
+        assert c_value(d, loaded) == c_value(d, cold), d
+    assert loaded.table.items() >= former.table.items()
+
+
+def test_sweep_memo_is_the_same_under_both_pivot_rules():
+    """Every primitive class up to genus 7 leaves the same memo under the
+    engine's pivot rule and the former one, so ``sweep-nesting --gmax 7
+    --cache`` writes the same file under both (its SHA-256 is pinned in
+    test_cli)."""
+    now, former = MemoCache(), MemoCache()
+    for g in range(2, 8):
+        for d in primitive_vectors(g):
+            n_value(d, now)
+            n_value_largest_pivot(d, former)
+    assert now.table == former.table
+    assert len(now) == 1083
 
 
 def test_no_module_state_left_after_a_call():
@@ -500,13 +584,17 @@ def test_no_module_state_left_after_a_call():
         "before = sizes()\n"
         "cache = dvv.MemoCache()\n"
         "dvv.n_value((6, 3, 2, 3, 2, 2), cache)\n"
-        "assert len(cache) == 86, len(cache)\n"
+        "assert len(cache) == 72, len(cache)\n"
         "assert sizes() == before, (before, sizes())\n"
         "print('ok')\n"
     )
     proc = _fresh_interpreter(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+    cache = MemoCache()
+    n_value((6, 3, 2, 3, 2, 2), cache)
+    assert len(cache) == 72
+    _assert_memo_matchesformer_pivot_pos(cache)
 
 
 def test_deep_call_holds_no_more_than_its_memo():
@@ -519,8 +607,9 @@ def test_deep_call_holds_no_more_than_its_memo():
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(cache) == 4215
+    assert len(cache) == 1221
     assert peak <= 1.5 * after, (peak, after)
+    _assert_memo_matchesformer_pivot_pos(cache)
 
 
 def test_negative_entry_is_zero_and_not_stored(tmp_path):
