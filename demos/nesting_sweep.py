@@ -18,7 +18,8 @@ def main() -> int:
     ap.add_argument("--gmax", type=int, default=5)
     args = ap.parse_args()
 
-    for rep in sweep_nesting(args.gmax):
+    reports = sweep_nesting(args.gmax)
+    for rep in reports:
         print(
             f"g={rep.genus}: {rep.count} classes, "
             f"min at {rep.min_vector}, max at (2,)*{len(rep.max_vector)}, "
@@ -30,7 +31,7 @@ def main() -> int:
     rep = counterexample_suite()
     for name, ok in rep.inequalities:
         print(f"  {name}: {'holds' if ok else 'FAILS'}")
-    return 0 if rep.ok else 1
+    return 0 if rep.ok and all(r.nesting_ok for r in reports) else 1
 
 
 if __name__ == "__main__":

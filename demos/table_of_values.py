@@ -6,8 +6,6 @@ rounding for eyeballing the nesting.
 
 from __future__ import annotations
 
-import sys
-
 from psiclass import c_value, primitive_vectors, rat_str
 from psiclass.exact import to_decimal
 
@@ -30,4 +28,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

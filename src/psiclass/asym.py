@@ -45,6 +45,7 @@ from math import comb, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .closed import four_point, one_point_c, three_point, two_point_zograf
+from .dvv import c_value
 from .exact import (
     HPDecimal,
     ONE,
@@ -546,8 +547,6 @@ def theorem2_product(d: Sequence[int]):
 
 def corollary1_deviation(g: int, k: int, precision: int = 50) -> HPDecimal:
     """| pi C(0^k, 2^(3g-3+k)) e^(k^2/(30g)) - 1 | at the given precision."""
-    from .dvv import c_value  # local import keeps module layering acyclic
-
     if g < 2 or k < 0:
         raise ValueError("corollary1_deviation needs g >= 2, k >= 0")
     d = (0,) * k + (2,) * (3 * g - 3 + k)

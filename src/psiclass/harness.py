@@ -1,9 +1,9 @@
 """Sweep engine and identity checkers built on the exact C-value core.
 
 The vectors come from psiclass.partitions, in a fixed order, so every
-report is byte-reproducible.  All comparisons are exact rational
-comparisons; the only decimals are the reported deviation statistics,
-computed at a stated precision.
+report is byte-reproducible apart from its wall-clock ``seconds``.  All
+comparisons are exact rational comparisons; the only decimals are the
+reported deviation statistics, computed at a stated precision.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .closed import (
 )
 from .dvv import (
     MemoCache,
+    _c_scale,
     c_value,
     canonical_tuple,
     genus_of,
@@ -31,7 +32,9 @@ from .dvv import (
     n_value,
     x_int,
 )
-from .exact import HPDecimal, Q, ZERO, odd_double_factorial, pi_value, rounded, to_decimal
+from .exact import (
+    HPDecimal, Q, ZERO, odd_double_factorial, pi_interval, pi_value, rounded, to_decimal
+)
 from .partitions import partition_count, partitions, primitive_vectors
 
 # ----------------------------------------------------------------------
@@ -67,31 +70,23 @@ def sweep_nesting(
     for g in range(2, g_max + 1):
         t0 = time.perf_counter()
         vectors = primitive_vectors(g)
-        # Classes with n entries share X = 2g - 2 + n and so the one factor
-        # N/C: within an n the integers N order the C values.  Keep the
-        # first index of the least and of the greatest N for each n.
-        lows: Dict[int, Tuple[int, int]] = {}
-        highs: Dict[int, Tuple[int, int]] = {}
+        # C = N / S: compare N_i S_j with N_j S_i, strictly, so the first
+        # index holding an extreme wins a tie as min/max would.
         for i, d in enumerate(vectors):
-            nv = n_value(d, cache)
-            n = len(d)
-            if n not in lows:
-                lows[n] = highs[n] = (nv, i)
-            elif nv < lows[n][0]:
-                lows[n] = (nv, i)
-            elif nv > highs[n][0]:
-                highs[n] = (nv, i)
-        # Across n, compare C on those candidates in index order, so the
-        # first index holding an extreme wins a tie as min/max would.
-        ends_at = sorted({i for _, i in (*lows.values(), *highs.values())})
-        values = {i: c_value(vectors[i], cache) for i in ends_at}
-        min_i = min(values, key=values.__getitem__)
-        max_i = max(values, key=values.__getitem__)
+            cur = (n_value(d, cache), _c_scale(g, 2 * g - 2 + len(d)), i)
+            if i == 0:
+                low = high = cur
+            elif cur[0] * low[1] < low[0] * cur[1]:
+                low = cur
+            elif cur[0] * high[1] > high[0] * cur[1]:
+                high = cur
+        min_value, max_value = Q(*low[:2]), Q(*high[:2])
+        min_vector, max_vector = vectors[low[2]], vectors[high[2]]
         # |v - 1/pi| g peaks at the least or the greatest v, and each
         # rounding below is monotone: only the two extremes are converted.
         with localcontext() as ctx:
             ctx.prec = work_prec
-            ends = (values[min_i], values[max_i])
+            ends = (min_value, max_value)
             worst = max(abs(to_decimal(v, work_prec).value - inv_pi) * g for v in ends)
         expect_min = (3 * g - 2,)
         expect_max = (2,) * (3 * g - 3)
@@ -99,13 +94,13 @@ def sweep_nesting(
             SweepReport(
                 genus=g,
                 count=len(vectors),
-                min_vector=vectors[min_i],
-                min_value=values[min_i],
-                max_vector=vectors[max_i],
-                max_value=values[max_i],
+                min_vector=min_vector,
+                min_value=min_value,
+                max_vector=max_vector,
+                max_value=max_value,
                 nesting_ok=(
-                    vectors[min_i] == expect_min
-                    and vectors[max_i] == expect_max
+                    min_vector == expect_min
+                    and max_vector == expect_max
                     and len(vectors) == partition_count(3 * g - 3)
                 ),
                 max_scaled_deviation=rounded(worst, 50),
@@ -180,16 +175,13 @@ def check_cross_formulas(budget: str = "default") -> List[SuiteResult]:
             for p in partitions(3 * g - 3 + 2 * n, n):
                 yield tuple(v - 1 for v in reversed(p))
 
-    run(
-        "two_point_bdy",
-        ((d1, 3 * g - 1 - d1) for g in range(1, g2 + 1) for d1 in range(0, 3 * g)),
-        _bdy_as_c,
-    )
-    run(
-        "two_point_zograf",
-        ((d1, 3 * g - 1 - d1) for g in range(1, g2 + 1) for d1 in range(0, 3 * g)),
-        lambda d: two_point_zograf(*d),
-    )
+    def pairs() -> Iterator[Tuple[int, int]]:
+        for g in range(1, g2 + 1):
+            for d1 in range(0, 3 * g):
+                yield (d1, 3 * g - 1 - d1)
+
+    run("two_point_bdy", pairs(), _bdy_as_c)
+    run("two_point_zograf", pairs(), lambda d: two_point_zograf(*d))
     run("three_point", vectors(3, g3), three_point)
     run("four_point", vectors(4, g4), four_point)
     run("n_point(n=5)", vectors(5, g5), n_point)
@@ -297,8 +289,7 @@ def lemma7_check(x_max: int = 14) -> bool:
     The comparison is made safe against pi rounding: with f = r/pi + s and
     r >= 0, it certifies theta <= r/pi_high + s, a lower bound for f.
     """
-    from .asym import f_bound
-    from .exact import pi_interval
+    from .asym import f_bound  # lazy: sweep-nesting and theta never load asym
 
     pi_lo, pi_hi = pi_interval(50)
     for X in range(1, x_max + 1):

@@ -358,8 +358,10 @@ def test_cache_load_checks_header_count_and_hash(tmp_path):
     # count in ASCII digits only.
     with pytest.raises(ValueError, match="line 1: bad version header"):
         _load_text(path, header.replace("entries=2", "entries=\u0662") + "\n" + body)
-    # Line ends are read as a text-mode read would: CRLF loads the same.
-    assert _load_text(path, good.replace("\n", "\r\n")).table == {(2, 3): 9135, (4,): 945}
+    # Line ends are read as a text-mode read would: CRLF and a lone CR load
+    # the same.
+    for newline in ("\r\n", "\r"):
+        assert _load_text(path, good.replace("\n", newline)).table == {(2, 3): 9135, (4,): 945}
     with pytest.raises(ValueError, match="line 2: key '0,0,0' is not a geometric"):
         _load_text(path, _v2("0,0,0 = 1\n"))
 
