@@ -40,7 +40,17 @@ stored.  C leaves the module only through ``c_value``, which divides N by
 6^g g! 3^X (X-1)! once, at the boundary; ``intersection_number`` and
 ``u_value`` divide N by their own scales in the same way.
 
-Any pivot yields the same value; ``_pivot_pos`` picks one for speed: a
+The table is keyed on each key's multiplicity code K(t) = sum_j 2^(16 t_j),
+whose 16-bit digit v counts the copies of v, so each child of an expansion
+is an integer sum: a merge child is rest - 2^(16 v) + 2^(16 (v + p - 1)),
+a connected child rest + 2^(16 a) + 2^(16 b), and the children of a split
+with left part code L are L + 2^(16 a) and (rest - L) + 2^(16 b).  The
+codes stay inside this module: ``MemoCache`` reads and writes entries by
+tuple, and the memo file holds tuples.  A key of X reaches only keys of at
+most X + 3 entries, so ``n_value`` refuses a key with X + 3 >= 2^16 before
+it stores anything, and no digit overflows.
+
+Any pivot yields the same value; ``_pivot`` picks one for speed: a
 0-entry when present (the string equation, which has no quadratic sum),
 else the smallest entry above 2, else a 2 (the key is all twos).  A large
 pivot beside small entries fans out into many deep children, and a
@@ -48,20 +58,22 @@ repeated 2 as pivot merges into 3s that pile up; this rule avoids both.
 
 ``n_value`` runs the recursion from an explicit stack of suspended
 expansions, not the interpreter's, so a chain as deep as (0^k, k+1) needs
-no recursion limit.  An expansion builds each child sorted, by ``bisect``
-insertion, and reads the memo itself; only misses reach ``n_value``.  A
-split child (1, part), the commonest child with a 1, is read as N(part)
-times 3 X(part); any other holding a 1 misses, as no key holds one.
+no recursion limit.  It strips the 1s of its argument once, at entry.  An
+expansion reads the memo itself; only misses reach ``n_value``.  Every
+child that holds a 1 (a merge to 1, a connected child with a = 1 or b = 1,
+a split child (1, part)) is read there as its part without the 1 times
+3 X(part), so no key with a 1 reaches ``n_value``.
 
 Subset splits are enumerated per distinct sub-multiset with binomial
 multiplicities rather than over raw index subsets, which is the same sum
 term-for-term but exponentially cheaper on vectors with many repeats.
-``_two_part_splits`` is that enumerator; it carries each left part's
+``_two_part_splits`` is that enumerator; it carries each left part's code,
 3X-weight and length as the parts grow, and ``multiset_splits`` (also for
-``harness``) is built on it.  An expansion buckets the splits of ``rest``
-by the residue mod 3 of that weight, so each ``a`` visits only splits
-whose left child has integral X.  Each expansion builds the table of its
-own ``rest``, which lives as long as that expansion.
+``harness``) decodes its parts.  An expansion buckets the splits of
+``rest`` by the residue mod 3 of that weight, so each ``a`` visits only
+splits whose left child has integral X.  Each expansion builds the table of
+its own ``rest``, which lives as long as that expansion; the share lists
+it is built from are kept for one ``n_value`` call.
 
 The memo file (format ``dvvcache v2``) is plain text: a header line with
 the entry count and the SHA-256 of the body, then one ``key = N`` line per
@@ -75,7 +87,10 @@ import functools
 import math
 import os
 import re
+import sys
+from array import array
 from bisect import bisect_right
+from itertools import compress
 from typing import Optional, Sequence, Tuple
 
 from .exact import Q, ZERO, odd_double_factorial
@@ -108,15 +123,43 @@ def canonical_tuple(d: DVec) -> tuple:
     Stripping keeps at least one entry and is skipped entirely for n = 1,
     so the base case (1,) maps to itself: (3,1,2) -> (2,3), (1,1) -> (1,).
     """
-    return _strip_ones(tuple(sorted(d)))
-
-
-def _strip_ones(t: tuple) -> tuple:
-    """A sorted tuple without its 1-entries, kept whole when n = 1."""
+    t = tuple(sorted(d))
     if len(t) >= 2 and 1 in t:
         i = t.index(1)
         t = t[:i] + t[i + t.count(1) :] or (1,)
     return t
+
+
+# A multiset t is coded as K(t) = sum_j 2^(16 t_j): the 16-bit digit v
+# counts the copies of v.  A key with X + 3 < 2^16 reaches only keys of at
+# most X + 3 entries, so no digit carries.
+_DIGIT = 16
+
+
+def _encode(t: DVec) -> int:
+    """The multiplicity code of the entries ``t``."""
+    code = 0
+    for v in t:
+        code += 1 << _DIGIT * v
+    return code
+
+
+def _counts(code: int) -> array:
+    """The digits of ``code``, one unsigned short ("H") per 16-bit digit:
+    item v is the number of copies of v."""
+    counts = array("H", code.to_bytes((code.bit_length() + 15) // 16 * 2, "little"))
+    if sys.byteorder == "big":
+        counts.byteswap()
+    return counts
+
+
+def _decode(code: int, low: int = 0) -> tuple:
+    """The sorted entries of the multiset coded ``code``, each plus ``low``."""
+    entries: list = []
+    for v, m in enumerate(_counts(code)):
+        if m:
+            entries += [v + low] * m
+    return tuple(entries)
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,11 +171,16 @@ def _c_scale(g: int, X: int) -> int:
 # The base cases N(0,0,0) = 1 and N(1) = 3, the latter the image of
 # C(1) = 1/6, the base value as the C-form literature states it.
 _C_ONE = Q(1, 6)
-_N_BASE = {(0, 0, 0): 1, (1,): int(_C_ONE * _c_scale(1, 1))}
+_N_BASE = {_encode((0, 0, 0)): 1, _encode((1,)): int(_C_ONE * _c_scale(1, 1))}
 
 
 class MemoCache:
-    """Table from canonical tuples to the integers N."""
+    """Table from canonical keys to the integers N.
+
+    ``table`` is keyed on each key's multiplicity code, which stays inside
+    this module; others read and write entries by the key's tuple, as
+    ``cache[key]``, ``key in cache`` and ``cache.items()``.
+    """
 
     FORMAT = "dvvcache v2"
 
@@ -141,6 +189,19 @@ class MemoCache:
 
     def __len__(self) -> int:
         return len(self.table)
+
+    def __getitem__(self, key: DVec) -> int:
+        return self.table[_encode(key)]
+
+    def __setitem__(self, key: DVec, n: int) -> None:
+        self.table[_encode(key)] = n
+
+    def __contains__(self, key: DVec) -> bool:
+        return _encode(key) in self.table
+
+    def items(self) -> list:
+        """(key tuple, N) pairs in the order the entries were stored."""
+        return [(_decode(code), n) for code, n in self.table.items()]
 
 
 _DEFAULT_CACHE = MemoCache()
@@ -159,7 +220,8 @@ def cache_save(cache: MemoCache, destination) -> None:
     has more than 4300 decimal digits from n = 1422 on).  The header is
     ``dvvcache v2 entries=<count> sha256=<hex digest of the body>``.  The
     whole text is built before anything is written, so a table holding
-    anything but positive integers raises TypeError and writes nothing.
+    anything but positive integers, or keyed by anything but codes, raises
+    TypeError and writes nothing.
 
     The path (``str``, ``bytes`` or ``os.PathLike``) is replaced atomically:
     the text goes to a temporary file in the same directory, renamed over
@@ -178,14 +240,18 @@ def cache_save(cache: MemoCache, destination) -> None:
 
 
 def _table_text(cache: MemoCache) -> str:
-    lines = []
-    for key in sorted(cache.table):
-        value = cache.table[key]
+    entries = []
+    for code, value in cache.table.items():
+        if type(code) is not int or code <= 0:
+            raise TypeError(f"memo key {code!r} is not a multiplicity code")
+        key = _decode(code)
         if type(value) is not int or value <= 0:
             raise TypeError(
                 f"memo value for {key} is not a positive integer: {value!r}"
             )
-        lines.append(f"{','.join(map(str, key))} = {value:x}\n")
+        entries.append((key, value))
+    entries.sort()
+    lines = [f"{','.join(map(str, key))} = {value:x}\n" for key, value in entries]
     body = "".join(lines)
     return f"{MemoCache.FORMAT} entries={len(lines)} sha256={_sha256(body)}\n{body}"
 
@@ -210,7 +276,8 @@ def cache_load(source) -> MemoCache:
     ``source`` is a path (``str``, ``bytes`` or ``os.PathLike``).  Checked
     in order: UTF-8 text, the header (a v1 file is refused by name), the
     entry count in ASCII digits and the body hash it states, then per entry
-    a canonical key of an expandable geometric vector (X >= 2), a positive
+    a canonical key of an expandable geometric vector (2 <= X and
+    X + 3 < 2^16, the range ``n_value`` takes), a positive
     hexadecimal integer value, no duplicate key, and for a one-entry key
     (3g-2,) the value N = (6g-3)!!, from the one-point number
     1/(24^g g!); longer entries are not checked against the recursion.
@@ -268,6 +335,11 @@ def cache_load(source) -> MemoCache:
             raise ValueError(
                 f"line {lineno}: key {key_s!r} is not a geometric vector with X >= 2"
             )
+        if x_int(key) + 3 >= 1 << _DIGIT:
+            raise ValueError(
+                f"line {lineno}: key of X = {x_int(key)} is past the"
+                f" recursion's range, X + 3 < {1 << _DIGIT}"
+            )
         if not _HEX.fullmatch(val_s):
             raise ValueError(
                 f"line {lineno}: value {val_s[:80]!r} is not a positive hex integer"
@@ -300,38 +372,39 @@ def _bulk_fill(table: dict, entries: list) -> bool:
             return False
         if (s - n) % 3 or s - n < -3 or 2 * s + n < 6:  # g not in Z>=0, or X < 2
             return False
+        if 2 * s + n >= 3 * ((1 << _DIGIT) - 3):  # X + 3 >= 2^16
+            return False
         value = int(hex_value, 16)
         if n == 1 and value != odd_double_factorial(2 * s + 1):  # (6g-3)!!
             return False
-        table[tuple(key)] = value
+        table[_encode(key)] = value
     return len(table) == len(entries)  # else a duplicate key
 
 
-def _two_part_splits(t: tuple) -> list:
-    """The 2-part splits of the sorted tuple ``t`` as ``(w3, n_left, ways,
-    left, right)``, w3 = sum (2 v + 1) over left and n_left = len(left),
-    carried as the parts grow.
+def _two_part_splits(counts: Sequence[int], shares: dict) -> list:
+    """The 2-part splits of the multiset with the digits ``counts`` (see
+    ``_counts``) as ``(w3, n_left, ways, left)``, ``left`` the left part's
+    code (the right part's is the whole code less ``left``), w3 = sum
+    (2 v + 1) over left and n_left = len(left), carried as the parts grow.
 
     The parts are built one distinct value at a time, the left part's share
     of the smallest value varying slowest; ``ways`` = prod_v m_v! /
     (c_v! (m_v - c_v)!), m_v copies of v with c_v of them on the left,
-    counts the index-subset splits the pair stands for.
+    counts the index-subset splits the pair stands for.  The list of
+    shares of m copies of v is kept in ``shares`` under (v, m).
     """
-    halves = [(0, 0, 1, (), ())]
-    i = 0
-    while i < len(t):
-        v = t[i]
-        m = bisect_right(t, v, i) - i
-        i += m
-        runs = [(v,) * c for c in range(m + 1)]
-        shares = [
-            (c * (2 * v + 1), c, math.comb(m, c), runs[c], runs[m - c])
-            for c in range(m + 1)
-        ]
+    halves = [(0, 0, 1, 0)]
+    for v in compress(range(len(counts)), counts):
+        m = counts[v]
+        share = shares.get((v, m))
+        if share is None:
+            unit, dw = 1 << _DIGIT * v, 2 * v + 1
+            share = [(c * dw, c, math.comb(m, c), c * unit) for c in range(m + 1)]
+            shares[v, m] = share
         halves = [
-            (w3 + dw, n + c, ways * w, left + x, right + y)
-            for w3, n, ways, left, right in halves
-            for dw, c, w, x, y in shares
+            (w3 + dw, n + c, ways * w, left + x)
+            for w3, n, ways, left in halves
+            for dw, c, w, x in share
         ]
     return halves
 
@@ -347,9 +420,11 @@ def multiset_splits(entries: DVec, groups: int = 2) -> list:
     """
     if groups < 2:
         raise ValueError("multiset_splits needs groups >= 2")
+    low = min([0, *entries])  # codes count entries >= 0: shift up, then back
+    key = _encode([v - low for v in entries])
     halves = [
-        ((left, right), ways)
-        for _, _, ways, left, right in _two_part_splits(tuple(sorted(entries)))
+        ((_decode(left, low), _decode(key - left, low)), ways)
+        for _, _, ways, left in _two_part_splits(_counts(key), {})
     ]
     if groups == 2:
         return halves
@@ -360,21 +435,26 @@ def multiset_splits(entries: DVec, groups: int = 2) -> list:
     ]
 
 
-def _split_table(rest: tuple) -> Tuple[list, list, list]:
-    """The ``_two_part_splits`` of ``rest``, bucketed by w3 mod 3 in their
-    order."""
+def _split_table(counts: Sequence[int], shares: dict) -> Tuple[list, list, list]:
+    """The ``_two_part_splits`` of the digits ``counts``, bucketed by w3
+    mod 3 in their order."""
     buckets: Tuple[list, list, list] = ([], [], [])
-    for split in _two_part_splits(rest):
+    for split in _two_part_splits(counts, shares):
         buckets[split[0] % 3].append(split)
     return buckets
 
 
-def _expand(t: tuple, pivot_pos: int, table: dict):
-    """One DVV expansion of N(t) at ``t[pivot_pos]``, for sorted geometric t
-    with X(t) >= 2.  A generator: each child is built sorted and read from
-    ``table``; a miss is yielded, its N expected back.  Returns N(t).
-    The ``_split_table`` of ``rest`` is built here and lives as long as
-    this expansion.
+def _expand(key: int, table: dict, shares: dict, p: Optional[int] = None):
+    """One DVV expansion of N at the entry p (by default ``_pivot``'s) of
+    the geometric key coded ``key``, with X >= 2.  A generator: each child
+    is coded as an integer sum and read from ``table``; a miss is yielded,
+    its N expected back.  Returns N of the key.  The ``_split_table`` of
+    ``rest`` is built here, from the split ``shares`` (see
+    ``_two_part_splits``), and lives as long as this expansion.
+
+    A child that holds a 1 the expansion put there (a merge to 1, or a = 1
+    or b = 1) is read as its part without that 1 times the dilaton factor,
+    3 X(part) per 1, so a key without 1s yields no child with one.
 
     Both quadratic sums run over a <= b only.  Each connected term with
     a < b counts twice.  Each separable term with a < b is added once: the
@@ -382,55 +462,66 @@ def _expand(t: tuple, pivot_pos: int, table: dict):
     halved.  Only the a = b part, whose splits pair off among themselves,
     is halved here, and checked to be even.
     """
-    X = x_int(t)
-    g = genus_of(t)
-    assert X is not None and X >= 2 and g is not None
+    counts = _counts(key)
+    values = list(compress(range(len(counts)), counts))
+    s = sum([v * counts[v] for v in values])
+    n_entries = sum(counts)
+    X, g = (2 * s + n_entries) // 3, 1 + (s - n_entries) // 3
+    if p is None:
+        p = _pivot(values)
     get = table.get
-    p = t[pivot_pos]
-    rest = t[:pivot_pos] + t[pivot_pos + 1 :]
+    one = _N_BASE[1 << _DIGIT]  # N(1), read for a child (1,)
+    rest = key - (1 << _DIGIT * p)
+    counts[p] -= 1  # the digits of rest
 
     # Linear (merge) terms, one per run of m equal entries v in rest.
     total = 0
-    i = 0
-    while i < len(rest):
-        v = rest[i]
-        m = bisect_right(rest, v, i) - i
+    for v in values:
+        m = counts[v]
         merged = v + p - 1
-        if merged >= 0:  # else p = v = 0, and the term vanishes
-            child = rest[:i] + rest[i + 1 :]
-            k = bisect_right(child, merged)
-            child = child[:k] + (merged,) + child[k:]
-            n = get(child)
-            if n is None:
-                n = yield child
-            total += m * (2 * v + 1) * n
-        i += m
+        if not m or merged < 0:  # no v in rest, or p = v = 0: no term
+            continue
+        child = rest - (1 << _DIGIT * v)
+        if merged != 1:
+            child += 1 << _DIGIT * merged
+            n = get(child) or (yield child)
+        elif child:  # N(1, part) = 3 X(part) N(part), X(part) = X - 2
+            n = (get(child) or (yield child)) * (3 * X - 6)
+        else:
+            n = one
+        total += m * (2 * v + 1) * n
     if p < 2:
         return total
 
     # Quadratic terms: pairs a <= b with a + b = p - 2.  First the
-    # connected ones, where (a, b) and (b, a) give the same child.
+    # connected ones, where (a, b) and (b, a) give the same child.  At
+    # g = 0 each child has genus -1, and the term 12 g vanishes anyway.
     connected = 0
-    for a in range(p // 2):
+    for a in range(p // 2 if g else 0):
         b = p - 2 - a
-        k = bisect_right(rest, a)
-        m = bisect_right(rest, b, k)
-        child = rest[:k] + (a,) + rest[k:m] + (b,) + rest[m:]
-        n = get(child)
-        if n is None:
-            n = yield child
+        if a != 1 and b != 1:
+            child = rest + (1 << _DIGIT * a) + (1 << _DIGIT * b)
+            n = get(child) or (yield child)
+        elif a != b:  # the child is (1, c, rest), c = a + b - 1: X(c, rest) = X - 2
+            child = rest + (1 << _DIGIT * (a + b - 1))
+            n = (get(child) or (yield child)) * (3 * X - 6)
+        elif rest:  # (1, 1, rest), with X(rest) = X - 3
+            n = (get(rest) or (yield rest)) * (3 * X - 9) * (3 * X - 6)
+        else:  # N(1, 1) = 3 X(1) N(1)
+            n = 3 * one
         connected += n if a == b else 2 * n
     total += 12 * g * connected
 
     # The residue of a split's w3 fixes whether the left child has an
     # integral X, X1 = (2a + 1 + w3) / 3, so each a visits one bucket.  The
     # right child's X2 = X - 1 - X1 = (2b + 1 + w3(J)) / 3 is then >= 1.
-    buckets = _split_table(rest)
+    buckets = _split_table(counts, shares)
     comb = math.comb
     for a in range(p // 2):
         b = p - 2 - a
+        unit_a, unit_b = 1 << _DIGIT * a, 1 << _DIGIT * b
         separable = 0
-        for w3, n_left, ways, left, right in buckets[-(2 * a + 1) % 3]:
+        for w3, n_left, ways, left in buckets[-(2 * a + 1) % 3]:
             x1 = (2 * a + 1 + w3) // 3
             # X1 = 2 g1 - 2 + (n_left + 1); the right child has genus g - g1.
             g1 = (x1 - n_left + 1) // 2
@@ -438,73 +529,77 @@ def _expand(t: tuple, pivot_pos: int, table: dict):
                 continue
             # A child (1, part) is read as part times the dilaton factor
             # 3 X(part), with X(left) = X1 - 1 and X(right) = X - 2 - X1.
-            if a == 1 and left:
-                child, f1 = left, 3 * x1 - 3
+            if a != 1:
+                child = left + unit_a
+                n1 = get(child) or (yield child)
+            elif left:
+                n1 = (get(left) or (yield left)) * (3 * x1 - 3)
             else:
-                k = bisect_right(left, a)
-                child, f1 = left[:k] + (a,) + left[k:], 1
-            n1 = get(child)
-            if n1 is None:
-                n1 = yield child
-            if b == 1 and right:
-                child, f2 = right, 3 * (X - 2 - x1)
+                n1 = one
+            right = rest - left
+            if b != 1:
+                child = right + unit_b
+                n2 = get(child) or (yield child)
+            elif right:
+                n2 = (get(right) or (yield right)) * (3 * (X - 2 - x1))
             else:
-                k = bisect_right(right, b)
-                child, f2 = right[:k] + (b,) + right[k:], 1
-            n2 = get(child)
-            if n2 is None:
-                n2 = yield child
-            separable += ways * comb(g, g1) * f1 * f2 * n1 * n2
+                n2 = one
+            separable += ways * comb(g, g1) * n1 * n2
         if a == b:  # (a, I, J) and (a, J, I) give equal terms
             separable, odd = divmod(separable, 2)
             if odd:
-                raise ArithmeticError(f"odd separable sum expanding {t} at {pivot_pos}")
+                raise ArithmeticError(f"odd separable sum expanding {_decode(key)} at {p}")
         total += separable
     return total
 
 
-def _pivot_pos(key: tuple) -> int:
-    """Where ``n_value`` expands the sorted key: a 0 when present, else the
-    smallest entry above 2, else (all twos) a 2."""
+def _pivot(key: Sequence[int]) -> int:
+    """The entry at which ``n_value`` expands a key, given its entries or its
+    distinct values, ascending: a 0 when present, else the smallest entry
+    above 2, else (all twos) a 2."""
+    if key[0] == 0:
+        return 0
     i = bisect_right(key, 2)
-    return 0 if key[0] == 0 or i == len(key) else i
+    return key[i] if i < len(key) else 2
 
 
 def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:
     """N(d) = 24^g g! prod (2 d_j + 1)!! I(d), an integer; 0 off geometry
-    and when an entry is negative.
+    and when an entry is negative.  A vector whose key (1s stripped) has
+    X + 3 >= 2^16 raises ValueError before any entry is stored.
 
     >>> n_value((4,)), n_value((1, 4))
     (945, 8505)
     """
     table = (_DEFAULT_CACHE if cache is None else cache).table
-    stack = []  # suspended expansions: (generator, key, length asked)
-    asked = tuple(sorted(d))
+    key = canonical_tuple(d)
+    if genus_of(key) is None or x_int(key) < 1 or key[0] < 0:
+        return 0
+    x = x_int(key)
+    if x + 3 >= 1 << _DIGIT:
+        raise ValueError(f"X = {x} is past the recursion's range, X + 3 < {1 << _DIGIT}")
+    stack = []  # suspended expansions: (generator, code)
+    shares: dict = {}
+    code = _encode(key)
     while True:
-        key = _strip_ones(asked) if 1 in asked else asked  # asked is sorted
-        n = table.get(key)
-        if n is None:
-            off = genus_of(key) is None or x_int(key) < 1 or key[0] < 0
-            n = 0 if off else _N_BASE.get(key)
+        n = table.get(code) or _N_BASE.get(code)
         if n is None:  # a miss: the send below starts its expansion
-            stack.append((_expand(key, _pivot_pos(key), table), key, len(asked)))
-        length = len(asked)
-        # Hand n to the caller, or to the waiting expansion; an expansion
-        # that returns completes its own key, which is handed on in turn.
-        while True:
-            if n and length > len(key):
-                # Dilaton: each stripped 1 multiplies by 3X of the vector it joins.
-                x = x_int(key)
-                for i in range(length - len(key)):
-                    n *= 3 * (x + i)
-            if not stack:
-                return n
+            stack.append((_expand(code, table, shares), code))
+        # Hand n to the waiting expansion; an expansion that returns
+        # completes its own key, whose N is handed on in turn.
+        while stack:
             try:
-                asked = stack[-1][0].send(n)
+                code = stack[-1][0].send(n)
                 break
             except StopIteration as done:
-                _, key, length = stack.pop()
-                n = table[key] = done.value
+                code = stack.pop()[1]
+                n = table[code] = done.value
+        else:
+            break
+    # Dilaton: each stripped 1 multiplies by 3X of the vector it joins.
+    for i in range(len(d) - len(key)):
+        n *= 3 * (x + i)
+    return n
 
 
 def c_value(d: DVec, cache: Optional[MemoCache] = None):

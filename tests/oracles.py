@@ -56,8 +56,9 @@ from psiclass.closed import (
 from psiclass.dvv import (
     DVec,
     MemoCache,
-    _N_BASE,
     _c_scale,
+    _decode,
+    _encode,
     _expand,
     c_value,
     canonical_tuple,
@@ -105,24 +106,30 @@ def c_value_with_pivot(d: DVec, pivot_pos: int, cache: Optional[MemoCache] = Non
 
 
 def n_value_with_pivot(
-    t: tuple, pivot_pos: int, cache: Optional[MemoCache] = None, table=None
+    t: tuple,
+    pivot_pos: int,
+    cache: Optional[MemoCache] = None,
+    table=None,
+    yielded: Optional[list] = None,
 ) -> int:
     """N(t) from one ``_expand`` of the sorted geometric t (X >= 2) at
     ``t[pivot_pos]``.
 
     The expansion reads ``table`` (by default the memo of ``cache``) itself
     and yields each child that misses; this driver answers every one with
-    ``n_value`` on ``cache``.
+    ``n_value`` on ``cache``, and appends it to ``yielded`` when given.
     """
     if table is None:
         table = (default_cache() if cache is None else cache).table
-    expansion = _expand(t, pivot_pos, table)
+    expansion = _expand(_encode(t), table, {}, t[pivot_pos])
     n = None
     while True:
         try:
-            child = expansion.send(n)
+            child = _decode(expansion.send(n))
         except StopIteration as done:
             return done.value
+        if yielded is not None:
+            yielded.append(child)
         n = n_value(child, cache)
 
 
@@ -142,17 +149,20 @@ def n_value_largest_pivot(d: DVec, cache: MemoCache) -> int:
     key = canonical_tuple(d)
     if genus_of(key) is None or x_int(key) < 1 or key[0] < 0:
         return 0
-    n = cache.table.get(key) or _N_BASE.get(key)
-    if n is None:
-        expansion = _expand(key, former_pivot_pos(key), cache.table)
+    if key in cache:
+        n = cache[key]
+    elif x_int(key) == 1:  # a base case, (0, 0, 0) or (1,)
+        n = n_value(key, cache)
+    else:
+        expansion = _expand(_encode(key), cache.table, {}, key[former_pivot_pos(key)])
         child_n = None
         while True:
             try:
                 child = expansion.send(child_n)
             except StopIteration as done:
-                n = cache.table[key] = done.value
+                n = cache[key] = done.value
                 break
-            child_n = n_value_largest_pivot(child, cache)
+            child_n = n_value_largest_pivot(_decode(child), cache)
     x = x_int(key)
     for i in range(len(d) - len(key)):
         n *= 3 * (x + i)
@@ -688,11 +698,16 @@ def cache_load_reference(source) -> MemoCache:
             raise ValueError(
                 f"line {lineno}: key {key_s!r} is not a geometric vector with X >= 2"
             )
+        if x_int(key) + 3 >= 2**16:
+            raise ValueError(
+                f"line {lineno}: key of X = {x_int(key)} is past the"
+                f" recursion's range, X + 3 < {2**16}"
+            )
         if not _MEMO_HEX.fullmatch(val_s):
             raise ValueError(
                 f"line {lineno}: value {val_s[:80]!r} is not a positive hex integer"
             )
-        if key in cache.table:
+        if key in cache:
             raise ValueError(f"line {lineno}: duplicate key {key_s!r}")
         value = int(val_s, 16)
         if len(key) == 1:
@@ -702,7 +717,7 @@ def cache_load_reference(source) -> MemoCache:
                     f"line {lineno}: entry {line[:80]!r} fails"
                     f" N((3g-2,)) = (6g-3)!! at g = {g}"
                 )
-        cache.table[key] = value
+        cache[key] = value
     return cache
 
 

@@ -344,6 +344,9 @@ def test_bounds_excess_bound_starts_at_x50(capsys):
         pytest.param(["asym", "series", "--which", "onepoint", "--order", "0"], "order must be between 1 and 10", id="asym-series-onepoint--order=0"),
         pytest.param(["asym", "series", "--which", "largest", "--order", "7"], "order must be between 1 and 6", id="asym-series-largest--order=7"),
         pytest.param(["asym", "fit", "--k", "5"], "k must be between 0 and 4", id="asym-fit--k=5"),
+        # g = 1 and X = 65534: the memo codes count each value in 16 bits,
+        # and a key of X reaches keys of up to X + 3 entries.
+        pytest.param(["compute", ",".join(["0"] * 65533 + ["65534"])], "X = 65534 is past the recursion's range, X + 3 < 65536", id="compute-X=65534"),
     ],
 )  # fmt: skip
 def test_bounds_rejects_gmax_below_one(argv, message, capsys):
@@ -373,7 +376,7 @@ def test_cache_save_and_load(tmp_path, capsys, fresh_memo):
     assert path.exists()
     loaded = cache_load(str(path))
     assert len(loaded) > 0
-    assert loaded.table[(2, 2, 5)] == n_value((2, 2, 5), MemoCache())
+    assert loaded[(2, 2, 5)] == n_value((2, 2, 5), MemoCache())
     # A warm run reads the file, prints the same value and does not write
     # the file at all.
     past = 10**18  # 2001-09-09, in ns
@@ -408,7 +411,7 @@ def test_failing_command_saves_nothing(tmp_path, capsys, fresh_memo):
     # chat on even X is refused after C(0,5) has been added to the memo.
     fresh_memo()
     assert main(["--cache", str(path), "compute", "0,5", "--norm", "chat"]) == 2
-    assert (0, 5) in dvv.default_cache().table
+    assert (0, 5) in dvv.default_cache()
     assert path.read_bytes() == before
     missing = tmp_path / "missing.cache"
     assert main(["--cache", str(missing), "compute", "2,,3"]) == 2

@@ -14,7 +14,10 @@ import pytest
 import psiclass
 from psiclass.dvv import (
     MemoCache,
-    _pivot_pos,
+    _counts,
+    _decode,
+    _encode,
+    _pivot,
     _split_table,
     c_value,
     cache_load,
@@ -36,6 +39,7 @@ from psiclass.partitions import primitive_vectors
 
 from oracles import (
     c_value_with_pivot,
+    cache_load_reference,
     expand_ordered_reference,
     former_pivot_pos,
     n_value_largest_pivot,
@@ -103,7 +107,8 @@ def test_pivot_rule():
         ((5,), 0),
     ]
     for key, pos in rule:
-        assert _pivot_pos(key) == pos, key
+        assert _pivot(key) == key[pos], key
+        assert _pivot(sorted(set(key))) == key[pos], key
 
 
 def _assert_memo_matchesformer_pivot_pos(cache: MemoCache):
@@ -112,7 +117,7 @@ def _assert_memo_matchesformer_pivot_pos(cache: MemoCache):
     never hide a changed value."""
     check = MemoCache()
     check.table = dict(cache.table)
-    for key, n in cache.table.items():
+    for key, n in cache.items():
         assert n_value_with_pivot(key, former_pivot_pos(key), check) == n, key
 
 
@@ -122,7 +127,7 @@ def test_pivot_invariance():
     vectors = [(0, 2, 4), (2, 3), (0, 0, 3), (2, 2, 2), (0, 2, 2, 3), (4, 4)]
     differing = [(2, 3, 7), (2, 3, 4), (3, 3, 3), (3, 4, 5)]
     for t in differing:
-        assert _pivot_pos(t) != former_pivot_pos(t), t
+        assert t.index(_pivot(t)) != former_pivot_pos(t), t
     vectors += [(2, 2, 5)] + differing
     for d in vectors:
         want = c_value(d)
@@ -156,7 +161,7 @@ def test_expand_matches_ordered_reference():
     for g in range(2, 7):
         for d in primitive_vectors(g):
             t = tuple(sorted(d))
-            for pos in {_pivot_pos(t), former_pivot_pos(t)}:
+            for pos in {t.index(_pivot(t)), former_pivot_pos(t)}:
                 want = expand_ordered_reference(t, pos, cache)
                 assert n_value_with_pivot(t, pos, cache) == want, (t, pos)
                 assert n_value(t, cache) == want, (t, pos)
@@ -185,10 +190,12 @@ def test_separable_loop_reads_each_unordered_split_once():
         table = _CountingTable(cache.table)
         table.gets = 0
         p, rest = t[-1], t[:-1]
-        assert n_value_with_pivot(t, len(t) - 1, cache, table) == cache.table[t]
-        buckets = _split_table(rest)
+        assert n_value_with_pivot(t, len(t) - 1, cache, table) == cache[t]
+        buckets = _split_table(_counts(_encode(rest)), {})
         splits = sum(len(buckets[-(2 * a + 1) % 3]) for a in range((p - 2) // 2 + 1))
-        assert table.gets == len(set(rest)) + p // 2 + 2 * splits, t
+        # Less one: at a = 1 the split with an empty left part has the
+        # child (1,), whose N(1) = 3 is read without a lookup.
+        assert table.gets == len(set(rest)) + p // 2 + 2 * splits - 1, t
         # Both children of every admitted split have X >= 1: X1 + X2 = X - 1.
         X = x_int(t)
         for a in range((p - 2) // 2 + 1):
@@ -290,7 +297,7 @@ def test_cache_round_trip(tmp_path):
     # Values past the 4300-digit cap of decimal int/str conversion, as
     # N(0^n, n+1) = (2n+3)!! is from n = 1422 on.
     big = MemoCache()
-    big.table[(0,) * 1500 + (1501,)] = 10**5000 + 1
+    big[(0,) * 1500 + (1501,)] = 10**5000 + 1
     cache_save(big, str(path))
     assert cache_load(str(path)).table == big.table
     assert sorted(p.name for p in tmp_path.iterdir()) == ["again.cache", "memo.cache"]
@@ -333,7 +340,7 @@ def test_cache_load_names_the_line_of_a_non_utf8_byte(tmp_path):
 
 
 def test_cache_load_empty_body(tmp_path):
-    assert _load_text(tmp_path / "memo.cache", _v2("")).table == {}
+    assert _load_text(tmp_path / "memo.cache", _v2("")).items() == []
 
 
 def test_cache_load_refuses_negative_genus_at_x_two(tmp_path):
@@ -346,7 +353,7 @@ def test_cache_load_refuses_negative_genus_at_x_two(tmp_path):
 def test_cache_load_checks_header_count_and_hash(tmp_path):
     path = tmp_path / "memo.cache"
     good = _v2("2,3 = 23af\n4 = 3b1\n")
-    assert _load_text(path, good).table == {(2, 3): 9135, (4,): 945}
+    assert _load_text(path, good).items() == [((2, 3), 9135), ((4,), 945)]
     with pytest.raises(ValueError, match="line 1: a dvvcache v1 file"):
         _load_text(path, "dvvcache v1\n2,3 = 1015/3888\n")
     header, _, body = good.partition("\n")
@@ -361,9 +368,35 @@ def test_cache_load_checks_header_count_and_hash(tmp_path):
     # Line ends are read as a text-mode read would: CRLF and a lone CR load
     # the same.
     for newline in ("\r\n", "\r"):
-        assert _load_text(path, good.replace("\n", newline)).table == {(2, 3): 9135, (4,): 945}
+        assert _load_text(path, good.replace("\n", newline)).items() == [((2, 3), 9135), ((4,), 945)]
     with pytest.raises(ValueError, match="line 2: key '0,0,0' is not a geometric"):
         _load_text(path, _v2("0,0,0 = 1\n"))
+
+
+# One past the code range: g = 1 and X = 65534, so X + 3 >= 2^16.
+_PAST_RANGE = (0,) * 65533 + (65534,)
+
+
+def test_n_value_refuses_a_key_past_the_code_range():
+    """A key of X reaches keys of up to X + 3 entries, each counted by a
+    16-bit digit: X = 65534 is refused before any entry is stored."""
+    assert genus_of(_PAST_RANGE) == 1 and x_int(_PAST_RANGE) == 65534
+    cache = MemoCache()
+    with pytest.raises(ValueError, match=r"X = 65534 is past the recursion's range"):
+        n_value(_PAST_RANGE, cache)
+    assert len(cache) == 0
+
+
+def test_cache_load_refuses_a_key_past_the_code_range(tmp_path):
+    path = tmp_path / "memo.cache"
+    key = ",".join(map(str, _PAST_RANGE))
+    path.write_bytes(_v2(f"4 = 3b1\n{key} = 3\n").encode())
+    for load in (cache_load, cache_load_reference):
+        with pytest.raises(ValueError) as exc:
+            load(path)
+        assert str(exc.value) == (
+            "line 3: key of X = 65534 is past the recursion's range, X + 3 < 65536"
+        )
 
 
 def test_cache_load_checks_one_point_entries(tmp_path):
@@ -372,7 +405,7 @@ def test_cache_load_checks_one_point_entries(tmp_path):
     # own N((7,)) at g = 3.
     seven = n_value((7,), MemoCache())
     good = _v2(f"4 = 3b1\n7 = {seven:x}\n")
-    assert _load_text(path, good).table == {(4,): 945, (7,): seven}
+    assert _load_text(path, good).items() == [((4,), 945), ((7,), seven)]
     # Well-formed files with the right count and hash, holding a forged
     # one-point value.
     with pytest.raises(
@@ -391,12 +424,17 @@ def test_cache_save_failure_keeps_previous_file(tmp_path):
     cache_save(cache, str(path))
     before = path.read_bytes()
     # A different table whose unserializable value sits under the largest
-    # key, after an entry that would serialize: refused before any write.
+    # key, after an entry that would serialize, and one keyed by a tuple
+    # where a multiplicity code belongs: each refused before any write.
     broken = MemoCache()
-    broken.table[(2, 3)] = n_value((2, 3))
-    broken.table[(99,)] = object()
-    with pytest.raises(TypeError):
-        cache_save(broken, str(path))
+    broken[(2, 3)] = n_value((2, 3))
+    broken[(99,)] = object()
+    foreign = MemoCache()
+    foreign[(4,)] = 945
+    foreign.table[(2, 3)] = n_value((2, 3))
+    for table in (broken, foreign):
+        with pytest.raises(TypeError):
+            cache_save(table, str(path))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["memo.cache"]
 
@@ -454,7 +492,7 @@ def test_multiset_splits():
     """For k = 2, 3: each split is listed once with sorted parts, the ways
     sum to k**n, and each split's ways equals the number of the k**n
     labelings of the indices that produce it."""
-    for entries in _SPLIT_INPUTS:
+    for entries in _SPLIT_INPUTS + [(-2, 1, -2)]:
         for k in (2, 3):
             splits = multiset_splits(entries, k)
             ways = dict(splits)
@@ -473,10 +511,11 @@ def test_split_table_buckets_partition_the_splits():
     weight, the left part's length and the labeling count."""
     for entries in _SPLIT_INPUTS:
         rest = tuple(sorted(entries))
-        buckets = _split_table(rest)
+        buckets = _split_table(_counts(_encode(rest)), {})
         seen = {}
         for residue, bucket in enumerate(buckets):
-            for w3, n_left, ways, left, right in bucket:
+            for w3, n_left, ways, code in bucket:
+                left, right = _decode(code), _decode(_encode(rest) - code)
                 assert w3 == sum(2 * v + 1 for v in left)
                 assert w3 % 3 == residue
                 assert n_left == len(left)
@@ -511,7 +550,7 @@ def test_memo_fill_order_frozen(tmp_path):
     for d in _FILL_VECTORS:
         n_value(d, cache)
     assert len(cache) == 77
-    items = repr(list(cache.table.items())).encode()
+    items = repr(cache.items()).encode()
     assert (
         hashlib.sha256(items).hexdigest()
         == "5e1c3a1ba0edc9d74cfed48e80249160fb57b134f6aa8a24dc9377f4f4fd54eb"
@@ -525,6 +564,23 @@ def test_memo_fill_order_frozen(tmp_path):
     _assert_memo_matchesformer_pivot_pos(cache)
 
 
+def test_no_expansion_yields_a_key_holding_a_1():
+    """Every child holding a 1 is read inside the expansion through the
+    dilaton equation, so expanding a memo key, at the engine's pivot or
+    the former one, yields no key with a 1, even with every child a miss."""
+    cache = MemoCache()
+    for d in _FILL_VECTORS + [(6, 3, 2, 3, 2, 2)]:
+        n_value(d, cache)
+    # (13,) among them expands at 13, where a = 1 and b = 1 meet children
+    # (1, part) in the connected and the separable sums.
+    assert (13,) in cache
+    for key, n in cache.items():
+        for pos in {key.index(_pivot(key)), former_pivot_pos(key)}:
+            yielded = []
+            assert n_value_with_pivot(key, pos, cache, {}, yielded) == n, key
+            assert all(1 not in child for child in yielded), (key, pos)
+
+
 def test_memo_built_at_the_former_pivot_serves_the_same_values(tmp_path):
     """A memo file saved under the former pivot rule (a 0, else the largest
     entry) loads and serves each value it holds without adding an entry,
@@ -536,7 +592,7 @@ def test_memo_built_at_the_former_pivot_serves_the_same_values(tmp_path):
     cache_save(former, path)
     # The memo and file that the engine wrote under the former rule.
     assert len(former) == 90
-    items = repr(list(former.table.items())).encode()
+    items = repr(former.items()).encode()
     assert (
         hashlib.sha256(items).hexdigest()
         == "30b6cc7bd26ed4d78b28ed8ae3934fcd9a7f8f130f5ed4c51c20ee7b6a48cceb"
@@ -547,7 +603,7 @@ def test_memo_built_at_the_former_pivot_serves_the_same_values(tmp_path):
     )
     loaded = cache_load(path)
     cold = MemoCache()
-    for key in former.table:
+    for key, _ in former.items():
         assert c_value(key, loaded) == c_value(key, cold), key
     assert loaded.table == former.table
     for d in _EXPAND_GRID + primitive_vectors(5) + [(2, 2, 5), (2, 3, 7)]:
@@ -619,11 +675,11 @@ def test_negative_entry_is_zero_and_not_stored(tmp_path):
     saves."""
     cache = MemoCache()
     c_value((2, 2, 5), cache)
-    before = list(cache.table.items())
+    before = cache.items()
     for d in [(-1, 2, 2), (-1, 1, 3), (3, -2, 5), (-1,)]:
         assert n_value(d, cache) == 0, d
         assert c_value(d, cache) == ZERO, d
-    assert list(cache.table.items()) == before
+    assert cache.items() == before
     cache_save(cache, tmp_path / "memo.cache")
 
 

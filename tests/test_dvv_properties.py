@@ -113,7 +113,7 @@ def _memo_lines() -> list:
     cache = MemoCache()
     for d in [(2, 2, 5), (0, 0, 3, 4), (10,), (3, 6), (0, 2, 2, 2, 3)]:
         n_value(d, cache)
-    return [f"{','.join(map(str, k))} = {v:x}" for k, v in sorted(cache.table.items())]
+    return [f"{','.join(map(str, k))} = {v:x}" for k, v in sorted(cache.items())]
 
 
 _MEMO_LINES = _memo_lines()
@@ -195,7 +195,7 @@ def mutated_memos(draw) -> str:
 def _load_outcome(load, path):
     """The loaded table's items in insertion order, or the error text."""
     try:
-        return list(load(path).table.items())
+        return load(path).items()
     except ValueError as exc:
         return f"ValueError: {exc}"
 

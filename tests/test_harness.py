@@ -148,7 +148,8 @@ def test_sweep_deviation_is_the_maximum_over_every_class():
         cache = MemoCache()
         for d in primitive_vectors(g):
             c_value(d, cache)
-        cache.table.update(entries)
+        for key, n in entries.items():
+            cache[key] = n
         r = sweep_nesting(g, cache)[-1]
         assert reported(r) == extremes(g, cache)
         assert (r.min_vector, r.max_vector) == (low, high), entries
