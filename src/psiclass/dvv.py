@@ -52,9 +52,11 @@ it stores anything, and no digit overflows.
 
 Any pivot yields the same value; ``_pivot`` picks one for speed: a
 0-entry when present (the string equation, which has no quadratic sum),
-else the smallest entry above 2, else a 2 (the key is all twos).  A large
-pivot beside small entries fans out into many deep children, and a
-repeated 2 as pivot merges into 3s that pile up; this rule avoids both.
+else a 2 when the smallest entry above 2, q, exceeds 3 m2 + 2 for m2 the
+number of 2s, else q, else a 2 (the key is all twos).  A large pivot
+beside small entries fans out into many deep children, and a repeated 2
+as pivot merges into 3s that pile up; a 2 is taken only when the 2s are
+few against q, which avoids both.
 
 ``n_value`` runs the recursion from an explicit stack of suspended
 expansions, not the interpreter's, so a chain as deep as (0^k, k+1) needs
@@ -468,7 +470,7 @@ def _expand(key: int, table: dict, shares: dict, p: Optional[int] = None):
     n_entries = sum(counts)
     X, g = (2 * s + n_entries) // 3, 1 + (s - n_entries) // 3
     if p is None:
-        p = _pivot(values)
+        p = _pivot(values, counts[2])
     get = table.get
     one = _N_BASE[1 << _DIGIT]  # N(1), read for a child (1,)
     rest = key - (1 << _DIGIT * p)
@@ -553,14 +555,17 @@ def _expand(key: int, table: dict, shares: dict, p: Optional[int] = None):
     return total
 
 
-def _pivot(key: Sequence[int]) -> int:
+def _pivot(key: Sequence[int], twos: int) -> int:
     """The entry at which ``n_value`` expands a key, given its entries or its
-    distinct values, ascending: a 0 when present, else the smallest entry
-    above 2, else (all twos) a 2."""
+    distinct values, ascending, and its number of 2s: a 0 when present,
+    else a 2 when the smallest entry above 2, q, has q > 3 * twos + 2, else
+    q, else (all twos) a 2."""
     if key[0] == 0:
         return 0
     i = bisect_right(key, 2)
-    return key[i] if i < len(key) else 2
+    if i == len(key) or (twos and key[i] > 3 * twos + 2):
+        return 2
+    return key[i]
 
 
 def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:

@@ -3,7 +3,8 @@
 Each one reaches its value by a slower or more transparent route than the
 code under test: a single DVV expansion at a chosen pivot, that expansion
 with every ordered pair and split summed and halved, the whole recursion
-at the engine's former pivot rule (a 0, else the largest entry), the n-point
+at a former pivot rule of the engine (a 0, else the largest entry; or
+rule E, a 0, else the smallest entry above 2, else a 2), the n-point
 trace sum without window or permutation pruning, the four-point sum
 without its middle-bracket window, series substitution by Horner
 composition instead of the closed-form reindex, the one-point series from
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_right
 from decimal import Decimal, localcontext
 from itertools import product as _iproduct
 from math import comb, factorial
@@ -139,8 +141,19 @@ def former_pivot_pos(key: tuple) -> int:
     return 0 if key[0] == 0 else len(key) - 1
 
 
-def n_value_largest_pivot(d: DVec, cache: MemoCache) -> int:
-    """N(d) by the recursion at ``former_pivot_pos``.
+def rule_e_pivot_pos(key: tuple) -> int:
+    """The pivot of rule E, which the engine chose in the sorted key before
+    its rule read the count of 2s: a 0 when present, else the smallest
+    entry above 2, else (all twos) a 2."""
+    if key[0] == 0:
+        return 0
+    i = bisect_right(key, 2)
+    return i if i < len(key) else 0
+
+
+def n_value_by_rule(d: DVec, cache: MemoCache, rule) -> int:
+    """N(d) by the recursion at the position ``rule(key)`` of each sorted
+    key, ``rule`` one of ``former_pivot_pos`` and ``rule_e_pivot_pos``.
 
     Recursive, one frame per expansion, so only for shallow vectors.  Every
     key it expands goes into ``cache`` when its expansion completes, as in
@@ -154,7 +167,7 @@ def n_value_largest_pivot(d: DVec, cache: MemoCache) -> int:
     elif x_int(key) == 1:  # a base case, (0, 0, 0) or (1,)
         n = n_value(key, cache)
     else:
-        expansion = _expand(_encode(key), cache.table, {}, key[former_pivot_pos(key)])
+        expansion = _expand(_encode(key), cache.table, {}, key[rule(key)])
         child_n = None
         while True:
             try:
@@ -162,7 +175,7 @@ def n_value_largest_pivot(d: DVec, cache: MemoCache) -> int:
             except StopIteration as done:
                 n = cache[key] = done.value
                 break
-            child_n = n_value_largest_pivot(_decode(child), cache)
+            child_n = n_value_by_rule(_decode(child), cache, rule)
     x = x_int(key)
     for i in range(len(d) - len(key)):
         n *= 3 * (x + i)

@@ -199,16 +199,17 @@ def test_sweep_nesting(capsys):
 
 
 def test_sweep_nesting_memo_file_frozen(tmp_path, capsys, fresh_memo):
-    """The genus-7 sweep's memo file, which CI pins too: the same bytes
-    under the engine's pivot rule and the former one (a 0, else the largest
-    entry)."""
+    """The genus-7 sweep's memo file, which CI pins too.  Under rule E (a
+    0, else the smallest entry above 2, else a 2) it held 1,083 entries,
+    each of which the engine's 1,105 hold with the same value (see
+    test_dvv's test_sweep_memo_at_rule_e_is_a_subset_of_the_engines)."""
     path = tmp_path / "memo.txt"
     code, _ = run(capsys, "sweep-nesting", "--gmax", "7", "--cache", str(path))
     assert code == 0
-    assert path.read_text().startswith("dvvcache v2 entries=1083 ")
+    assert path.read_text().startswith("dvvcache v2 entries=1105 ")
     assert (
         hashlib.sha256(path.read_bytes()).hexdigest()
-        == "5bca07994483df24beb527fb0a374ef74ec2aa2fa8f56198963bb2803f68b5e7"
+        == "e576dc5fc12d54fd64c57ee4a4e7c6372ea8a2c7b2e022b3f4f8dd0eb89b6159"
     )
 
 

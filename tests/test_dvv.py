@@ -42,8 +42,9 @@ from oracles import (
     cache_load_reference,
     expand_ordered_reference,
     former_pivot_pos,
-    n_value_largest_pivot,
+    n_value_by_rule,
     n_value_with_pivot,
+    rule_e_pivot_pos,
 )
 
 
@@ -95,9 +96,17 @@ def test_permutation_invariance():
         assert c_value(tuple(base)) == want
 
 
+def _pivot_pos(key: tuple) -> int:
+    """The position in the sorted ``key`` of the engine's pivot."""
+    return key.index(_pivot(key, key.count(2)))
+
+
 def test_pivot_rule():
-    """The engine expands at a 0, else at the smallest entry above 2, else
-    (all twos) at a 2."""
+    """The engine expands at a 0, else at a 2 when the smallest entry above
+    2, q, has q > 3 m2 + 2 with m2 the number of 2s, else at q, else (all
+    twos) at a 2.  Given the distinct values, the rule reads m2 from its
+    second argument, not from the values: (2, 9) stands for (2, 2, 2, 9)
+    too."""
     rule = [
         ((0, 2, 5), 0),
         ((2, 2, 5), 2),
@@ -105,30 +114,40 @@ def test_pivot_rule():
         ((2, 2, 2), 0),
         ((3, 3), 0),
         ((5,), 0),
+        ((2, 2, 8), 2),  # q = 3 m2 + 2: q
+        ((2, 2, 9), 0),  # q = 3 m2 + 3: a 2
+        ((2, 17), 0),
+        ((2, 3, 17), 1),
+        ((2, 2, 2, 9), 3),  # the distinct values (2, 9) alone would give a 2
     ]
     for key, pos in rule:
-        assert _pivot(key) == key[pos], key
-        assert _pivot(sorted(set(key))) == key[pos], key
+        assert _pivot(key, key.count(2)) == key[pos], key
+        assert _pivot(sorted(set(key)), key.count(2)) == key[pos], key
 
 
-def _assert_memo_matchesformer_pivot_pos(cache: MemoCache):
-    """Every memo entry equals one expansion of its key at the former pivot,
-    children read from a copy of the memo: a frozen memo shape can then
-    never hide a changed value."""
+def _assert_memo_matches_former_pivots(cache: MemoCache):
+    """Every memo entry equals one expansion of its key at the former pivot
+    (the largest entry) and at rule E's, children read from a copy of the
+    memo: a frozen memo shape can then never hide a changed value."""
     check = MemoCache()
     check.table = dict(cache.table)
     for key, n in cache.items():
-        assert n_value_with_pivot(key, former_pivot_pos(key), check) == n, key
+        for pos in {former_pivot_pos(key), rule_e_pivot_pos(key)}:
+            assert n_value_with_pivot(key, pos, check) == n, (key, pos)
 
 
 def test_pivot_invariance():
     """Expanding at any position gives the same value, also on vectors where
-    the engine's pivot and the former one (the largest entry) differ."""
+    the engine's pivot and the former one (the largest entry) differ, and
+    where it expands at a 2 and rule E does not."""
     vectors = [(0, 2, 4), (2, 3), (0, 0, 3), (2, 2, 2), (0, 2, 2, 3), (4, 4)]
     differing = [(2, 3, 7), (2, 3, 4), (3, 3, 3), (3, 4, 5)]
     for t in differing:
-        assert t.index(_pivot(t)) != former_pivot_pos(t), t
-    vectors += [(2, 2, 5)] + differing
+        assert _pivot_pos(t) != former_pivot_pos(t), t
+    at_a_two = [(2, 9), (2, 2, 11)]
+    for t in at_a_two:
+        assert _pivot_pos(t) == 0 != rule_e_pivot_pos(t), t
+    vectors += [(2, 2, 5)] + differing + at_a_two
     for d in vectors:
         want = c_value(d)
         for pos in range(len(d)):
@@ -154,14 +173,14 @@ _EXPAND_GRID = [
 
 def test_expand_matches_ordered_reference():
     """Summing each unordered split pair once gives the N of the ordered
-    sum halved: on every primitive key up to genus 6 at the engine's pivot
-    and at the former one (the largest entry), and at every pivot of a
-    grid."""
+    sum halved: on every primitive key up to genus 6 at the engine's pivot,
+    at the former one (the largest entry) and at rule E's, and at every
+    pivot of a grid."""
     cache = MemoCache()
     for g in range(2, 7):
         for d in primitive_vectors(g):
             t = tuple(sorted(d))
-            for pos in {t.index(_pivot(t)), former_pivot_pos(t)}:
+            for pos in {_pivot_pos(t), former_pivot_pos(t), rule_e_pivot_pos(t)}:
                 want = expand_ordered_reference(t, pos, cache)
                 assert n_value_with_pivot(t, pos, cache) == want, (t, pos)
                 assert n_value(t, cache) == want, (t, pos)
@@ -544,30 +563,32 @@ _FILL_VECTORS = [
 def test_memo_fill_order_frozen(tmp_path):
     """The memo a fixed sequence of cold queries leaves, in insertion order
     and as saved text, against digests of the engine at its pivot rule;
-    test_memo_built_at_the_former_pivot_serves_the_same_values pins the
-    memo the same queries left under the former rule."""
+    test_memo_built_at_the_former_pivot_serves_the_same_values and
+    test_memo_built_at_rule_e_serves_the_same_values pin the memos the
+    same queries left under the former rules."""
     cache = MemoCache()
     for d in _FILL_VECTORS:
         n_value(d, cache)
-    assert len(cache) == 77
+    assert len(cache) == 82
     items = repr(cache.items()).encode()
     assert (
         hashlib.sha256(items).hexdigest()
-        == "5e1c3a1ba0edc9d74cfed48e80249160fb57b134f6aa8a24dc9377f4f4fd54eb"
+        == "952ba33f2b9816c059ad7fc16b9580e5e6fa61fa40753f8ee2bcddd392527cfe"
     )
     path = tmp_path / "memo.cache"
     cache_save(cache, path)
     assert (
         hashlib.sha256(path.read_bytes()).hexdigest()
-        == "0ffc843b947491f13b447daf59874234a25c29edda528876bde1c6e8a0620725"
+        == "6ea223cfc046c8530f634caf23fe97d6b5518ce857fddb25d8ab158460927f87"
     )
-    _assert_memo_matchesformer_pivot_pos(cache)
+    _assert_memo_matches_former_pivots(cache)
 
 
 def test_no_expansion_yields_a_key_holding_a_1():
     """Every child holding a 1 is read inside the expansion through the
-    dilaton equation, so expanding a memo key, at the engine's pivot or
-    the former one, yields no key with a 1, even with every child a miss."""
+    dilaton equation, so expanding a memo key, at the engine's pivot, the
+    former one or rule E's, yields no key with a 1, even with every child
+    a miss."""
     cache = MemoCache()
     for d in _FILL_VECTORS + [(6, 3, 2, 3, 2, 2)]:
         n_value(d, cache)
@@ -575,32 +596,29 @@ def test_no_expansion_yields_a_key_holding_a_1():
     # (1, part) in the connected and the separable sums.
     assert (13,) in cache
     for key, n in cache.items():
-        for pos in {key.index(_pivot(key)), former_pivot_pos(key)}:
+        for pos in {_pivot_pos(key), former_pivot_pos(key), rule_e_pivot_pos(key)}:
             yielded = []
             assert n_value_with_pivot(key, pos, cache, {}, yielded) == n, key
             assert all(1 not in child for child in yielded), (key, pos)
 
 
-def test_memo_built_at_the_former_pivot_serves_the_same_values(tmp_path):
-    """A memo file saved under the former pivot rule (a 0, else the largest
-    entry) loads and serves each value it holds without adding an entry,
-    and a memo extended from it gives what a cold one gives."""
-    former = MemoCache()
+def _memo_at_rule(rule, entries: int, items_sha: str, file_sha: str, path):
+    """The memo the ``_FILL_VECTORS`` leave under the pivot ``rule``, saved
+    to ``path``, checked against the engine's digests under that rule."""
+    memo = MemoCache()
     for d in _FILL_VECTORS:
-        n_value_largest_pivot(d, former)
-    path = tmp_path / "former.cache"
-    cache_save(former, path)
-    # The memo and file that the engine wrote under the former rule.
-    assert len(former) == 90
-    items = repr(former.items()).encode()
-    assert (
-        hashlib.sha256(items).hexdigest()
-        == "30b6cc7bd26ed4d78b28ed8ae3934fcd9a7f8f130f5ed4c51c20ee7b6a48cceb"
-    )
-    assert (
-        hashlib.sha256(path.read_bytes()).hexdigest()
-        == "a256525b6f56febc9eb2e59a6ad47fbd2f917024f3f4a926105249d4f95b7342"
-    )
+        n_value_by_rule(d, memo, rule)
+    cache_save(memo, path)
+    assert len(memo) == entries
+    assert hashlib.sha256(repr(memo.items()).encode()).hexdigest() == items_sha
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+    return memo
+
+
+def _assert_memo_file_serves(former: MemoCache, path):
+    """The memo file at ``path``, saved from ``former``, loads and serves
+    each value it holds without adding an entry, and a memo extended from
+    it gives what a cold one gives."""
     loaded = cache_load(path)
     cold = MemoCache()
     for key, _ in former.items():
@@ -611,18 +629,49 @@ def test_memo_built_at_the_former_pivot_serves_the_same_values(tmp_path):
     assert loaded.table.items() >= former.table.items()
 
 
-def test_sweep_memo_is_the_same_under_both_pivot_rules():
-    """Every primitive class up to genus 7 leaves the same memo under the
-    engine's pivot rule and the former one, so ``sweep-nesting --gmax 7
-    --cache`` writes the same file under both (its SHA-256 is pinned in
-    test_cli)."""
-    now, former = MemoCache(), MemoCache()
+def test_memo_built_at_the_former_pivot_serves_the_same_values(tmp_path):
+    """A memo file saved under the former pivot rule (a 0, else the largest
+    entry) serves the same values; the digests are of the memo and file
+    that the engine wrote under that rule."""
+    path = tmp_path / "former.cache"
+    former = _memo_at_rule(
+        former_pivot_pos,
+        90,
+        "30b6cc7bd26ed4d78b28ed8ae3934fcd9a7f8f130f5ed4c51c20ee7b6a48cceb",
+        "a256525b6f56febc9eb2e59a6ad47fbd2f917024f3f4a926105249d4f95b7342",
+        path,
+    )
+    _assert_memo_file_serves(former, path)
+
+
+def test_memo_built_at_rule_e_serves_the_same_values(tmp_path):
+    """A memo file saved under rule E (a 0, else the smallest entry above
+    2, else a 2) serves the same values; the digests are of the memo and
+    file that the engine wrote under that rule."""
+    path = tmp_path / "rule_e.cache"
+    former = _memo_at_rule(
+        rule_e_pivot_pos,
+        77,
+        "5e1c3a1ba0edc9d74cfed48e80249160fb57b134f6aa8a24dc9377f4f4fd54eb",
+        "0ffc843b947491f13b447daf59874234a25c29edda528876bde1c6e8a0620725",
+        path,
+    )
+    _assert_memo_file_serves(former, path)
+
+
+def test_sweep_memo_at_rule_e_is_a_subset_of_the_engines():
+    """Every primitive class up to genus 7 leaves a memo under rule E that
+    the engine's memo holds entry for entry, with the same values: the
+    engine's rule expands some keys at a 2 where E took a larger entry,
+    and reaches 22 keys more.  ``sweep-nesting --gmax 7 --cache`` writes
+    the engine's memo (its SHA-256 is pinned in test_cli)."""
+    now, rule_e = MemoCache(), MemoCache()
     for g in range(2, 8):
         for d in primitive_vectors(g):
             n_value(d, now)
-            n_value_largest_pivot(d, former)
-    assert now.table == former.table
-    assert len(now) == 1083
+            n_value_by_rule(d, rule_e, rule_e_pivot_pos)
+    assert rule_e.table.items() < now.table.items()
+    assert (len(rule_e), len(now)) == (1083, 1105)
 
 
 def test_no_module_state_left_after_a_call():
@@ -642,7 +691,7 @@ def test_no_module_state_left_after_a_call():
         "before = sizes()\n"
         "cache = dvv.MemoCache()\n"
         "dvv.n_value((6, 3, 2, 3, 2, 2), cache)\n"
-        "assert len(cache) == 72, len(cache)\n"
+        "assert len(cache) == 78, len(cache)\n"
         "assert sizes() == before, (before, sizes())\n"
         "print('ok')\n"
     )
@@ -651,8 +700,8 @@ def test_no_module_state_left_after_a_call():
     assert proc.stdout == "ok\n"
     cache = MemoCache()
     n_value((6, 3, 2, 3, 2, 2), cache)
-    assert len(cache) == 72
-    _assert_memo_matchesformer_pivot_pos(cache)
+    assert len(cache) == 78
+    _assert_memo_matches_former_pivots(cache)
 
 
 def test_deep_call_holds_no_more_than_its_memo():
@@ -665,9 +714,9 @@ def test_deep_call_holds_no_more_than_its_memo():
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(cache) == 1221
+    assert len(cache) == 693
     assert peak <= 1.5 * after, (peak, after)
-    _assert_memo_matchesformer_pivot_pos(cache)
+    _assert_memo_matches_former_pivots(cache)
 
 
 def test_negative_entry_is_zero_and_not_stored(tmp_path):
