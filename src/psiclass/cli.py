@@ -10,7 +10,6 @@ or domain errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -342,6 +341,8 @@ def _emit(payload: dict, args) -> None:
     if args.format == "json":
         text = json.dumps(payload, indent=2, default=str) + "\n"
     else:
+        import csv  # only --format csv needs it
+
         buf = io.StringIO()
         rows = payload.get("rows")
         if rows:

@@ -58,13 +58,17 @@ beside small entries fans out into many deep children, and a repeated 2
 as pivot merges into 3s that pile up; a 2 is taken only when the 2s are
 few against q, which avoids both.
 
-``n_value`` runs the recursion from an explicit stack of suspended
-expansions, not the interpreter's, so a chain as deep as (0^k, k+1) needs
-no recursion limit.  It strips the 1s of its argument once, at entry.  An
-expansion reads the memo itself; only misses reach ``n_value``.  Every
-child that holds a 1 (a merge to 1, a connected child with a = 1 or b = 1,
-a split child (1, part)) is read there as its part without the 1 times
-3 X(part), so no key with a 1 reaches ``n_value``.
+A call of ``n_value`` or ``c_value`` reads its key's code straight from
+the vector: K(d) less 2^16 per 1 stripped, which needs no sort, and its
+g and X come from the length and sum of d.  A memo hit is then served
+with one lookup; only a miss makes the driver's stack and share lists.
+The driver, ``_drive``, runs the recursion from an explicit stack of
+suspended expansions, not the interpreter's, so a chain as deep as
+(0^k, k+1) needs no recursion limit.  An expansion reads the memo itself;
+only misses reach the driver.  Every child that holds a 1 (a merge to 1,
+a connected child with a = 1 or b = 1, a split child (1, part)) is read
+there as its part without the 1 times 3 X(part), so no key with a 1
+reaches the driver.
 
 Subset splits are enumerated per distinct sub-multiset with binomial
 multiplicities rather than over raw index subsets, which is the same sum
@@ -75,7 +79,7 @@ term-for-term but exponentially cheaper on vectors with many repeats.
 ``rest`` by the residue mod 3 of that weight, so each ``a`` visits only
 splits whose left child has integral X.  Each expansion builds the table of
 its own ``rest``, which lives as long as that expansion; the share lists
-it is built from are kept for one ``n_value`` call.
+it is built from are kept for one ``_drive`` call.
 
 The memo file (format ``dvvcache v2``) is plain text: a header line with
 the entry count and the SHA-256 of the body, then one ``key = N`` line per
@@ -568,24 +572,31 @@ def _pivot(key: Sequence[int], twos: int) -> int:
     return key[i]
 
 
-def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:
-    """N(d) = 24^g g! prod (2 d_j + 1)!! I(d), an integer; 0 off geometry
-    and when an entry is negative.  A vector whose key (1s stripped) has
-    X + 3 >= 2^16 raises ValueError before any entry is stored.
-
-    >>> n_value((4,)), n_value((1, 4))
-    (945, 8505)
-    """
-    table = (_DEFAULT_CACHE if cache is None else cache).table
-    key = canonical_tuple(d)
-    if genus_of(key) is None or x_int(key) < 1 or key[0] < 0:
-        return 0
-    x = x_int(key)
+def _n_of(d: DVec, cache: Optional[MemoCache]) -> Tuple[int, int, int]:
+    """(N, X, m1) of the key of ``d``: N of the key (0 off geometry and when
+    an entry is negative), X of the key, and the number m1 of 1s stripped
+    from ``d`` to make it.  The key's code is read straight from ``d``, as
+    K(d) - m1 2^16, which does not depend on the order of the entries; a
+    memo hit costs one lookup, and only a miss reaches ``_drive``."""
+    n, s = len(d), sum(d)
+    if (s - n) % 3 or s - n < -3:  # g = 1 + (s - n)/3 is not in Z>=0
+        return 0, 0, 0
+    ones = min(d.count(1), n - 1) if n > 1 else 0
+    x = (2 * s + n) // 3 - ones
+    if x < 1 or min(d) < 0:  # x < 1 first: min(()) raises
+        return 0, x, ones
     if x + 3 >= 1 << _DIGIT:
         raise ValueError(f"X = {x} is past the recursion's range, X + 3 < {1 << _DIGIT}")
+    table = (_DEFAULT_CACHE if cache is None else cache).table
+    code = _encode(d) - (ones << _DIGIT)
+    return table.get(code) or _drive(code, table), x, ones
+
+
+def _drive(code: int, table: dict) -> int:
+    """N of the key coded ``code``, expanded from an explicit stack of
+    suspended expansions; every key it completes is stored in ``table``."""
     stack = []  # suspended expansions: (generator, code)
     shares: dict = {}
-    code = _encode(key)
     while True:
         n = table.get(code) or _N_BASE.get(code)
         if n is None:  # a miss: the send below starts its expansion
@@ -600,9 +611,20 @@ def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:
                 code = stack.pop()[1]
                 n = table[code] = done.value
         else:
-            break
+            return n
+
+
+def n_value(d: DVec, cache: Optional[MemoCache] = None) -> int:
+    """N(d) = 24^g g! prod (2 d_j + 1)!! I(d), an integer; 0 off geometry
+    and when an entry is negative.  A vector whose key (1s stripped) has
+    X + 3 >= 2^16 raises ValueError before any entry is stored.
+
+    >>> n_value((4,)), n_value((1, 4))
+    (945, 8505)
+    """
+    n, x, ones = _n_of(d, cache)
     # Dilaton: each stripped 1 multiplies by 3X of the vector it joins.
-    for i in range(len(d) - len(key)):
+    for i in range(ones):
         n *= 3 * (x + i)
     return n
 
@@ -614,9 +636,10 @@ def c_value(d: DVec, cache: Optional[MemoCache] = None):
     >>> c_value((4,)) == Q(35, 144)
     True
     """
-    t = canonical_tuple(d)
-    n = n_value(t, cache)
-    return Q(n, _c_scale(genus_of(t), x_int(t))) if n else ZERO
+    n, x, ones = _n_of(d, cache)
+    # C is dilaton-invariant: the key's N over the key's N/C, at the key's
+    # genus g = (X - n_key + 2) / 2.
+    return Q(n, _c_scale((x - len(d) + ones + 2) // 2, x)) if n else ZERO
 
 
 def intersection_number(d: DVec):

@@ -114,6 +114,6 @@ def primitive_vectors(g: int) -> List[Tuple[int, ...]]:
     """
     if g < 2:
         raise ValueError("genus must be at least 2")
-    vectors = [tuple(v + 1 for v in reversed(p)) for p in partitions(3 * g - 3)]
+    vectors = [tuple([v + 1 for v in reversed(p)]) for p in partitions(3 * g - 3)]
     vectors.reverse()
     return vectors

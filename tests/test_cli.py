@@ -74,6 +74,7 @@ def test_commands_import_only_what_they_run():
         "psiclass.exact",
     }
     assert "dataclasses" not in loaded
+    assert "csv" not in loaded
     loaded = _modules_after(["table", "--genus", "3"])
     assert {m for m in loaded if m.partition(".")[0] == "psiclass"} == {
         "psiclass",
@@ -83,6 +84,7 @@ def test_commands_import_only_what_they_run():
         "psiclass.partitions",
     }
     assert "dataclasses" not in loaded
+    assert "csv" not in loaded
     assert "dataclasses" not in _modules_after(["asym", "fit", "--k", "1"])
 
 

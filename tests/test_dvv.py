@@ -732,6 +732,46 @@ def test_negative_entry_is_zero_and_not_stored(tmp_path):
     cache_save(cache, tmp_path / "memo.cache")
 
 
+# (d, N, C, U) on vectors at the edges of what a call reads from d: the
+# empty vector, 1s only or beside a 0, negative entries, 0s and 1s, and a
+# list out of order.
+_EDGE_VALUES = [
+    ((), 0, ZERO, ZERO),
+    ((1,), 3, Q(1, 6), Q(1, 8)),
+    ((1, 1), 9, Q(1, 6), Q(3, 8)),
+    ((1, 1, 1, 1), 486, Q(1, 6), Q(81, 4)),
+    ((0, 1), 0, ZERO, ZERO),
+    ((1, -1), 0, ZERO, ZERO),
+    ((2, -1, 1), 0, ZERO, ZERO),
+    ((0, 0, 0), 1, Q(1, 3), ONE),
+    ((0, 0, 0, 1), 3, Q(1, 3), Q(3)),
+    ((4, 1, 1), 102060, Q(35, 144), Q(2835, 32)),
+    ((-2, 5), 0, ZERO, ZERO),
+    ([3, 1, 2], 109620, Q(1015, 3888), Q(3045, 32)),
+]
+
+
+@pytest.mark.parametrize(
+    "d, n, c, u", _EDGE_VALUES, ids=[repr(e[0]) for e in _EDGE_VALUES]
+)
+def test_edge_vector_values_cold_and_warm(d, n, c, u, monkeypatch):
+    """Each edge vector gives its N, C and U on a cold memo, and again on
+    the memo the cold call left, where no expansion runs."""
+    monkeypatch.setattr("psiclass.dvv._DEFAULT_CACHE", MemoCache())
+    cache = MemoCache()
+    assert n_value(d, cache) == n
+    assert c_value(d, MemoCache()) == c
+    assert u_value(d) == u
+
+    def no_expansion(*args):
+        raise AssertionError(f"a warm call on {d!r} expanded {args[0]!r}")
+
+    monkeypatch.setattr("psiclass.dvv._expand", no_expansion)
+    assert n_value(d, cache) == n
+    assert c_value(d, cache) == c
+    assert u_value(d) == u
+
+
 def test_recursion_limit_bump():
     """Long string chains and a large one-point value under a recursion
     limit far below their depth, in a fresh interpreter: the engine runs
