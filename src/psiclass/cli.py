@@ -358,6 +358,8 @@ def _emit(payload: dict, args) -> None:
             writer = csv.writer(buf)
             writer.writerow(["key", "value"])
             for key, value in payload.items():
+                if isinstance(value, (dict, list)):
+                    value = json.dumps(value, default=str)
                 writer.writerow([key, value])
         text = buf.getvalue()
     if args.out:

@@ -45,10 +45,9 @@ whose 16-bit digit v counts the copies of v, so each child of an expansion
 is an integer sum: a merge child is rest - 2^(16 v) + 2^(16 (v + p - 1)),
 a connected child rest + 2^(16 a) + 2^(16 b), and the children of a split
 with left part code L are L + 2^(16 a) and (rest - L) + 2^(16 b).  The
-codes stay inside this module: ``MemoCache`` reads and writes entries by
-tuple, and the memo file holds tuples.  A key of X reaches only keys of at
-most X + 3 entries, so ``n_value`` refuses a key with X + 3 >= 2^16 before
-it stores anything, and no digit overflows.
+memo file holds tuples, not codes.  A key of X reaches only keys of at
+most X + 3 entries, so ``n_value`` refuses a key with X + 3 >= 2^16
+before it stores anything, and no digit overflows.
 
 Any pivot yields the same value; ``_pivot`` picks one for speed: a
 0-entry when present (the string equation, which has no quadratic sum),
@@ -77,9 +76,9 @@ term-for-term but exponentially cheaper on vectors with many repeats.
 3X-weight and length as the parts grow, and ``multiset_splits`` (also for
 ``harness``) decodes its parts.  An expansion buckets the splits of
 ``rest`` by the residue mod 3 of that weight, so each ``a`` visits only
-splits whose left child has integral X.  Each expansion builds the table of
-its own ``rest``, which lives as long as that expansion; the share lists
-it is built from are kept for one ``_drive`` call.
+splits whose left child has integral X.  Each expansion builds the buckets
+of its own ``rest``, which live as long as that expansion; the share lists
+they are built from are kept for one ``_drive`` call.
 
 The memo file (format ``dvvcache v2``) is plain text: a header line with
 the entry count and the SHA-256 of the body, then one ``key = N`` line per
@@ -181,12 +180,8 @@ _N_BASE = {_encode((0, 0, 0)): 1, _encode((1,)): int(_C_ONE * _c_scale(1, 1))}
 
 
 class MemoCache:
-    """Table from canonical keys to the integers N.
-
-    ``table`` is keyed on each key's multiplicity code, which stays inside
-    this module; others read and write entries by the key's tuple, as
-    ``cache[key]``, ``key in cache`` and ``cache.items()``.
-    """
+    """Table from canonical keys to the integers N: ``table`` is keyed on
+    each key's multiplicity code."""
 
     FORMAT = "dvvcache v2"
 
@@ -195,19 +190,6 @@ class MemoCache:
 
     def __len__(self) -> int:
         return len(self.table)
-
-    def __getitem__(self, key: DVec) -> int:
-        return self.table[_encode(key)]
-
-    def __setitem__(self, key: DVec, n: int) -> None:
-        self.table[_encode(key)] = n
-
-    def __contains__(self, key: DVec) -> bool:
-        return _encode(key) in self.table
-
-    def items(self) -> list:
-        """(key tuple, N) pairs in the order the entries were stored."""
-        return [(_decode(code), n) for code, n in self.table.items()]
 
 
 _DEFAULT_CACHE = MemoCache()
@@ -232,6 +214,7 @@ def cache_save(cache: MemoCache, destination) -> None:
     The path (``str``, ``bytes`` or ``os.PathLike``) is replaced atomically:
     the text goes to a temporary file in the same directory, renamed over
     the target only once complete, so a failed save leaves the old file.
+    An OSError from the system names ``path``, with its own reason.
     """
     text = _table_text(cache)
     path = os.fsdecode(destination)
@@ -240,6 +223,10 @@ def cache_save(cache: MemoCache, destination) -> None:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.strerror is None:  # not the system's: nothing names tmp
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -441,22 +428,13 @@ def multiset_splits(entries: DVec, groups: int = 2) -> list:
     ]
 
 
-def _split_table(counts: Sequence[int], shares: dict) -> Tuple[list, list, list]:
-    """The ``_two_part_splits`` of the digits ``counts``, bucketed by w3
-    mod 3 in their order."""
-    buckets: Tuple[list, list, list] = ([], [], [])
-    for split in _two_part_splits(counts, shares):
-        buckets[split[0] % 3].append(split)
-    return buckets
-
-
 def _expand(key: int, table: dict, shares: dict, p: Optional[int] = None):
     """One DVV expansion of N at the entry p (by default ``_pivot``'s) of
     the geometric key coded ``key``, with X >= 2.  A generator: each child
     is coded as an integer sum and read from ``table``; a miss is yielded,
-    its N expected back.  Returns N of the key.  The ``_split_table`` of
-    ``rest`` is built here, from the split ``shares`` (see
-    ``_two_part_splits``), and lives as long as this expansion.
+    its N expected back.  Returns N of the key.  The splits of ``rest``
+    are built from the split ``shares`` (see ``_two_part_splits``) and
+    bucketed by w3 mod 3 here; they live as long as this expansion.
 
     A child that holds a 1 the expansion put there (a merge to 1, or a = 1
     or b = 1) is read as its part without that 1 times the dilaton factor,
@@ -521,7 +499,9 @@ def _expand(key: int, table: dict, shares: dict, p: Optional[int] = None):
     # The residue of a split's w3 fixes whether the left child has an
     # integral X, X1 = (2a + 1 + w3) / 3, so each a visits one bucket.  The
     # right child's X2 = X - 1 - X1 = (2b + 1 + w3(J)) / 3 is then >= 1.
-    buckets = _split_table(counts, shares)
+    buckets = ([], [], [])
+    for split in _two_part_splits(counts, shares):
+        buckets[split[0] % 3].append(split)
     comb = math.comb
     for a in range(p // 2):
         b = p - 2 - a

@@ -14,12 +14,13 @@ rational-valued forms of the closed-formula matrices and traces, the
 Painleve I recursion and residual, the majorant and the linear
 elimination and rational fitting that the library computes on integers.
 
-It also holds the views of library data that only tests read: the rational
-entries of the integer matrices (matrix_coeff), the trace of a product of
-them (trace_product), the trace-normalized coefficients a(k) (a_value)
-and the evaluation of a table polynomial (mult_poly_eval).  Last come the
-polynomial gcd that reduces the reference fit and the Theorem 2 deviation
-sweep (theorem2_family, theorem2_deviation_sweep), which only tests run.
+It also holds the views of library data that only tests read: a memo's
+entries by key tuple (memo_items), the rational entries of the integer
+matrices (matrix_coeff), the trace of a product of them (trace_product),
+the trace-normalized coefficients a(k) (a_value) and the evaluation of a
+table polynomial (mult_poly_eval).  Last come the polynomial gcd that
+reduces the reference fit and the Theorem 2 deviation sweep
+(theorem2_family, theorem2_deviation_sweep), which only tests run.
 The memo loader closes the file: cache_load_reference reads a memo file
 line by line, each line parsed and checked on its own, where cache_load
 accepts the body in one bulk pass.  The partition enumerator has its
@@ -84,6 +85,11 @@ from psiclass.exact import (
 from psiclass.painleve import painleve_coeff
 from psiclass.partitions import partitions
 from psiclass.series import SeriesInvX
+
+
+def memo_items(cache: MemoCache) -> list:
+    """(key tuple, N) pairs of the memo, in the order they were stored."""
+    return [(_decode(code), n) for code, n in cache.table.items()]
 
 
 def c_value_with_pivot(d: DVec, pivot_pos: int, cache: Optional[MemoCache] = None):
@@ -162,18 +168,19 @@ def n_value_by_rule(d: DVec, cache: MemoCache, rule) -> int:
     key = canonical_tuple(d)
     if genus_of(key) is None or x_int(key) < 1 or key[0] < 0:
         return 0
-    if key in cache:
-        n = cache[key]
+    code = _encode(key)
+    if code in cache.table:
+        n = cache.table[code]
     elif x_int(key) == 1:  # a base case, (0, 0, 0) or (1,)
         n = n_value(key, cache)
     else:
-        expansion = _expand(_encode(key), cache.table, {}, key[rule(key)])
+        expansion = _expand(code, cache.table, {}, key[rule(key)])
         child_n = None
         while True:
             try:
                 child = expansion.send(child_n)
             except StopIteration as done:
-                n = cache[key] = done.value
+                n = cache.table[code] = done.value
                 break
             child_n = n_value_by_rule(_decode(child), cache, rule)
     x = x_int(key)
@@ -720,7 +727,7 @@ def cache_load_reference(source) -> MemoCache:
             raise ValueError(
                 f"line {lineno}: value {val_s[:80]!r} is not a positive hex integer"
             )
-        if key in cache:
+        if _encode(key) in cache.table:
             raise ValueError(f"line {lineno}: duplicate key {key_s!r}")
         value = int(val_s, 16)
         if len(key) == 1:
@@ -730,7 +737,7 @@ def cache_load_reference(source) -> MemoCache:
                     f"line {lineno}: entry {line[:80]!r} fails"
                     f" N((3g-2,)) = (6g-3)!! at g = {g}"
                 )
-        cache[key] = value
+        cache.table[_encode(key)] = value
     return cache
 
 

@@ -290,6 +290,22 @@ def test_asym_fit(capsys):
     assert code == 2
 
 
+def test_csv_writes_nested_values_as_json(capsys):
+    """A dict or list value in a payload without rows is one JSON cell in
+    CSV; scalar cells keep their text."""
+    code, out = run(capsys, "asym", "fit", "--k", "1")
+    assert code == 0
+    want = json.loads(out)["ctilde"]
+    code, out = run(capsys, "asym", "fit", "--k", "1", "--format", "csv")
+    assert code == 0
+    cells = dict(csv.reader(io.StringIO(out)))
+    assert json.loads(cells["ctilde"]) == want
+    assert cells["k"] == "1"
+    code, out = run(capsys, "bounds", "--gmax", "7", "--format", "csv")
+    assert code == 0
+    assert "lemma6_ok,True\r\n" in out
+
+
 def test_asym_series(capsys, monkeypatch):
     code, out = run(capsys, "asym", "series", "--which", "largest", "--order", "2")
     assert code == 0
@@ -379,7 +395,7 @@ def test_cache_save_and_load(tmp_path, capsys, fresh_memo):
     assert path.exists()
     loaded = cache_load(str(path))
     assert len(loaded) > 0
-    assert loaded[(2, 2, 5)] == n_value((2, 2, 5), MemoCache())
+    assert loaded.table[dvv._encode((2, 2, 5))] == n_value((2, 2, 5), MemoCache())
     # A warm run reads the file, prints the same value and does not write
     # the file at all.
     past = 10**18  # 2001-09-09, in ns
@@ -414,7 +430,7 @@ def test_failing_command_saves_nothing(tmp_path, capsys, fresh_memo):
     # chat on even X is refused after C(0,5) has been added to the memo.
     fresh_memo()
     assert main(["--cache", str(path), "compute", "0,5", "--norm", "chat"]) == 2
-    assert (0, 5) in dvv.default_cache()
+    assert dvv._encode((0, 5)) in dvv.default_cache().table
     assert path.read_bytes() == before
     missing = tmp_path / "missing.cache"
     assert main(["--cache", str(missing), "compute", "2,,3"]) == 2

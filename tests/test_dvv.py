@@ -18,7 +18,7 @@ from psiclass.dvv import (
     _decode,
     _encode,
     _pivot,
-    _split_table,
+    _two_part_splits,
     c_value,
     cache_load,
     cache_save,
@@ -42,6 +42,7 @@ from oracles import (
     cache_load_reference,
     expand_ordered_reference,
     former_pivot_pos,
+    memo_items,
     n_value_by_rule,
     n_value_with_pivot,
     rule_e_pivot_pos,
@@ -131,7 +132,7 @@ def _assert_memo_matches_former_pivots(cache: MemoCache):
     memo: a frozen memo shape can then never hide a changed value."""
     check = MemoCache()
     check.table = dict(cache.table)
-    for key, n in cache.items():
+    for key, n in memo_items(cache):
         for pos in {former_pivot_pos(key), rule_e_pivot_pos(key)}:
             assert n_value_with_pivot(key, pos, check) == n, (key, pos)
 
@@ -192,6 +193,15 @@ def test_expand_matches_ordered_reference():
             assert n_value_with_pivot(t, pos, cache) == want, (t, pos)
 
 
+def _split_buckets(rest: tuple) -> tuple:
+    """The 2-part splits of ``rest`` bucketed by w3 mod 3 in their order,
+    as ``_expand`` builds them."""
+    buckets = ([], [], [])
+    for split in _two_part_splits(_counts(_encode(rest)), {}):
+        buckets[split[0] % 3].append(split)
+    return buckets
+
+
 class _CountingTable(dict):
     def get(self, key, default=None):
         self.gets += 1
@@ -209,8 +219,8 @@ def test_separable_loop_reads_each_unordered_split_once():
         table = _CountingTable(cache.table)
         table.gets = 0
         p, rest = t[-1], t[:-1]
-        assert n_value_with_pivot(t, len(t) - 1, cache, table) == cache[t]
-        buckets = _split_table(_counts(_encode(rest)), {})
+        assert n_value_with_pivot(t, len(t) - 1, cache, table) == cache.table[_encode(t)]
+        buckets = _split_buckets(rest)
         splits = sum(len(buckets[-(2 * a + 1) % 3]) for a in range((p - 2) // 2 + 1))
         # Less one: at a = 1 the split with an empty left part has the
         # child (1,), whose N(1) = 3 is read without a lookup.
@@ -273,6 +283,30 @@ def test_gamma_norm_even_x_rejected():
         chat_value((0, 2))  # X = 2
 
 
+@pytest.mark.parametrize(
+    "fn, arg, message",
+    [
+        (g_norm, (2, 2), "undefined normalization: g((2, 2)) is not in Z>=0"),
+        (g_norm, (-2,), "undefined normalization: C((-2,)) = 0"),
+        (gamma_norm, 0, "gamma_norm requires X >= 1, got 0"),
+        (
+            gamma_norm,
+            2,
+            "gamma(2) is irrational (a rational multiple of 1/(pi*sqrt(3)));"
+            " only odd X has an exact rational value",
+        ),
+        (chat_value, (2, 2), "undefined normalization: g((2, 2)) is not in Z>=0"),
+        (chat_value, (), "chat_value requires X >= 1, got 0"),
+    ],
+)
+def test_normalization_errors(fn, arg, message):
+    """Each normalization names why it is undefined: a genus outside Z>=0,
+    a reference C of 0, an X below 1 or an even X."""
+    with pytest.raises(ValueError) as exc:
+        fn(arg)
+    assert str(exc.value) == message
+
+
 def test_chat_value_odd_x():
     d = (2, 2, 5)  # X = (5 + 5 + 11)/3 = 7
     assert chat_value(d) == c_value(d) / gamma_norm(7)
@@ -316,7 +350,7 @@ def test_cache_round_trip(tmp_path):
     # Values past the 4300-digit cap of decimal int/str conversion, as
     # N(0^n, n+1) = (2n+3)!! is from n = 1422 on.
     big = MemoCache()
-    big[(0,) * 1500 + (1501,)] = 10**5000 + 1
+    big.table[_encode((0,) * 1500 + (1501,))] = 10**5000 + 1
     cache_save(big, str(path))
     assert cache_load(str(path)).table == big.table
     assert sorted(p.name for p in tmp_path.iterdir()) == ["again.cache", "memo.cache"]
@@ -359,7 +393,7 @@ def test_cache_load_names_the_line_of_a_non_utf8_byte(tmp_path):
 
 
 def test_cache_load_empty_body(tmp_path):
-    assert _load_text(tmp_path / "memo.cache", _v2("")).items() == []
+    assert memo_items(_load_text(tmp_path / "memo.cache", _v2(""))) == []
 
 
 def test_cache_load_refuses_negative_genus_at_x_two(tmp_path):
@@ -372,7 +406,7 @@ def test_cache_load_refuses_negative_genus_at_x_two(tmp_path):
 def test_cache_load_checks_header_count_and_hash(tmp_path):
     path = tmp_path / "memo.cache"
     good = _v2("2,3 = 23af\n4 = 3b1\n")
-    assert _load_text(path, good).items() == [((2, 3), 9135), ((4,), 945)]
+    assert memo_items(_load_text(path, good)) == [((2, 3), 9135), ((4,), 945)]
     with pytest.raises(ValueError, match="line 1: a dvvcache v1 file"):
         _load_text(path, "dvvcache v1\n2,3 = 1015/3888\n")
     header, _, body = good.partition("\n")
@@ -387,7 +421,7 @@ def test_cache_load_checks_header_count_and_hash(tmp_path):
     # Line ends are read as a text-mode read would: CRLF and a lone CR load
     # the same.
     for newline in ("\r\n", "\r"):
-        assert _load_text(path, good.replace("\n", newline)).items() == [((2, 3), 9135), ((4,), 945)]
+        assert memo_items(_load_text(path, good.replace("\n", newline))) == [((2, 3), 9135), ((4,), 945)]
     with pytest.raises(ValueError, match="line 2: key '0,0,0' is not a geometric"):
         _load_text(path, _v2("0,0,0 = 1\n"))
 
@@ -424,7 +458,7 @@ def test_cache_load_checks_one_point_entries(tmp_path):
     # own N((7,)) at g = 3.
     seven = n_value((7,), MemoCache())
     good = _v2(f"4 = 3b1\n7 = {seven:x}\n")
-    assert _load_text(path, good).items() == [((4,), 945), ((7,), seven)]
+    assert memo_items(_load_text(path, good)) == [((4,), 945), ((7,), seven)]
     # Well-formed files with the right count and hash, holding a forged
     # one-point value.
     with pytest.raises(
@@ -446,10 +480,10 @@ def test_cache_save_failure_keeps_previous_file(tmp_path):
     # key, after an entry that would serialize, and one keyed by a tuple
     # where a multiplicity code belongs: each refused before any write.
     broken = MemoCache()
-    broken[(2, 3)] = n_value((2, 3))
-    broken[(99,)] = object()
+    broken.table[_encode((2, 3))] = n_value((2, 3))
+    broken.table[_encode((99,))] = object()
     foreign = MemoCache()
-    foreign[(4,)] = 945
+    foreign.table[_encode((4,))] = 945
     foreign.table[(2, 3)] = n_value((2, 3))
     for table in (broken, foreign):
         with pytest.raises(TypeError):
@@ -479,6 +513,16 @@ def test_cache_save_failure_after_write_keeps_previous_file(tmp_path, monkeypatc
     assert written and written[0] != before
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["memo.cache"]
+
+
+def test_cache_save_failure_names_the_memo_file(tmp_path):
+    """An OSError from the system names the memo path, with its reason, not
+    the temporary file the text went to first."""
+    path = tmp_path / "missing" / "memo.cache"
+    with pytest.raises(FileNotFoundError) as exc:
+        cache_save(MemoCache(), path)
+    assert exc.value.filename == str(path)
+    assert str(exc.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
 
 
 def _labelled_splits(entries, k):
@@ -530,7 +574,7 @@ def test_split_table_buckets_partition_the_splits():
     weight, the left part's length and the labeling count."""
     for entries in _SPLIT_INPUTS:
         rest = tuple(sorted(entries))
-        buckets = _split_table(_counts(_encode(rest)), {})
+        buckets = _split_buckets(rest)
         seen = {}
         for residue, bucket in enumerate(buckets):
             for w3, n_left, ways, code in bucket:
@@ -570,7 +614,7 @@ def test_memo_fill_order_frozen(tmp_path):
     for d in _FILL_VECTORS:
         n_value(d, cache)
     assert len(cache) == 82
-    items = repr(cache.items()).encode()
+    items = repr(memo_items(cache)).encode()
     assert (
         hashlib.sha256(items).hexdigest()
         == "952ba33f2b9816c059ad7fc16b9580e5e6fa61fa40753f8ee2bcddd392527cfe"
@@ -594,8 +638,8 @@ def test_no_expansion_yields_a_key_holding_a_1():
         n_value(d, cache)
     # (13,) among them expands at 13, where a = 1 and b = 1 meet children
     # (1, part) in the connected and the separable sums.
-    assert (13,) in cache
-    for key, n in cache.items():
+    assert _encode((13,)) in cache.table
+    for key, n in memo_items(cache):
         for pos in {_pivot_pos(key), former_pivot_pos(key), rule_e_pivot_pos(key)}:
             yielded = []
             assert n_value_with_pivot(key, pos, cache, {}, yielded) == n, key
@@ -610,7 +654,7 @@ def _memo_at_rule(rule, entries: int, items_sha: str, file_sha: str, path):
         n_value_by_rule(d, memo, rule)
     cache_save(memo, path)
     assert len(memo) == entries
-    assert hashlib.sha256(repr(memo.items()).encode()).hexdigest() == items_sha
+    assert hashlib.sha256(repr(memo_items(memo)).encode()).hexdigest() == items_sha
     assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
     return memo
 
@@ -621,7 +665,7 @@ def _assert_memo_file_serves(former: MemoCache, path):
     it gives what a cold one gives."""
     loaded = cache_load(path)
     cold = MemoCache()
-    for key, _ in former.items():
+    for key, _ in memo_items(former):
         assert c_value(key, loaded) == c_value(key, cold), key
     assert loaded.table == former.table
     for d in _EXPAND_GRID + primitive_vectors(5) + [(2, 2, 5), (2, 3, 7)]:
@@ -724,11 +768,11 @@ def test_negative_entry_is_zero_and_not_stored(tmp_path):
     saves."""
     cache = MemoCache()
     c_value((2, 2, 5), cache)
-    before = cache.items()
+    before = memo_items(cache)
     for d in [(-1, 2, 2), (-1, 1, 3), (3, -2, 5), (-1,)]:
         assert n_value(d, cache) == 0, d
         assert c_value(d, cache) == ZERO, d
-    assert cache.items() == before
+    assert memo_items(cache) == before
     cache_save(cache, tmp_path / "memo.cache")
 
 

@@ -33,7 +33,7 @@ from psiclass.dvv import (
 )
 from psiclass.exact import Q, ZERO
 
-from oracles import c_value_with_pivot, cache_load_reference
+from oracles import c_value_with_pivot, cache_load_reference, memo_items
 
 
 _PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -113,7 +113,7 @@ def _memo_lines() -> list:
     cache = MemoCache()
     for d in [(2, 2, 5), (0, 0, 3, 4), (10,), (3, 6), (0, 2, 2, 2, 3)]:
         n_value(d, cache)
-    return [f"{','.join(map(str, k))} = {v:x}" for k, v in sorted(cache.items())]
+    return [f"{','.join(map(str, k))} = {v:x}" for k, v in sorted(memo_items(cache))]
 
 
 _MEMO_LINES = _memo_lines()
@@ -195,7 +195,7 @@ def mutated_memos(draw) -> str:
 def _load_outcome(load, path):
     """The loaded table's items in insertion order, or the error text."""
     try:
-        return load(path).items()
+        return memo_items(load(path))
     except ValueError as exc:
         return f"ValueError: {exc}"
 

@@ -7,7 +7,7 @@ from decimal import localcontext
 
 import pytest
 
-from psiclass.dvv import MemoCache, c_value, x_int
+from psiclass.dvv import MemoCache, _encode, c_value, x_int
 from psiclass.exact import Q, pi_value, rounded, to_decimal
 from psiclass.harness import (
     check_c4_inequalities,
@@ -149,7 +149,7 @@ def test_sweep_deviation_is_the_maximum_over_every_class():
         for d in primitive_vectors(g):
             c_value(d, cache)
         for key, n in entries.items():
-            cache[key] = n
+            cache.table[_encode(key)] = n
         r = sweep_nesting(g, cache)[-1]
         assert reported(r) == extremes(g, cache)
         assert (r.min_vector, r.max_vector) == (low, high), entries
