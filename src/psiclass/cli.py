@@ -382,11 +382,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             default_cache().table.update(loaded)
             stored = len(loaded)
         payload, ok = args.fn(args)
-        _emit(payload, args)
-        # The memo only grows, so an unchanged count means the file already
-        # holds every entry and a save would rewrite the same bytes.
+        # Saved first, so a failed save prints no payload.  The memo only
+        # grows: an unchanged count means the file holds every entry.
         if args.cache and (stored is None or len(default_cache()) > stored):
             cache_save(default_cache(), args.cache)
+        _emit(payload, args)
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -82,8 +82,9 @@ they are built from are kept for one ``_drive`` call.
 
 The memo file (format ``dvvcache v2``) is plain text: a header line with
 the entry count and the SHA-256 of the body, then one ``key = N`` line per
-entry in sorted key order, N in hexadecimal.  Older C-valued v1 files are
-refused.
+entry in sorted key order, N in hexadecimal.  ``cache_load`` checks every
+entry by one set of rules and names the first bad line; older C-valued v1
+files are refused.
 """
 
 from __future__ import annotations
@@ -274,10 +275,8 @@ def cache_load(source) -> MemoCache:
     hexadecimal integer value, no duplicate key, and for a one-entry key
     (3g-2,) the value N = (6g-3)!!, from the one-point number
     1/(24^g g!); longer entries are not checked against the recursion.
-    Errors are ValueErrors that start ``line N:``.  A bulk pass
-    (``_bulk_fill``) accepts the entries; the per-line rules, which state
-    what a file may hold, run only on a file it refuses, to name its first
-    bad line."""
+    Errors are ValueErrors that start ``line N:``.  One loop, ``_fill``,
+    applies each entry rule, so the first bad line is the one named."""
     with open(source, "rb") as fh:
         # Newlines translated as a text-mode read would, so CRLF files load.
         data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -308,70 +307,70 @@ def cache_load(source) -> MemoCache:
         )
     if _sha256(body) != head.group(2):
         raise ValueError("line 1: the body does not match the header's SHA-256")
-    # Matches never span a newline, so one per line means every line matched.
-    entries = _ENTRY.findall(body)
     cache = MemoCache()
-    if len(entries) == count and _bulk_fill(cache.table, entries):
-        return cache
-    seen = set()
+    _fill(cache.table, body, count)
+    return cache
+
+
+def _fill(table: dict, body: str, count: int) -> None:
+    """Enter the ``count`` entry lines of ``body`` into ``table`` in file
+    order, each checked by ``cache_load``'s entry rules.  Keys are read by
+    one ``json.loads`` when ``_ENTRY`` matches every line; else by
+    ``int()`` as the loop reaches each line, whose spellings it checks."""
+    import json  # only memo files need it, as with hashlib
+
+    entries = _ENTRY.findall(body)
+    try:  # JSON refuses a leading zero and an empty part
+        keys = json.loads("[[" + "],[".join([k for k, _ in entries]) + "]]")
+    except ValueError:
+        keys = None
+    # Matches never span a newline, so one per line means every line matched.
+    spelled = keys is not None and len(entries) == count
+    rows = zip(range(2, count + 2), keys, entries) if spelled else _int_rows(body)
+    w3_cap = 3 * ((1 << _DIGIT) - 3)  # w3 = 3X = 2s + n, and X + 3 < 2^16
+    for lineno, key, (key_s, val_s) in rows:
+        n, s = len(key), sum(key)
+        w3 = 2 * s + n
+        if key != sorted(key) or (1 in key and n > 1) or (
+            not spelled and ",".join(map(str, key)) != key_s
+        ):
+            raise ValueError(f"line {lineno}: non-canonical key {key_s!r}")
+        # A negative entry, g = 1 + (s - n)/3 not in Z>=0, or X < 2.
+        if key[0] < 0 or (s - n) % 3 or s - n < -3 or w3 < 6:
+            raise ValueError(
+                f"line {lineno}: key {key_s!r} is not a geometric vector with X >= 2"
+            )
+        if w3 >= w3_cap:
+            raise ValueError(
+                f"line {lineno}: key of X = {w3 // 3} is past the"
+                f" recursion's range, X + 3 < {1 << _DIGIT}"
+            )
+        if not spelled and not _HEX.fullmatch(val_s):
+            raise ValueError(
+                f"line {lineno}: value {val_s[:80]!r} is not a positive hex integer"
+            )
+        value = table[_encode(key)] = int(val_s, 16)
+        if len(table) < lineno - 1:  # the key was in the table
+            raise ValueError(f"line {lineno}: duplicate key {key_s!r}")
+        if n == 1 and value != odd_double_factorial(w3):  # (6g-3)!!, w3 = 2s + 1
+            raise ValueError(
+                f"line {lineno}: entry {f'{key_s} = {val_s}'[:80]!r} fails"
+                f" N((3g-2,)) = (6g-3)!! at g = {(s + 2) // 3}"
+            )
+
+
+def _int_rows(body: str):
+    """``(lineno, key, (key_s, val_s))`` per ``key_s = val_s`` line of
+    ``body``, the key read by ``int()``; a line it cannot read raises."""
     for lineno, line in enumerate(body.split("\n")[:-1], start=2):
         key_s, sep, val_s = line.partition(" = ")
         try:
             if not sep:
                 raise ValueError(f"malformed entry {line[:80]!r}")
-            key = tuple(int(p) for p in key_s.split(","))
+            key = [int(p) for p in key_s.split(",")]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if ",".join(map(str, canonical_tuple(key))) != key_s:
-            raise ValueError(f"line {lineno}: non-canonical key {key_s!r}")
-        if min(key) < 0 or genus_of(key) is None or x_int(key) < 2:
-            raise ValueError(
-                f"line {lineno}: key {key_s!r} is not a geometric vector with X >= 2"
-            )
-        if x_int(key) + 3 >= 1 << _DIGIT:
-            raise ValueError(
-                f"line {lineno}: key of X = {x_int(key)} is past the"
-                f" recursion's range, X + 3 < {1 << _DIGIT}"
-            )
-        if not _HEX.fullmatch(val_s):
-            raise ValueError(
-                f"line {lineno}: value {val_s[:80]!r} is not a positive hex integer"
-            )
-        if key in seen:
-            raise ValueError(f"line {lineno}: duplicate key {key_s!r}")
-        seen.add(key)
-        if len(key) == 1:
-            g = (key[0] + 2) // 3
-            if int(val_s, 16) != odd_double_factorial(6 * g - 3):
-                raise ValueError(
-                    f"line {lineno}: entry {line[:80]!r} fails"
-                    f" N((3g-2,)) = (6g-3)!! at g = {g}"
-                )
-    raise AssertionError("the bulk pass refused a file that every line rule admits")
-
-
-def _bulk_fill(table: dict, entries: list) -> bool:
-    """Enter the ``_ENTRY`` matches into ``table`` in file order; False when
-    one breaks a rule.  One ``json.loads`` reads every key."""
-    import json  # only memo files need it, as with hashlib
-
-    try:  # JSON refuses a leading zero and an empty part
-        keys = json.loads("[[" + "],[".join([k for k, _ in entries]) + "]]")
-    except ValueError:
-        return False
-    for key, (_, hex_value) in zip(keys, entries):
-        n, s = len(key), sum(key)
-        if key != sorted(key) or 1 in key:  # not canonical
-            return False
-        if (s - n) % 3 or s - n < -3 or 2 * s + n < 6:  # g not in Z>=0, or X < 2
-            return False
-        if 2 * s + n >= 3 * ((1 << _DIGIT) - 3):  # X + 3 >= 2^16
-            return False
-        value = int(hex_value, 16)
-        if n == 1 and value != odd_double_factorial(2 * s + 1):  # (6g-3)!!
-            return False
-        table[_encode(key)] = value
-    return len(table) == len(entries)  # else a duplicate key
+        yield lineno, key, (key_s, val_s)
 
 
 def _two_part_splits(counts: Sequence[int], shares: dict) -> list:

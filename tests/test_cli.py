@@ -504,10 +504,12 @@ def test_cache_load_refuses_non_ascii_count_and_non_utf8_byte(
     assert path.read_bytes() == data
 
 
-@pytest.mark.parametrize("where", ["cache", "out"])
+@pytest.mark.parametrize("where", ["cache", "out", "save"])
 def test_unusable_path_is_an_error(where, tmp_path, capsys):
     if where == "cache":
         argv = ["--cache", str(tmp_path), "compute", "1"]  # a directory
+    elif where == "save":  # the memo is saved before the payload is printed
+        argv = ["compute", "2,3", "--cache", str(tmp_path / "no" / "dir" / "memo.txt")]
     else:
         argv = ["--out", str(tmp_path / "nodir" / "x.json"), "compute", "1"]
     assert main(argv) == 2

@@ -370,6 +370,24 @@ def test_cache_load_error_lines(tmp_path):
         _load_text(path, _v2("2,3 = 2/4\n"))
     with pytest.raises(ValueError, match="line 3: the file does not end in a newline"):
         _load_text(path, _v2("2,3 = 23af\n4 = 3b1"))
+    # The first bad line is named, whether a rule or the reading of a line
+    # refuses it, and whichever comes first in the file; lines the pattern
+    # refuses are still checked by the rules in their order.
+    for body, error in [
+        ("2,3 = 23af\n4 = 1\n2,2,2 = 5\ngarbage\n",
+         "line 3: entry '4 = 1' fails N((3g-2,)) = (6g-3)!! at g = 2"),
+        ("2,3 = 23af\n2,3 = 5\n2,2,2 = 5\n2,,3 = 5\n", "line 3: duplicate key '2,3'"),
+        ("2,3 = 23af\ngarbage\n2,2,2 = 5\n3,2 = 23af\n", "line 3: malformed entry 'garbage'"),
+        ("4 = 1\n02,3 = 5\n", "line 2: entry '4 = 1' fails N((3g-2,)) = (6g-3)!! at g = 2"),
+        ("4 = 3b1\n-1,3 = 5\n", "line 3: key '-1,3' is not a geometric vector with X >= 2"),
+        ("2,3 = 0x1f\n", "line 2: value '0x1f' is not a positive hex integer"),
+        ("02,3 = 5\n", "line 2: non-canonical key '02,3'"),
+    ]:
+        path.write_bytes(_v2(body).encode())
+        for load in (cache_load, cache_load_reference):
+            with pytest.raises(ValueError) as exc:
+                load(path)
+            assert str(exc.value) == error
 
 
 @pytest.mark.parametrize("key", ["+2,3", "02,3", "0_2,3", " 2,3", "\u0662,3"])
