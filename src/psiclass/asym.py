@@ -17,8 +17,11 @@ assuming it, then exponentiates the tail.
 For mixed families (a fixed pattern of small exponents plus one growing
 entry) the ratio C(pattern, d_n)/C(3g-2) is an honest rational function of
 g; fit_rational recovers it exactly from samples with surplus validation
-points, and the resulting series, reindexed from 1/g to 1/X via
-g = (X + 2 - n)/2 (1/g = 2x/(1 - (n-2)x) with x = 1/X, one
+points.  Each fit builds a three- or four-point pattern's closed-formula
+terms once (the pattern holds the smaller entries, which alone set them)
+and closes them at every sampled d_n, and computes C(3g-2) once per
+sampled genus for all patterns.  The resulting series, reindexed from 1/g
+to 1/X via g = (X + 2 - n)/2 (1/g = 2x/(1 - (n-2)x) with x = 1/X, one
 SeriesInvX.reindex), yields the coefficients c~_k (of pi*C) and
 c^_k (of C/gamma(X)).  Solving the pattern grid against the allowed
 monomials in the multiplicities p_2..p_5 gives the universal polynomials;
@@ -39,12 +42,18 @@ by integer cross-multiplication and builds one rational, the excess bound.
 from __future__ import annotations
 
 from decimal import localcontext
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from math import comb, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .closed import four_point, one_point_c, three_point, two_point_zograf
+from .closed import (
+    close_terms,
+    four_point_terms,
+    one_point_c,
+    three_point_terms,
+    two_point_zograf,
+)
 from .dvv import c_value
 from .exact import (
     HPDecimal,
@@ -430,29 +439,37 @@ def _mono_value(exps: Tuple[int, ...], pvec: Tuple[int, ...]):
     return acc
 
 
-def _pattern_c(pattern: tuple, dn: int):
-    if len(pattern) == 1:
-        return two_point_zograf(pattern[0], dn)
-    d = pattern + (dn,)
-    return three_point(d) if len(d) == 3 else four_point(d)
+# The genera a fit samples: 4..40, and 4..25 for four points.
+_FIT_GENERA = range(4, 41)
+_FIT_GENERA_FOUR_POINT = range(4, 26)
 
 
-def _pattern_ctilde_series(pattern: tuple, one_point: SeriesInvX) -> SeriesInvX:
+def _pattern_ctilde_series(
+    pattern: tuple, one_point: SeriesInvX, one_point_cs: Dict[int, object]
+) -> SeriesInvX:
     """pi*C(pattern, d_n) as a 1/X-series for the family d_n = 3g-3+n-|pattern|.
 
-    ``one_point`` is one_point_series(K), shared by every pattern of a fit;
-    the result has its order K.
+    ``one_point`` is one_point_series(K) and ``one_point_cs`` maps each
+    sampled g to one_point_c(3g-2), both shared by every pattern of a fit;
+    the result has order K.  A three- or four-point pattern builds its
+    closed-formula terms once (the pattern holds the smaller entries) and
+    closes them at every sampled d_n.
     """
     n = len(pattern) + 1
     K = one_point.order
     if n == 1:
         ser_g = SeriesInvX.one(K)
     else:
-        gmax = 40 if n <= 3 else 25
-        samples = []
-        for g in range(4, gmax + 1):
-            dn = 3 * g - 3 + n - sum(pattern)
-            samples.append((g, _pattern_c(pattern, dn) / one_point_c(3 * g - 2)))
+        if n == 2:
+            value = partial(two_point_zograf, pattern[0])
+        else:
+            build = three_point_terms if n == 3 else four_point_terms
+            value = partial(close_terms, build(*pattern), pattern)
+        genera = _FIT_GENERA if n <= 3 else _FIT_GENERA_FOUR_POINT
+        samples = [
+            (g, value(3 * g - 3 + n - sum(pattern)) / one_point_cs[g])
+            for g in genera
+        ]
         ser_g = fit_rational(samples).series_at_infinity(K)
     # 1/g -> 1/X via g = (X + 2 - n)/2, i.e. 1/g = 2x/(1 - (n-2)x)
     return (ser_g * one_point).reindex(2, n - 2)
@@ -469,7 +486,10 @@ def table2_fit() -> Dict[str, Dict[int, MultPoly]]:
     pattern row and pi*gamma(X), its reindex at g = (X+1)/2.
     """
     one_point = one_point_series(TABLE2_CAP)
-    ctilde_rows = {p: _pattern_ctilde_series(p, one_point) for p in PATTERNS}
+    one_point_cs = {g: one_point_c(3 * g - 2) for g in _FIT_GENERA}
+    ctilde_rows = {
+        p: _pattern_ctilde_series(p, one_point, one_point_cs) for p in PATTERNS
+    }
     pg = one_point.reindex(2, -1)
     chat_rows = {p: ser / pg for p, ser in ctilde_rows.items()}
     result: Dict[str, Dict[int, MultPoly]] = {"ctilde": {}, "chat": {}}

@@ -25,10 +25,12 @@ sum over permutations with partial-sum weights (n_point below).
 
 The matrices are held on integers: A_k as four integer entries over one
 positive denominator (24^h h!, doubled for the diagonal family, with
-h = (k+1)//3, reduced to lowest terms), built from the double factorials
-directly.  Products multiply entries and denominators as integers.  Every
-formula sums on integers over one common denominator (_common_den) that
-each product's denominator divides, and builds one rational on return.
+h = (k+1)//3), built from the double factorials directly.  The entries are
+not reduced to lowest terms, and need not be: products multiply entries
+and denominators as integers, and every formula sums on integers over one
+common denominator (_common_den) that each product's unreduced denominator
+already divides, then builds one rational on return.  A gcd per matrix
+would only shrink numbers that the common denominator scales back up.
 
 Enumeration windows: every formula's floor/weight structure forces the
 k-slot paired with the largest d-entry to exceed that entry, so the
@@ -36,6 +38,14 @@ remaining k's have bounded sum and the term count depends only on the
 smaller entries of d, not on the genus.  Inputs are sorted so the largest
 entry sits in that slot; the values are symmetric (tests check this), only
 the work depends on the ordering.
+
+The three- and four-point sums go in two steps on that split.  A term
+builder (three_point_terms, four_point_terms) works over the smaller
+entries alone: the window, the floor and bracket weights and the partial
+products A_{k_1}..A_{k_{n-1}} never read the largest entry.  The evaluator
+(close_terms) closes each term's trace at k_n = sum d - (k_1 + .. +
+k_{n-1}).  three_point and four_point call both; a caller that varies only
+the largest entry, as the asym table fit does, builds the terms once.
 
 The four-point sum narrows its window further.  Two of its three brackets
 vanish once k1 reaches the smallest entry d1, so from there on the loops
@@ -53,8 +63,8 @@ skips each k that leaves none, before any matrix product or trace.
 from __future__ import annotations
 
 from itertools import accumulate, permutations
-from math import comb, factorial, gcd
-from typing import Dict, Sequence, Tuple
+from math import comb, factorial
+from typing import Dict, List, Sequence, Tuple
 
 from .exact import Q, ZERO, odd_double_factorial
 
@@ -66,12 +76,15 @@ _INT_MATS: Dict[int, IMat] = {}
 
 
 def _int_matrix(k: int) -> IMat:
-    """A_k as integer entries over one positive denominator, in lowest terms.
+    """A_k as integer entries over the denominator 24^h h! (2 24^h h! for
+    the diagonal family), h = (k + 1) // 3, not reduced to lowest terms.
 
-    With h = (k + 1) // 3 the nonzero entries are -+x_{h+1} =
-    -+(6h+1)!!/(2 24^h h!), -q_h = -(6h-1)!!/(24^h h!) and r_h =
-    ((6h+1)/(6h-1)) q_h, whose numerator (6h+1) (6h-1)!!/(6h-1) is an exact
-    integer division ((6h+1) (6h-3)!!, and -1 at h = 0).
+    The nonzero entries are -+x_{h+1} = -+(6h+1)!!/(2 24^h h!), -q_h =
+    -(6h-1)!!/(24^h h!) and r_h = ((6h+1)/(6h-1)) q_h, whose numerator
+    (6h+1) (6h-1)!!/(6h-1) is an exact integer division ((6h+1) (6h-3)!!,
+    and -1 at h = 0).  No formula needs lowest terms: each sums over
+    _common_den, a multiple of every product of these denominators (see
+    there), and builds one rational at the end.
     """
     if k <= -2:
         return _ZERO_IMAT
@@ -83,21 +96,12 @@ def _int_matrix(k: int) -> IMat:
     dfact = odd_double_factorial(6 * h - 1)
     r = k % 3
     if r == 1:
-        num = (6 * h + 1) * dfact
-        den *= 2
+        x = (6 * h + 1) * dfact
+        m: IMat = (-x, 0, 0, x, 2 * den)
     elif r == 0:
-        num = -dfact
+        m = (0, -dfact, 0, 0, den)
     else:
-        num = (6 * h + 1) * dfact // (6 * h - 1)
-    g = gcd(num, den)
-    num //= g
-    den //= g
-    if r == 1:
-        m: IMat = (-num, 0, 0, num, den)
-    elif r == 0:
-        m = (0, num, 0, 0, den)
-    else:
-        m = (0, 0, num, 0, den)
+        m = (0, 0, (6 * h + 1) * dfact // (6 * h - 1), 0, den)
     _INT_MATS[k] = m
     return m
 
@@ -200,60 +204,42 @@ def two_point_zograf(d1: int, d2: int):
     return Q(acc, 54**g * factorial(2 * g - 1) * g * factorial(g))
 
 
-def three_point(d: Sequence[int]):
-    """C(d1, d2, d3) = 2 sum_k a(k) M(d1-k1, d1+d2-k1-k2) over sum k = sum d.
+# One term of a three- or four-point sum: (weight, k_1 + .. + k_{n-1},
+# A_{k_1} .. A_{k_{n-1}}).  A table lists the terms with a nonzero weight and
+# product; the largest entry, and with it k_n, is left open.
+Term = Tuple[int, int, IMat]
 
-    Both floor arguments must be positive, so k1 <= d1 - 1 and
-    k1 + k2 <= d1 + d2 - 1; sorting d ascending puts the largest entry in
-    the k3 slot and the work is O(d1 (d1 + d2)) trace lookups.
+
+def three_point_terms(d1: int, d2: int) -> List[Term]:
+    """The terms of the three-point sum over its smaller entries d1 <= d2.
+
+    The floor weight M(d1-k1, d1+d2-k1-k2) does not read d3, and both its
+    arguments must be positive, so k1 <= d1 - 1 and k1 + k2 <= d1 + d2 - 1:
+    O(d1 (d1 + d2)) terms, whatever the largest entry.
     """
-    if len(d) != 3:
-        raise ValueError("three_point takes exactly three exponents")
-    if min(d) < 0:
-        return ZERO
-    d1, d2, d3 = sorted(d)
-    s = d1 + d2 + d3
-    if s % 3:
-        return ZERO
-    g = s // 3
-    D = _common_den(3, s)
-    acc = 0
+    terms: List[Term] = []
     for k1 in range(-1, d1):
         m1 = d1 - k1
         a1 = _int_matrix(k1)
         for k2 in range(-1, d1 + d2 - k1):
-            tr, den = _trace_with(_imul(a1, _int_matrix(k2)), s - k1 - k2)
-            if tr:
-                acc += min(m1, d1 + d2 - k1 - k2) * tr * (D // den)
-    return Q(2 * acc, D) * _c_prefactor(g, 3)
+            m12 = _imul(a1, _int_matrix(k2))
+            if m12[0] or m12[1] or m12[2] or m12[3]:
+                terms.append((min(m1, d1 + d2 - k1 - k2), k1 + k2, m12))
+    return terms
 
 
-def four_point(d: Sequence[int]):
-    """C(d1..d4) by the four-point closed formula
+def four_point_terms(d1: int, d2: int, d3: int) -> List[Term]:
+    """The terms of the four-point sum over its smaller entries d1 <= d2 <= d3.
 
-        2 sum_k a(k) [ M(d1-k1, d1+d2-k1-k2, k4-d4)
-                       - M(d1-k2, d1+d2-k2-k3, d1+d3-k1-k2, k4-d4)
-                       - M(d1-k1, d2-k3, k2-d3, k4-d4) ]
-
-    over k_i >= -1 with sum k = sum d.  Every bracket needs k4 >= d4 + 1,
-    so k1+k2+k3 <= d1+d2+d3-1; d is sorted ascending to make that window
-    as small as possible.  The first and third brackets need k1 <= d1 - 1,
-    so for k1 >= d1 the loops cover only the middle bracket's window:
-    k2 <= min(d1 - 1, d1 + d3 - 1 - k1) and k3 <= d1 + d2 - 1 - k2, which
-    leaves no k2 once k1 > d1 + d3.
+    Every bracket of four_point needs k4 >= d4 + 1, so k1+k2+k3 <=
+    d1+d2+d3-1, and then e4 = k4 - d4 = d1+d2+d3 - (k1+k2+k3): no weight
+    reads d4.  The first and third brackets need k1 <= d1 - 1, so for
+    k1 >= d1 the loops cover only the middle bracket's window: k2 <=
+    min(d1 - 1, d1 + d3 - 1 - k1) and k3 <= d1 + d2 - 1 - k2, which leaves
+    no k2 once k1 > d1 + d3.
     """
-    if len(d) != 4:
-        raise ValueError("four_point takes exactly four exponents")
-    if min(d) < 0:
-        return ZERO
-    d1, d2, d3, d4 = sorted(d)
-    s = d1 + d2 + d3 + d4
-    if (s - 4) % 3:
-        return ZERO
-    g = 1 + (s - 4) // 3
     budget = d1 + d2 + d3 - 1
-    D = _common_den(4, s)
-    acc = 0
+    terms: List[Term] = []
     for k1 in range(-1, d1 + d3 + 1):
         a1 = _int_matrix(k1)
         middle_only = k1 >= d1
@@ -268,8 +254,8 @@ def four_point(d: Sequence[int]):
             if middle_only:
                 k3_top = min(k3_top, d1 + d2 - 1 - k2)
             for k3 in range(-1, k3_top + 1):
-                k4 = s - k1 - k2 - k3
-                e4 = k4 - d4  # >= 1: k3 stops at budget - k1 - k2
+                ksum = k1 + k2 + k3
+                e4 = budget + 1 - ksum  # >= 1: k3 stops at budget - k1 - k2
                 br = (
                     max(0, min(d1 - k1, d1 + d2 - k1 - k2, e4))
                     - max(0, min(d1 - k2, d1 + d2 - k2 - k3, d1 + d3 - k1 - k2, e4))
@@ -277,10 +263,68 @@ def four_point(d: Sequence[int]):
                 )
                 if not br:
                     continue
-                tr, den = _trace_with(_imul(m12, _int_matrix(k3)), k4)
-                if tr:
-                    acc += br * tr * (D // den)
-    return Q(2 * acc, D) * _c_prefactor(g, 4)
+                m123 = _imul(m12, _int_matrix(k3))
+                if m123[0] or m123[1] or m123[2] or m123[3]:
+                    terms.append((br, ksum, m123))
+    return terms
+
+
+def close_terms(terms: Sequence[Term], small: Sequence[int], dn: int):
+    """C(small + (dn,)) = 2 sum of weight * a(k) over the terms of ``small``.
+
+    ``terms`` is three_point_terms or four_point_terms of the smaller
+    entries ``small``; each term's trace is closed at k_n = sum d - (its
+    k-sum), with sum d = sum(small) + dn.  Zero off the geometric genera.
+    """
+    n = len(small) + 1
+    s = sum(small) + dn
+    if (s - n) % 3:
+        return ZERO
+    D = _common_den(n, s)
+    acc = 0
+    for w, ksum, m in terms:
+        tr, den = _trace_with(m, s - ksum)
+        if tr:
+            acc += w * tr * (D // den)
+    return Q(2 * acc, D) * _c_prefactor(1 + (s - n) // 3, n)
+
+
+def three_point(d: Sequence[int]):
+    """C(d1, d2, d3) = 2 sum_k a(k) M(d1-k1, d1+d2-k1-k2) over sum k = sum d.
+
+    Sorting d ascending puts the largest entry in the k3 slot: the terms
+    come from the two smaller entries (three_point_terms) and are closed at
+    the largest (close_terms).
+    """
+    if len(d) != 3:
+        raise ValueError("three_point takes exactly three exponents")
+    if min(d) < 0:
+        return ZERO
+    d1, d2, d3 = sorted(d)
+    if (d1 + d2 + d3) % 3:
+        return ZERO
+    return close_terms(three_point_terms(d1, d2), (d1, d2), d3)
+
+
+def four_point(d: Sequence[int]):
+    """C(d1..d4) by the four-point closed formula
+
+        2 sum_k a(k) [ M(d1-k1, d1+d2-k1-k2, k4-d4)
+                       - M(d1-k2, d1+d2-k2-k3, d1+d3-k1-k2, k4-d4)
+                       - M(d1-k1, d2-k3, k2-d3, k4-d4) ]
+
+    over k_i >= -1 with sum k = sum d.  d is sorted ascending, so the
+    window of four_point_terms, set by the three smaller entries, is as
+    small as it can be; close_terms closes it at the largest.
+    """
+    if len(d) != 4:
+        raise ValueError("four_point takes exactly four exponents")
+    if min(d) < 0:
+        return ZERO
+    d1, d2, d3, d4 = sorted(d)
+    if (d1 + d2 + d3 + d4 - 4) % 3:
+        return ZERO
+    return close_terms(four_point_terms(d1, d2, d3), (d1, d2, d3), d4)
 
 
 def _perm_data(n: int):

@@ -106,7 +106,9 @@ def odd_double_factorial(m: int) -> int:
     """
     if m % 2 == 0 or m < -1:
         raise ValueError(f"undefined double factorial: {m}!!")
-    return math.prod(range(m, 0, -2))
+    # (2k-1)!! = (2k)! / (2^k k!) = perm(2k, k) / 2^k with k = (m + 1)/2.
+    k = (m + 1) // 2
+    return math.perm(2 * k, k) >> k
 
 
 _BERNOULLI: list = [ONE, Q(-1, 2)]

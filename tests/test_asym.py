@@ -41,7 +41,14 @@ from psiclass.asym import (
     table2_monomials,
     theorem2_product,
 )
-from psiclass.closed import one_point_c
+from psiclass.closed import (
+    close_terms,
+    four_point,
+    four_point_terms,
+    one_point_c,
+    three_point,
+    three_point_terms,
+)
 from psiclass.exact import ONE, Q, ZERO, pi_interval, pi_value, to_decimal
 
 from oracles import (
@@ -370,6 +377,26 @@ def test_ctilde_constants_match_one_point_reindexed():
     reindexed = compose(s, inv_g)
     for k in range(0, TABLE2_CAP + 1):
         assert mult_poly_eval(ctilde_poly(k), (0, 0, 0, 0)) == reindexed.coeffs[k], k
+
+
+@pytest.mark.parametrize("pattern", [(2, 2), (2, 3), (2, 2, 2), (2, 2, 3)])
+def test_fit_term_tables_match_direct_calls(pattern):
+    # The fit builds a pattern's closed-formula terms once and closes them
+    # at every genus it samples; each value must be the public formula's.
+    n = len(pattern) + 1
+    if n == 3:
+        build, direct, genera = three_point_terms, three_point, asym._FIT_GENERA
+        assert (genera[0], genera[-1]) == (4, 40)
+    else:
+        build, direct, genera = four_point_terms, four_point, asym._FIT_GENERA_FOUR_POINT
+        assert (genera[0], genera[-1]) == (4, 25)
+    terms = build(*pattern)
+    for g in genera:
+        dn = 3 * g - 3 + n - sum(pattern)
+        # The pattern holds the smaller entries, as the term window takes them.
+        assert dn >= max(pattern), (pattern, g)
+        d = pattern + (dn,)
+        assert close_terms(terms, pattern, dn) == direct(d), d
 
 
 def test_monomial_budget():

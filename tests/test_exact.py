@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from decimal import Decimal
-from math import factorial, gcd, isclose, pi
+from math import factorial, gcd, isclose, pi, prod
 
 import pytest
 
@@ -53,6 +53,15 @@ def test_odd_double_factorial():
         )
     with pytest.raises(ValueError):
         odd_double_factorial(4)
+    with pytest.raises(ValueError):
+        odd_double_factorial(-3)
+
+
+def test_odd_double_factorial_against_the_plain_product():
+    # The library builds m!! from a falling factorial; the plain product of
+    # m, m-2, ..., 1 checks it at every odd m up to 2001 (and (-1)!! = 1).
+    for m in range(-1, 2002, 2):
+        assert odd_double_factorial(m) == prod(range(m, 0, -2)), m
 
 
 def test_bernoulli_table():
