@@ -36,16 +36,19 @@ Enumeration windows: every formula's floor/weight structure forces the
 k-slot paired with the largest d-entry to exceed that entry, so the
 remaining k's have bounded sum and the term count depends only on the
 smaller entries of d, not on the genus.  Inputs are sorted so the largest
-entry sits in that slot; the values are symmetric (tests check this), only
-the work depends on the ordering.
+entry sits in that slot, and the two-point sums run over the smaller
+entry whatever the argument order; the values are symmetric (tests check
+this), only the work depends on the ordering.
 
-The three- and four-point sums go in two steps on that split.  A term
-builder (three_point_terms, four_point_terms) works over the smaller
-entries alone: the window, the floor and bracket weights and the partial
-products A_{k_1}..A_{k_{n-1}} never read the largest entry.  The evaluator
-(close_terms) closes each term's trace at k_n = sum d - (k_1 + .. +
-k_{n-1}).  three_point and four_point call both; a caller that varies only
-the largest entry, as the asym table fit does, builds the terms once.
+Every trace formula goes in two steps on that split.  A term table lists
+(weight, k_1 + .. + k_{n-1}, A_{k_1}..A_{k_{n-1}}) over the smaller
+entries alone: window, weights and partial products never read the
+largest entry.  One loop (_trace_sum) closes each trace at k_n = sum d -
+(k_1 + .. + k_{n-1}) over _common_den.  two_point_bdy divides it by the
+double factorials; close_terms multiplies it by the prefactor of a(k) for
+the three-point, four-point and n_point tables, the first two carrying
+their formula's factor 2 in the weights.  A caller that varies only the
+largest entry, as the asym table fit does, builds the table once.
 
 The four-point sum narrows its window further.  Two of its three brackets
 vanish once k1 reaches the smallest entry d1, so from there on the loops
@@ -133,6 +136,24 @@ def _c_prefactor(g: int, n: int):
     return Q(4**g, 3 ** (2 * g + n - 2) * factorial(2 * g + n - 3))
 
 
+# One term of a closed trace sum: (weight, k_1 + .. + k_{n-1}, A_{k_1} ..
+# A_{k_{n-1}}).  A table lists the terms with a nonzero weight and product
+# over the smaller entries; the largest entry, and with it k_n, is left open.
+Term = Tuple[int, int, IMat]
+
+
+def _trace_sum(terms: Sequence[Term], n: int, s: int):
+    """sum of w tr(A_{k_1} .. A_{k_n}) over the terms, each closed at k_n =
+    s - (its k-sum), on integers over _common_den(n, s)."""
+    D = _common_den(n, s)
+    acc = 0
+    for w, ksum, m in terms:
+        tr, den = _trace_with(m, s - ksum)
+        if tr:
+            acc += w * tr * (D // den)
+    return Q(acc, D)
+
+
 def one_point_c(m: int):
     """C(m) for a single marking: 3 (6g-3)!! / (54^g g! (2g-2)!) at m = 3g-2.
 
@@ -151,31 +172,26 @@ def one_point_c(m: int):
 def two_point_bdy(d1: int, d2: int):
     """The intersection number <psi_1^{d1} psi_2^{d2}> by the two-point sum
 
-        sum_{l=0}^{d1} (d1 + 1 - l) tr(A_{l-1} A_{3g-l}) / ((2d1+1)!! (2d2+1)!!)
+        sum_{l=0}^{lo} (lo + 1 - l) tr(A_{l-1} A_{3g-l}) / ((2d1+1)!! (2d2+1)!!)
 
-    of matrix traces, with d1 + d2 = 3g - 1.  Zero when d1 + d2 is not
-    2 mod 3.
+    of matrix traces, with d1 + d2 = 3g - 1 and lo = min(d1, d2).  Zero
+    when d1 + d2 is not 2 mod 3.
     """
     if d1 < 0 or d2 < 0:
         return ZERO
     s = d1 + d2
     if s % 3 != 2:
         return ZERO
-    g = (s + 1) // 3
-    D = _common_den(2, s)
-    acc = 0
-    for l in range(d1 + 1):
-        tr, den = _trace_with(_int_matrix(l - 1), 3 * g - l)
-        if tr:
-            acc += (d1 + 1 - l) * tr * (D // den)
+    lo = min(d1, d2)
+    terms = [(lo + 1 - l, l - 1, _int_matrix(l - 1)) for l in range(lo + 1)]
     dfact = odd_double_factorial(2 * d1 + 1) * odd_double_factorial(2 * d2 + 1)
-    return Q(acc, D * dfact)
+    return _trace_sum(terms, 2, s) / dfact
 
 
 def two_point_zograf(d1: int, d2: int):
     """C(d1, d2) by Zograf's two-point formula, d1 + d2 = 3g - 1:
 
-        C = (1/(54^g (2g-1)! g)) sum_{d=-1}^{d1-1} eta_{g,d},
+        C = (1/(54^g (2g-1)! g)) sum_{d=-1}^{min(d1,d2)-1} eta_{g,d},
 
     eta_{g,d} = (6g-3-2d)!! (2d+1)!! w(g,d) with w depending on d mod 3 and
     out-of-range factorial reciprocals contributing zero.  The sum runs on
@@ -190,7 +206,7 @@ def two_point_zograf(d1: int, d2: int):
     g = (s + 1) // 3
     acc = 0
     hi, lo = odd_double_factorial(6 * g - 1), 1  # (6g-3-2d)!!, (2d+1)!! at d = -1
-    for d in range(-1, d1):
+    for d in range(-1, min(d1, d2)):
         if (d + 1) % 3 == 0:
             j = (d + 1) // 3
             w = (g - 2 * j) * comb(g, j)
@@ -204,16 +220,10 @@ def two_point_zograf(d1: int, d2: int):
     return Q(acc, 54**g * factorial(2 * g - 1) * g * factorial(g))
 
 
-# One term of a three- or four-point sum: (weight, k_1 + .. + k_{n-1},
-# A_{k_1} .. A_{k_{n-1}}).  A table lists the terms with a nonzero weight and
-# product; the largest entry, and with it k_n, is left open.
-Term = Tuple[int, int, IMat]
-
-
 def three_point_terms(d1: int, d2: int) -> List[Term]:
     """The terms of the three-point sum over its smaller entries d1 <= d2.
 
-    The floor weight M(d1-k1, d1+d2-k1-k2) does not read d3, and both its
+    The weight 2 M(d1-k1, d1+d2-k1-k2) does not read d3, and both floor
     arguments must be positive, so k1 <= d1 - 1 and k1 + k2 <= d1 + d2 - 1:
     O(d1 (d1 + d2)) terms, whatever the largest entry.
     """
@@ -224,19 +234,19 @@ def three_point_terms(d1: int, d2: int) -> List[Term]:
         for k2 in range(-1, d1 + d2 - k1):
             m12 = _imul(a1, _int_matrix(k2))
             if m12[0] or m12[1] or m12[2] or m12[3]:
-                terms.append((min(m1, d1 + d2 - k1 - k2), k1 + k2, m12))
+                terms.append((2 * min(m1, d1 + d2 - k1 - k2), k1 + k2, m12))
     return terms
 
 
 def four_point_terms(d1: int, d2: int, d3: int) -> List[Term]:
     """The terms of the four-point sum over its smaller entries d1 <= d2 <= d3.
 
-    Every bracket of four_point needs k4 >= d4 + 1, so k1+k2+k3 <=
-    d1+d2+d3-1, and then e4 = k4 - d4 = d1+d2+d3 - (k1+k2+k3): no weight
-    reads d4.  The first and third brackets need k1 <= d1 - 1, so for
-    k1 >= d1 the loops cover only the middle bracket's window: k2 <=
-    min(d1 - 1, d1 + d3 - 1 - k1) and k3 <= d1 + d2 - 1 - k2, which leaves
-    no k2 once k1 > d1 + d3.
+    The weight is 2 times four_point's bracket sum.  Every bracket needs
+    k4 >= d4 + 1, so k1+k2+k3 <= d1+d2+d3-1, and then e4 = k4 - d4 =
+    d1+d2+d3 - (k1+k2+k3): no weight reads d4.  The first and third
+    brackets need k1 <= d1 - 1, so for k1 >= d1 the loops cover only the
+    middle bracket's window: k2 <= min(d1 - 1, d1 + d3 - 1 - k1) and k3 <=
+    d1 + d2 - 1 - k2, which leaves no k2 once k1 > d1 + d3.
     """
     budget = d1 + d2 + d3 - 1
     terms: List[Term] = []
@@ -265,28 +275,23 @@ def four_point_terms(d1: int, d2: int, d3: int) -> List[Term]:
                     continue
                 m123 = _imul(m12, _int_matrix(k3))
                 if m123[0] or m123[1] or m123[2] or m123[3]:
-                    terms.append((br, ksum, m123))
+                    terms.append((2 * br, ksum, m123))
     return terms
 
 
 def close_terms(terms: Sequence[Term], small: Sequence[int], dn: int):
-    """C(small + (dn,)) = 2 sum of weight * a(k) over the terms of ``small``.
+    """C(small + (dn,)) = sum of weight * a(k) over the terms of ``small``.
 
-    ``terms`` is three_point_terms or four_point_terms of the smaller
-    entries ``small``; each term's trace is closed at k_n = sum d - (its
-    k-sum), with sum d = sum(small) + dn.  Zero off the geometric genera.
+    ``terms`` is the table of the smaller entries ``small`` that
+    three_point_terms, four_point_terms or n_point builds, the formula's
+    factor in its weights; _trace_sum closes each trace at k_n = sum(small)
+    + dn - (its k-sum).  Zero off the geometric genera.
     """
     n = len(small) + 1
     s = sum(small) + dn
     if (s - n) % 3:
         return ZERO
-    D = _common_den(n, s)
-    acc = 0
-    for w, ksum, m in terms:
-        tr, den = _trace_with(m, s - ksum)
-        if tr:
-            acc += w * tr * (D // den)
-    return Q(2 * acc, D) * _c_prefactor(1 + (s - n) // 3, n)
+    return _trace_sum(terms, n, s) * _c_prefactor(1 + (s - n) // 3, n)
 
 
 def three_point(d: Sequence[int]):
@@ -369,8 +374,8 @@ def n_point(d: Sequence[int]):
     completion and is dropped there.  A k that leaves none alive ends the
     loop at its position, matrix product and all: the set can empty only at
     position n-1, which is in S+ for every sigma, so a larger k there only
-    lowers lo further.  A leaf closes its trace only when its weight, the
-    sum of sign (lo - hi) over the survivors, is nonzero.
+    lowers lo further.  A leaf enters the term table only when its weight,
+    the sum of sign (lo - hi) over the survivors, is nonzero.
 
     n = 1 falls back to the one-point closed form.
     """
@@ -383,23 +388,17 @@ def n_point(d: Sequence[int]):
         return one_point_c(d[0])
     ds = tuple(sorted(d))
     s = sum(ds)
-    if (s - n) % 3:
+    if (s - n) % 3 or s < n - 3:  # g = 1 + (s - n)/3 is not in Z>=0
         return ZERO
-    g = 1 + (s - n) // 3
-    if g < 0:
-        return ZERO
-    budget = s - ds[-1] - 1
-    D = _common_den(n, s)
-    acc = 0
+    small = ds[:-1]
+    budget = sum(small) - 1
+    terms: List[Term] = []
 
     def dfs(pos: int, ssum: int, live: list, mat: IMat) -> None:
-        nonlocal acc
         if pos == n - 1:
             w = sum(sign * (lo - hi) for sign, _, _, lo, hi in live)
             if w:
-                tr, den = _trace_with(mat, s - ssum)
-                if tr:
-                    acc += w * tr * (D // den)
+                terms.append((w, ssum, mat))
             return
         top = budget - ssum + (n - 2 - pos)
         for kq in range(-1, top + 1):
@@ -420,11 +419,11 @@ def n_point(d: Sequence[int]):
             if nm[0] or nm[1] or nm[2] or nm[3]:
                 dfs(pos + 1, ksum, alive, nm)
 
-    # Per permutation: sign, S+ mask, prefix sums of ds[sigma], lo (None
-    # until the first S+ position) and hi.
+    # Per permutation: sign, S+ mask, prefix sums of small[sigma] (sigma
+    # fixes n - 1), lo (None until the first S+ position) and hi.
     perms = [
-        (sign, mask, tuple(accumulate(ds[i] for i in sigma)), None, 0)
+        (sign, mask, tuple(accumulate(small[i] for i in sigma[:-1])), None, 0)
         for sigma, sign, mask in _perm_data(n)
     ]
     dfs(0, 0, perms, (1, 0, 0, 1, 1))
-    return Q(acc, D) * _c_prefactor(g, n)
+    return close_terms(terms, small, ds[-1])

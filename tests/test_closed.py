@@ -165,6 +165,32 @@ def test_two_point_argument_order():
     assert two_point_bdy(1, 4) == two_point_bdy(4, 1)
 
 
+def test_two_point_windows_run_over_the_smaller_entry(monkeypatch):
+    # Each boundary term closes one trace and each Zograf term takes one
+    # binomial, so the counts are the window sizes, min(d1, d2) + 1.  The
+    # pair is geometric (5 + 12 = 2 mod 3), so neither formula returns early.
+    calls = {"trace": 0, "comb": 0}
+    trace_with, comb = closed._trace_with, closed.comb
+
+    def counted_trace(m, k):
+        calls["trace"] += 1
+        return trace_with(m, k)
+
+    def counted_comb(n, k):
+        calls["comb"] += 1
+        return comb(n, k)
+
+    monkeypatch.setattr(closed, "_trace_with", counted_trace)
+    monkeypatch.setattr(closed, "comb", counted_comb)
+    seen = []
+    for d in ((5, 12), (12, 5)):
+        calls.update(trace=0, comb=0)
+        two_point_bdy(*d)
+        two_point_zograf(*d)
+        seen.append((calls["trace"], calls["comb"]))
+    assert seen[0] == seen[1] == (6, 6)
+
+
 def test_closed_formulas_off_geometry():
     # A negative entry, or d1 + d2 not 2 mod 3, has no two-point class.
     for d in ((-1, 3), (2, -1), (1, 2), (0, 0), (3, 3)):
@@ -359,6 +385,30 @@ def test_n_point_prunes_every_dead_permutation(monkeypatch):
         work.update(products=0, traces=0)
         n_point(d)
         assert (work["products"], work["traces"]) == _prune_work(d), d
+
+
+@pytest.mark.parametrize(
+    "small, largest", [((2, 2, 3, 3), (4, 7, 10)), ((0, 1, 2, 2), (3, 6, 9))]
+)
+def test_n_point_table_does_not_read_the_largest_entry(monkeypatch, small, largest):
+    """n_point hands close_terms the same term table at every largest
+    entry, as three_point_terms and four_point_terms do, and each closing
+    is the window-free reference value."""
+    tables = []
+    close_terms = closed.close_terms
+
+    def recording_close(terms, smaller, dn):
+        tables.append((list(terms), tuple(smaller)))
+        return close_terms(terms, smaller, dn)
+
+    monkeypatch.setattr(closed, "close_terms", recording_close)
+    for dn in largest:
+        d = small + (dn,)
+        assert genus_of(d) is not None, d
+        assert n_point(d) == n_point_reference(d), d
+    assert len(tables) == len(largest)
+    assert tables[0][0] and all(table == tables[0] for table in tables)
+    assert tables[0][1] == small
 
 
 def test_closed_formulas_on_permuted_input():
