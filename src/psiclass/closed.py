@@ -40,15 +40,16 @@ entry sits in that slot, and the two-point sums run over the smaller
 entry whatever the argument order; the values are symmetric (tests check
 this), only the work depends on the ordering.
 
-Every trace formula goes in two steps on that split.  A term table lists
-(weight, k_1 + .. + k_{n-1}, A_{k_1}..A_{k_{n-1}}) over the smaller
+Every trace formula goes in two steps on that split.  Its terms
+(weight, k_1 + .. + k_{n-1}, A_{k_1}..A_{k_{n-1}}) range over the smaller
 entries alone: window, weights and partial products never read the
-largest entry.  One loop (_trace_sum) closes each trace at k_n = sum d -
-(k_1 + .. + k_{n-1}) over _common_den.  two_point_bdy divides it by the
-double factorials; close_terms multiplies it by the prefactor of a(k) for
-the three-point, four-point and n_point tables, the first two carrying
-their formula's factor 2 in the weights.  A caller that varies only the
-largest entry, as the asym table fit does, builds the table once.
+largest entry.  One loop (_trace_sum) reads them once, closing each trace
+at k_n = sum d - (k_1 + .. + k_{n-1}) over _common_den; two_point_bdy
+divides it by the double factorials, close_terms multiplies it by a(k)'s
+prefactor (the three- and four-point weights carry their factor 2).
+n_point and two_point_bdy stream their terms; only tables a caller
+reuses are stored, so the asym table fit, which varies only the largest
+entry, builds each three- or four-point table once.
 
 The four-point sum narrows its window further.  Two of its three brackets
 vanish once k1 reaches the smallest entry d1, so from there on the loops
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 from itertools import accumulate, permutations
 from math import comb, factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .exact import Q, ZERO, odd_double_factorial
 
@@ -137,14 +138,15 @@ def _c_prefactor(g: int, n: int):
 
 
 # One term of a closed trace sum: (weight, k_1 + .. + k_{n-1}, A_{k_1} ..
-# A_{k_{n-1}}).  A table lists the terms with a nonzero weight and product
-# over the smaller entries; the largest entry, and with it k_n, is left open.
+# A_{k_{n-1}}).  The terms have a nonzero weight and product over the
+# smaller entries; the largest entry, and with it k_n, is left open.
 Term = Tuple[int, int, IMat]
 
 
-def _trace_sum(terms: Sequence[Term], n: int, s: int):
+def _trace_sum(terms: Iterable[Term], n: int, s: int):
     """sum of w tr(A_{k_1} .. A_{k_n}) over the terms, each closed at k_n =
-    s - (its k-sum), on integers over _common_den(n, s)."""
+    s - (its k-sum), on integers over _common_den(n, s).  ``terms`` is any
+    iterable, read once."""
     D = _common_den(n, s)
     acc = 0
     for w, ksum, m in terms:
@@ -183,7 +185,7 @@ def two_point_bdy(d1: int, d2: int):
     if s % 3 != 2:
         return ZERO
     lo = min(d1, d2)
-    terms = [(lo + 1 - l, l - 1, _int_matrix(l - 1)) for l in range(lo + 1)]
+    terms = ((lo + 1 - l, l - 1, _int_matrix(l - 1)) for l in range(lo + 1))
     dfact = odd_double_factorial(2 * d1 + 1) * odd_double_factorial(2 * d2 + 1)
     return _trace_sum(terms, 2, s) / dfact
 
@@ -279,13 +281,13 @@ def four_point_terms(d1: int, d2: int, d3: int) -> List[Term]:
     return terms
 
 
-def close_terms(terms: Sequence[Term], small: Sequence[int], dn: int):
+def close_terms(terms: Iterable[Term], small: Sequence[int], dn: int):
     """C(small + (dn,)) = sum of weight * a(k) over the terms of ``small``.
 
-    ``terms`` is the table of the smaller entries ``small`` that
-    three_point_terms, four_point_terms or n_point builds, the formula's
-    factor in its weights; _trace_sum closes each trace at k_n = sum(small)
-    + dn - (its k-sum).  Zero off the geometric genera.
+    ``terms``, any iterable of the terms of ``small`` (a three_point_terms
+    or four_point_terms list, or n_point's stream), is read once, the
+    formula's factor in its weights; _trace_sum closes each at k_n =
+    sum(small) + dn - (its k-sum).  Zero off the geometric genera.
     """
     n = len(small) + 1
     s = sum(small) + dn
@@ -374,8 +376,8 @@ def n_point(d: Sequence[int]):
     completion and is dropped there.  A k that leaves none alive ends the
     loop at its position, matrix product and all: the set can empty only at
     position n-1, which is in S+ for every sigma, so a larger k there only
-    lowers lo further.  A leaf enters the term table only when its weight,
-    the sum of sign (lo - hi) over the survivors, is nonzero.
+    lowers lo further.  A leaf is yielded to close_terms only when its
+    weight, the sum of sign (lo - hi) over the survivors, is nonzero.
 
     n = 1 falls back to the one-point closed form.
     """
@@ -392,13 +394,12 @@ def n_point(d: Sequence[int]):
         return ZERO
     small = ds[:-1]
     budget = sum(small) - 1
-    terms: List[Term] = []
 
-    def dfs(pos: int, ssum: int, live: list, mat: IMat) -> None:
+    def leaves(pos: int, ssum: int, live: list, mat: IMat) -> Iterator[Term]:
         if pos == n - 1:
             w = sum(sign * (lo - hi) for sign, _, _, lo, hi in live)
             if w:
-                terms.append((w, ssum, mat))
+                yield w, ssum, mat
             return
         top = budget - ssum + (n - 2 - pos)
         for kq in range(-1, top + 1):
@@ -417,7 +418,7 @@ def n_point(d: Sequence[int]):
                 break
             nm = _imul(mat, _int_matrix(kq))
             if nm[0] or nm[1] or nm[2] or nm[3]:
-                dfs(pos + 1, ksum, alive, nm)
+                yield from leaves(pos + 1, ksum, alive, nm)
 
     # Per permutation: sign, S+ mask, prefix sums of small[sigma] (sigma
     # fixes n - 1), lo (None until the first S+ position) and hi.
@@ -425,5 +426,4 @@ def n_point(d: Sequence[int]):
         (sign, mask, tuple(accumulate(small[i] for i in sigma[:-1])), None, 0)
         for sigma, sign, mask in _perm_data(n)
     ]
-    dfs(0, 0, perms, (1, 0, 0, 1, 1))
-    return close_terms(terms, small, ds[-1])
+    return close_terms(leaves(0, 0, perms, (1, 0, 0, 1, 1)), small, ds[-1])

@@ -142,8 +142,16 @@ def bernoulli(k: int):
 
 
 def rat_str(q) -> str:
-    """Serialize an exact rational as "p/q" (denominator kept even when 1)."""
-    return f"{q.numerator}/{q.denominator}"
+    """Serialize an exact rational as "p/q" (denominator kept even when 1).
+
+    ``str`` of an int past ``sys.get_int_max_str_digits()`` digits raises
+    ValueError; ``Decimal`` converts such an int exactly with no cap, so
+    every value prints and no process-wide setting is touched.
+    """
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        return f"{str(Decimal(q.numerator))}/{str(Decimal(q.denominator))}"
 
 
 def exp_decimal(q, precision: int) -> HPDecimal:

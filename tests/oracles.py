@@ -322,7 +322,9 @@ def _omega(ds: tuple, sigma: tuple, mask: tuple, ks: tuple) -> int:
 
 def n_point_reference(d: Sequence[int]):
     """Unpruned n_point over the full window k_i in [-1, sum d + n], each
-    trace weighted by all (n-1)! permutations through _omega.
+    trace weighted by all (n-1)! permutations through _omega.  The integer
+    weight comes first: a trace is formed only where it is nonzero, since a
+    zero-weight term adds zero.
 
     Exponentially slower; exists so tests can confirm that the windows and
     the live-permutation prune drop only zero-weight terms.
@@ -343,16 +345,13 @@ def n_point_reference(d: Sequence[int]):
         if kn < -1 or kn > s + n:
             continue
         ks = head + (kn,)
-        tr = trace_product_reference(ks)
-        if not tr:
-            continue
         w = 0
         for sigma, sign, mask in perms:
             om = _omega(ds, sigma, mask, ks)
             if om:
                 w += sign * om
         if w:
-            total += w * tr
+            total += w * trace_product_reference(ks)
     return total * _c_prefactor(g, n)
 
 

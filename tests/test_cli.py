@@ -159,6 +159,20 @@ def test_compute_norms(capsys):
     assert json.loads(out)["value"] == "945/128"
 
 
+def test_compute_prints_a_value_past_the_int_str_cap(capsys, fresh_memo, uncap_int_str):
+    """u of tau_0^1422 tau_1423 at genus 1 carries (2*1423+1)!!, past the
+    4,300 digits str() converts by default: the payload holds its exact
+    digits, with exit 0."""
+    d = (0,) * 1422 + (1423,)
+    code, out = run(capsys, "compute", ",".join(map(str, d)), "--norm", "u")
+    assert code == 0
+    text = json.loads(out)["value"]
+    assert len(text) > 4300
+    uncap_int_str()
+    want = dvv.u_value(d)
+    assert text == f"{want.numerator}/{want.denominator}"
+
+
 def test_compute_rejects_garbage(capsys):
     code = main(["compute", "2,,3"])
     assert code == 2

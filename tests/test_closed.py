@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from math import prod
 
 import pytest
@@ -391,15 +392,16 @@ def test_n_point_prunes_every_dead_permutation(monkeypatch):
     "small, largest", [((2, 2, 3, 3), (4, 7, 10)), ((0, 1, 2, 2), (3, 6, 9))]
 )
 def test_n_point_table_does_not_read_the_largest_entry(monkeypatch, small, largest):
-    """n_point hands close_terms the same term table at every largest
-    entry, as three_point_terms and four_point_terms do, and each closing
-    is the window-free reference value."""
+    """n_point hands close_terms the same terms at every largest entry, as
+    three_point_terms and four_point_terms do, and each closing is the
+    window-free reference value.  The terms arrive as a stream, read once,
+    so the recorded list is what gets closed."""
     tables = []
     close_terms = closed.close_terms
 
     def recording_close(terms, smaller, dn):
         tables.append((list(terms), tuple(smaller)))
-        return close_terms(terms, smaller, dn)
+        return close_terms(tables[-1][0], smaller, dn)
 
     monkeypatch.setattr(closed, "close_terms", recording_close)
     for dn in largest:
@@ -409,6 +411,21 @@ def test_n_point_table_does_not_read_the_largest_entry(monkeypatch, small, large
     assert len(tables) == len(largest)
     assert tables[0][0] and all(table == tables[0] for table in tables)
     assert tables[0][1] == small
+
+
+def test_n_point_stores_no_term_table():
+    """n_point streams its leaves into the closing loop: its traced peak
+    stays far below the ~2,500-term table a stored list would hold.  The
+    first call fills closed's matrix cache, outside the trace."""
+    d = (1, 4, 5, 8, 23)
+    want = n_point(d)
+    tracemalloc.start()
+    try:
+        assert n_point(d) == want
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_closed_formulas_on_permuted_input():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from decimal import Decimal
 from math import factorial, gcd, isclose, pi, prod
 
@@ -160,6 +161,19 @@ def test_rat_str_round_trip():
         assert Q(int(num), int(den)) == q and gcd(int(num), int(den)) == 1
     assert rat_str(Q(3)) == "3/1"
     assert rat_str(Q(-2, 4)) == "-1/2"
+
+
+def test_rat_str_prints_past_the_int_str_cap(uncap_int_str):
+    """str() refuses an int past sys.get_int_max_str_digits() digits;
+    rat_str still prints its exact digits and leaves the cap as it was."""
+    cap_now = getattr(sys, "get_int_max_str_digits", lambda: None)
+    cap = cap_now()
+    big = 10**5000 + 12345
+    values = [Q(big, 7), Q(-7, big), Q(big)]
+    texts = [rat_str(q) for q in values]
+    assert cap_now() == cap
+    uncap_int_str()
+    assert texts == [f"{q.numerator}/{q.denominator}" for q in values]
 
 
 def test_exp_decimal():
