@@ -58,6 +58,7 @@ from .dvv import c_value
 from .exact import (
     HPDecimal,
     ONE,
+    PI_PRECISION_CAP,
     Q,
     ZERO,
     bernoulli,
@@ -569,6 +570,11 @@ def corollary1_deviation(g: int, k: int, precision: int = 50) -> HPDecimal:
     """| pi C(0^k, 2^(3g-3+k)) e^(k^2/(30g)) - 1 | at the given precision."""
     if g < 2 or k < 0:
         raise ValueError("corollary1_deviation needs g >= 2, k >= 0")
+    # 10 guard digits on a pi stored to PI_PRECISION_CAP digits.
+    if not 1 <= precision <= PI_PRECISION_CAP - 10:
+        raise ValueError(
+            f"corollary1_deviation needs 1 <= precision <= {PI_PRECISION_CAP - 10}"
+        )
     d = (0,) * k + (2,) * (3 * g - 3 + k)
     c = c_value(d)
     pi = pi_value(precision + 10)

@@ -6,10 +6,14 @@ The c_g satisfy the quadratic recursion
     c_g = 50 (g-1)^2 c_{g-1} + (1/2) sum_{h=2}^{g-2} c_h c_{g-h},
     c_0 = -1, c_1 = 2, c_2 = 98,
 
-and are integers: the recursion runs on Python ints, the convolution over
-half its range by symmetry with the halving checked to be exact, and
-painleve_coeff returns Q(c_g).  They are tied to intersection numbers
-through the bridge (g >= 2)
+and are integers: the recursion runs on Python ints and painleve_coeff
+returns Q(c_g).  The convolution is summed in blocks of B = 16 indices.
+A pair with an index below B is multiplied directly at its m.  Each pair
+of index blocks [B I, B I + B) x [B J, B J + B), 1 <= I <= J, is
+multiplied once, by a Karatsuba product of the two blocks, when m reaches
+B (I + J); its 2B - 1 coefficients wait in sums for m .. m + 2B - 2.  The
+full ordered sum is checked to be even before it is halved.  The
+coefficients are tied to intersection numbers through the bridge (g >= 2)
 
     c_g = 2^g 3^(3g-2) 5^(3-3g) (5g-5)! (5g-3) / (3g-3)! * C(2^(3g-3)).
 
@@ -38,13 +42,76 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from math import factorial
-from typing import List
+from typing import Dict, List
 
 from .dvv import c_value
-from .exact import HPDecimal, ONE, Q, ZERO, pi_value, rounded, to_decimal
+from .exact import (
+    HPDecimal,
+    ONE,
+    PI_PRECISION_CAP,
+    Q,
+    ZERO,
+    pi_value,
+    rounded,
+    to_decimal,
+)
 from .series import SeriesInvX, reindex_coeff
 
 _CG: List[int] = [-1, 2, 98]
+
+# The block size of painleve_coeff's convolution: of 4, 8, 16 and 32, 16
+# ran fastest at g = 300.
+_BLOCK = 16
+# The block products summed so far for the c_m not yet built: the _CG list
+# and the length they belong to, and {m: partial sum}.
+_SUMS: list = [None, 0, {}]
+
+
+def _kmul(a: List[int], b: List[int]) -> List[int]:
+    """The coefficients of (sum a_i x^i)(sum b_i x^i) for two lists of one
+    length, a power of two from 2: Karatsuba, three half-length products
+    for four."""
+    n = len(a)
+    if n == 2:
+        a0, a1 = a
+        b0, b1 = b
+        lo, hi = a0 * b0, a1 * b1
+        return [lo, (a0 + a1) * (b0 + b1) - lo - hi, hi]
+    h = n // 2
+    lo = _kmul(a[:h], b[:h])
+    hi = _kmul(a[h:], b[h:])
+    mid = _kmul(
+        [x + y for x, y in zip(a[:h], a[h:])], [x + y for x, y in zip(b[:h], b[h:])]
+    )
+    out = lo + [0] + hi
+    for i, (p, l, u) in enumerate(zip(mid, lo, hi), h):
+        out[i] += p - l - u
+    return out
+
+
+def _add_blocks(sums: Dict[int, int], s: int, first: int) -> None:
+    """Add the products of the block pairs with I + J = s, doubled when
+    I < J, to sums[m] for each m >= first."""
+    B = _BLOCK
+    for I in range(1, s // 2 + 1):
+        J = s - I
+        prod = _kmul(_CG[B * I : B * I + B], _CG[B * J : B * J + B])
+        for m, p in enumerate(prod, B * s):
+            if m >= first:
+                sums[m] = sums.get(m, 0) + (2 * p if I < J else p)
+
+
+def _block_sums() -> Dict[int, int]:
+    """The pending block sums of _CG, rebuilt from _CG when they belong to
+    another list or length: the rows s with B s <= len(_CG) that still
+    reach an m >= len(_CG), at most two."""
+    cg, n, sums = _SUMS
+    if cg is not _CG or n != len(_CG):
+        n, sums = len(_CG), {}
+        for s in range(max(2, (n + 1) // _BLOCK - 1), n // _BLOCK + 1):
+            _add_blocks(sums, s, n)
+        _SUMS[:] = [_CG, n, sums]
+    return sums
 
 
 def painleve_coeff(g: int):
@@ -55,17 +122,25 @@ def painleve_coeff(g: int):
     """
     if g < 0:
         raise ValueError("painleve_coeff needs g >= 0")
+    sums = _block_sums()
     while len(_CG) <= g:
         m = len(_CG)
-        # sum_{h=2}^{m-2} c_h c_{m-h} = 2 * (pairs with h < m - h) + c_{m/2}^2,
-        # so its half is the pairs plus half the middle square, when m is even.
-        conv = sum(_CG[h] * _CG[m - h] for h in range(2, (m + 1) // 2))
-        if m % 2 == 0:
-            half, odd = divmod(_CG[m // 2] ** 2, 2)
-            if odd:
-                raise ArithmeticError(f"odd convolution sum for c_{m}")
-            conv += half
-        _CG.append(50 * (m - 1) ** 2 * _CG[m - 1] + conv)
+        # sum_{h=2}^{m-2} c_h c_{m-h}: twice the pairs whose smaller index
+        # is below _BLOCK, the middle square while m/2 < _BLOCK, and the
+        # pairs of blocks in sums[m].
+        full = sums.get(m, 0) + 2 * sum(
+            _CG[h] * _CG[m - h] for h in range(2, min(_BLOCK, (m + 1) // 2))
+        )
+        if m % 2 == 0 and m < 2 * _BLOCK:
+            full += _CG[m // 2] ** 2
+        half, odd = divmod(full, 2)
+        if odd:
+            raise ArithmeticError(f"odd convolution sum for c_{m}")
+        _CG.append(50 * (m - 1) ** 2 * _CG[m - 1] + half)
+        sums.pop(m, None)
+        if (m + 1) % _BLOCK == 0 and m + 1 >= 2 * _BLOCK:
+            _add_blocks(sums, (m + 1) // _BLOCK, m + 1)
+        _SUMS[1] = m + 1
     return Q(_CG[g])
 
 
@@ -137,7 +212,12 @@ def cg_asymptotic_series(K: int) -> List:
 
 
 def theorem_a_constant(precision: int = 30) -> HPDecimal:
-    """A = sqrt(3/5) / (2 pi^2) to the requested number of digits."""
+    """A = sqrt(3/5) / (2 pi^2) to the requested number of digits, 1 to 90:
+    the work adds 10 guard digits to pi, which is stored to 100."""
+    if not 1 <= precision <= PI_PRECISION_CAP - 10:
+        raise ValueError(
+            f"theorem_a_constant needs 1 <= precision <= {PI_PRECISION_CAP - 10}"
+        )
     pi = pi_value(precision + 10)
     with localcontext() as ctx:
         ctx.prec = precision + 10
@@ -155,6 +235,10 @@ def theorem_a_estimate(
     """
     if g < 1:
         raise ValueError("theorem_a_estimate needs g >= 1")
+    if precision < 1:
+        raise ValueError("theorem_a_estimate needs precision >= 1")
+    if not 0 <= correction_order <= 12:
+        raise ValueError("theorem_a_estimate needs 0 <= correction_order <= 12")
     ratio = painleve_coeff(g) / Q(50**g * factorial(g - 1) ** 2)
     if correction_order:
         corr = ONE

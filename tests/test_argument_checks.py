@@ -14,7 +14,12 @@ import io
 
 import pytest
 
-from psiclass.asym import RationalFunctionOfG, f_bound, log_gamma_expansion
+from psiclass.asym import (
+    RationalFunctionOfG,
+    corollary1_deviation,
+    f_bound,
+    log_gamma_expansion,
+)
 from psiclass.cli import main
 from psiclass.closed import (
     close_terms,
@@ -25,7 +30,12 @@ from psiclass.closed import (
 )
 from psiclass.exact import ONE, Q, ZERO, pi_interval, to_decimal
 from psiclass.harness import check_c4_inequalities
-from psiclass.painleve import cg_asymptotic_series, painleve_coeff, theorem_a_estimate
+from psiclass.painleve import (
+    cg_asymptotic_series,
+    painleve_coeff,
+    theorem_a_constant,
+    theorem_a_estimate,
+)
 from psiclass.series import SeriesInvX
 
 
@@ -64,6 +74,40 @@ _CASES = {
     "theorem_a_g0": (
         lambda: theorem_a_estimate(0),
         "theorem_a_estimate needs g >= 1",
+    ),
+    # The decimal helpers add 10 guard digits to a pi stored to 100, so
+    # each takes precision 1 to 90 and names its own argument.
+    "theorem_a_constant_p0": (
+        lambda: theorem_a_constant(0),
+        "theorem_a_constant needs 1 <= precision <= 90",
+    ),
+    "theorem_a_constant_p91": (
+        lambda: theorem_a_constant(91),
+        "theorem_a_constant needs 1 <= precision <= 90",
+    ),
+    "theorem_a_constant_p200": (
+        lambda: theorem_a_constant(200),
+        "theorem_a_constant needs 1 <= precision <= 90",
+    ),
+    "corollary1_p0": (
+        lambda: corollary1_deviation(2, 0, 0),
+        "corollary1_deviation needs 1 <= precision <= 90",
+    ),
+    "corollary1_p91": (
+        lambda: corollary1_deviation(2, 0, 91),
+        "corollary1_deviation needs 1 <= precision <= 90",
+    ),
+    "theorem_a_estimate_p0": (
+        lambda: theorem_a_estimate(5, 0),
+        "theorem_a_estimate needs precision >= 1",
+    ),
+    "theorem_a_estimate_order_neg": (
+        lambda: theorem_a_estimate(5, 30, -1),
+        "theorem_a_estimate needs 0 <= correction_order <= 12",
+    ),
+    "theorem_a_estimate_order_13": (
+        lambda: theorem_a_estimate(5, 30, 13),
+        "theorem_a_estimate needs 0 <= correction_order <= 12",
     ),
     "series_order_neg": (
         lambda: SeriesInvX([ONE], -1),

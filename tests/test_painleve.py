@@ -51,6 +51,44 @@ def test_odd_convolution_sum_is_an_error(monkeypatch):
         painleve_coeff(4)
 
 
+def test_block_sums_built_one_call_at_a_time(monkeypatch):
+    # The CLI loop and p1_residual extend _CG one coefficient per call, so
+    # the pending block sums carry over between calls.
+    monkeypatch.setattr(painleve, "_CG", [-1, 2, 98])
+    stepped = [painleve_coeff(g) for g in range(301)]
+    monkeypatch.setattr(painleve, "_CG", [-1, 2, 98])
+    painleve_coeff(300)
+    assert stepped == [Q(c) for c in painleve._CG]
+
+
+def test_residual_at_block_row_edges(monkeypatch):
+    # Block rows start at m = 32, 48, 64, ...; g = 299 is the benchmark's.
+    monkeypatch.setattr(painleve, "_CG", [-1, 2, 98])
+    for g in (31, 32, 33, 47, 48, 63, 64, 65, 299):
+        assert p1_residual(g) == ZERO, g
+
+
+def test_swapping_cg_mid_run(monkeypatch):
+    monkeypatch.setattr(painleve, "_CG", [-1, 2, 98])
+    painleve_coeff(150)
+    want = list(painleve._CG)
+    cg = [-1, 2, 98]
+    monkeypatch.setattr(painleve, "_CG", cg)
+    painleve_coeff(70)  # inside the row started at m = 64
+    monkeypatch.setattr(painleve, "_CG", [-1, 2, 98])
+    painleve_coeff(50)
+    assert painleve._CG == want[:51]
+    monkeypatch.setattr(painleve, "_CG", cg)
+    painleve_coeff(81)  # one past the row started at m = 80
+    assert cg == want[:82]
+    assert painleve_coeff(150) == Q(want[150])
+    assert cg == want
+    # The sums also belong to the length they were built from.
+    del cg[90:]
+    painleve_coeff(150)
+    assert cg == want
+
+
 def test_coefficients_are_positive_integers_from_g1():
     for g in range(1, 25):
         c = painleve_coeff(g)
