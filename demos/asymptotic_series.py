@@ -29,7 +29,7 @@ def show(name: str, series, c_exact, g: int) -> None:
             Decimal(int(c.numerator)) / Decimal(int(c.denominator)) / Decimal(g) ** i
             for i, c in enumerate(series.coeffs[:5])
         )
-        exact = pi_value(40).value * to_decimal(c_exact, 40).value
+        exact = pi_value(40) * to_decimal(c_exact, 40)
         print(f"  truncation at g={g}: {truncated}")
         print(f"  exact pi*C        : {exact}")
         print(f"  difference        : {abs(truncated - exact):.3E}")

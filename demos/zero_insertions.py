@@ -20,7 +20,7 @@ from psiclass.exact import pi_value, to_decimal
 def main() -> None:
     print("Corollary 1: |pi C(0^k, 2^(3g-3+k)) e^(k^2/(30g)) - 1|")
     for k in range(4):
-        cells = [f"g={g}: {corollary1_deviation(g, k, 12).value:.3E}" for g in range(4, 8)]
+        cells = [f"g={g}: {corollary1_deviation(g, k, 12):.3E}" for g in range(4, 8)]
         print(f"  k={k}  " + "  ".join(cells))
 
     print()
@@ -32,9 +32,9 @@ def main() -> None:
             with localcontext() as ctx:
                 ctx.prec = 30
                 ratio = (
-                    pi_value(30).value
-                    * to_decimal(c_value(d), 30).value
-                    / to_decimal(theorem2_product(d), 30).value
+                    pi_value(30)
+                    * to_decimal(c_value(d), 30)
+                    / to_decimal(theorem2_product(d), 30)
                 )
             cells.append(f"g={g}: {ratio:.6f}")
         print(f"  k={k}  " + "  ".join(cells))

@@ -41,7 +41,7 @@ by integer cross-multiplication and builds one rational, the excess bound.
 
 from __future__ import annotations
 
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from functools import cache, partial
 from itertools import product
 from math import comb, lcm
@@ -56,7 +56,6 @@ from .closed import (
 )
 from .dvv import c_value
 from .exact import (
-    HPDecimal,
     ONE,
     PI_PRECISION_CAP,
     Q,
@@ -566,7 +565,7 @@ def theorem2_product(d: Sequence[int]):
     return acc
 
 
-def corollary1_deviation(g: int, k: int, precision: int = 50) -> HPDecimal:
+def corollary1_deviation(g: int, k: int, precision: int = 50) -> Decimal:
     """| pi C(0^k, 2^(3g-3+k)) e^(k^2/(30g)) - 1 | at the given precision."""
     if g < 2 or k < 0:
         raise ValueError("corollary1_deviation needs g >= 2, k >= 0")
@@ -582,7 +581,7 @@ def corollary1_deviation(g: int, k: int, precision: int = 50) -> HPDecimal:
     cd = to_decimal(c, precision + 10)
     with localcontext() as ctx:
         ctx.prec = precision + 10
-        val = abs(pi.value * cd.value * ek.value - 1)
+        val = abs(pi * cd * ek - 1)
     return rounded(val, precision)
 
 

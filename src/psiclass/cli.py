@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every value that leaves this module is exact ("p/q") or a tagged decimal
-({"value": ..., "precision": ...}); nothing is ever printed through float
-formatting of an exact quantity.  Exit status is 0 only when every check
-the invocation ran came back clean, 1 when some check failed, 2 on usage
-or domain errors.
+Every value that leaves this module is exact ("p/q") or the string of a
+correctly rounded Decimal (20 significant digits, or
+harness.SWEEP_PRECISION in sweep-nesting, which each row states as
+"precision"); nothing is ever printed through float formatting of an
+exact quantity.  Exit status is 0 only when every check the invocation ran
+came back clean, 1 when some check failed, 2 on usage or domain errors.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _cmd_table(args) -> Tuple[dict, bool]:
                 "d": _vec_str(d),
                 "n": len(d),
                 "c": rat_str(v),
-                "c_decimal": str(to_decimal(v, 20).value),
+                "c_decimal": str(to_decimal(v, 20)),
             }
         )
     return {"genus": g, "count": len(rows), "rows": rows}, True
@@ -110,8 +111,8 @@ def _cmd_sweep(args) -> Tuple[dict, bool]:
                 "max_vector": _vec_str(r.max_vector),
                 "max_value": rat_str(r.max_value),
                 "nesting_ok": r.nesting_ok,
-                "max_scaled_deviation": str(r.max_scaled_deviation.value),
-                "precision": r.max_scaled_deviation.precision,
+                "max_scaled_deviation": str(r.max_scaled_deviation),
+                "precision": harness.SWEEP_PRECISION,
                 "seconds": round(r.seconds, 3),
             }
         )
@@ -244,7 +245,7 @@ def _cmd_bounds(args) -> Tuple[dict, bool]:
     if args.gmax < asym.EXCESS_XMIN:
         excess_bound = None
     else:
-        excess_bound = str(to_decimal(excess, 20).value)
+        excess_bound = str(to_decimal(excess, 20))
     payload = {
         "x_max": args.gmax,
         "lemma6_ok": ok6,

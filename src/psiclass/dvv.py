@@ -159,12 +159,12 @@ def _counts(code: int) -> array:
     return counts
 
 
-def _decode(code: int, low: int = 0) -> tuple:
-    """The sorted entries of the multiset coded ``code``, each plus ``low``."""
+def _decode(code: int) -> tuple:
+    """The sorted entries of the multiset coded ``code``."""
     entries: list = []
     for v, m in enumerate(_counts(code)):
         if m:
-            entries += [v + low] * m
+            entries += [v] * m
     return tuple(entries)
 
 
@@ -402,7 +402,8 @@ def _two_part_splits(counts: Sequence[int], shares: dict) -> list:
 
 
 def multiset_splits(entries: DVec, groups: int = 2) -> list:
-    """Every ordered split of a multiset into ``groups`` >= 2 labelled parts.
+    """Every ordered split of a multiset of entries >= 0 into ``groups`` >= 2
+    labelled parts.
 
     Returns ``(parts, ways)`` pairs, ``parts`` one sorted tuple per group;
     ``ways`` = prod_v m_v! / (c_{0,v}! ... c_{groups-1,v}!), m_v copies of v
@@ -412,10 +413,9 @@ def multiset_splits(entries: DVec, groups: int = 2) -> list:
     """
     if groups < 2:
         raise ValueError("multiset_splits needs groups >= 2")
-    low = min([0, *entries])  # codes count entries >= 0: shift up, then back
-    key = _encode([v - low for v in entries])
+    key = _encode(entries)
     halves = [
-        ((_decode(left, low), _decode(key - left, low)), ways)
+        ((_decode(left), _decode(key - left)), ways)
         for _, _, ways, left in _two_part_splits(_counts(key), {})
     ]
     if groups == 2:

@@ -9,8 +9,10 @@ which is ``fractions.Fraction``.
 
 The odd double factorial lives here and nowhere else:
 ``odd_double_factorial`` returns an ``int``, with ``(-1)!! = 1`` (empty
-product); even or smaller arguments are an error.  So does the rounding of
-a working-precision ``Decimal`` into an ``HPDecimal`` (``rounded``).
+product); even or smaller arguments are an error.  So does the rounding
+to decimal: ``rounded``, ``to_decimal``, ``pi_value`` and ``exp_decimal``
+return a plain ``Decimal``, correctly rounded to the significant digits
+the caller asks for; no digit count travels with it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction as Q
-from typing import NamedTuple
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -34,43 +35,27 @@ _PI_DIGITS = (
 PI_PRECISION_CAP = 100
 
 
-class HPDecimal(NamedTuple):
-    """A decimal snapshot of an exact value, tagged with its digit count.
-
-    ``value`` is correctly rounded to ``precision`` significant digits, so
-    conversion from an exact rational has relative error below
-    ``10**(1 - precision)``.
-    """
-
-    value: Decimal
-    precision: int
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-def rounded(value: Decimal, precision: int) -> HPDecimal:
+def rounded(value: Decimal, precision: int) -> Decimal:
     """``value``, computed at a working precision, rounded to ``precision``
     significant digits."""
     with localcontext() as ctx:
         ctx.prec = precision
-        return HPDecimal(+value, precision)
+        return +value
 
 
-def to_decimal(q, precision: int) -> HPDecimal:
-    """Round the exact rational ``q`` to ``precision`` significant digits."""
+def to_decimal(q, precision: int) -> Decimal:
+    """``q`` correctly rounded to ``precision`` significant digits."""
     if precision < 1:
         raise ValueError("precision must be positive")
     with localcontext() as ctx:
         ctx.prec = precision
-        val = Decimal(q.numerator) / Decimal(q.denominator)
-    return HPDecimal(val, precision)
+        return Decimal(q.numerator) / Decimal(q.denominator)
 
 
-def pi_value(precision: int) -> HPDecimal:
+def pi_value(precision: int) -> Decimal:
     """pi to ``precision`` significant digits, from the stored constant.
 
-    >>> str(pi_value(5).value)
+    >>> str(pi_value(5))
     '3.1416'
     """
     if precision < 1:
@@ -154,7 +139,7 @@ def rat_str(q) -> str:
         return f"{str(Decimal(q.numerator))}/{str(Decimal(q.denominator))}"
 
 
-def exp_decimal(q, precision: int) -> HPDecimal:
+def exp_decimal(q, precision: int) -> Decimal:
     """exp(q) for exact rational q, to ``precision`` significant digits."""
     with localcontext() as ctx:
         ctx.prec = precision + 5

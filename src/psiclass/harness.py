@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from itertools import combinations_with_replacement
 from math import factorial
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -33,13 +33,16 @@ from .dvv import (
     x_int,
 )
 from .exact import (
-    HPDecimal, Q, ZERO, odd_double_factorial, pi_interval, pi_value, rounded, to_decimal
+    Q, ZERO, odd_double_factorial, pi_interval, pi_value, rounded, to_decimal
 )
 from .partitions import partition_count, partitions, primitive_vectors
 
 # ----------------------------------------------------------------------
 # Nesting sweep (plus the deviation statistic of the uniform 1/pi law).
 # ----------------------------------------------------------------------
+
+# The significant digits of a sweep report's max_scaled_deviation.
+SWEEP_PRECISION = 50
 
 
 class SweepReport(NamedTuple):
@@ -50,7 +53,7 @@ class SweepReport(NamedTuple):
     max_vector: Tuple[int, ...]
     max_value: object
     nesting_ok: bool
-    max_scaled_deviation: HPDecimal  # max over d of g * |C(d) - 1/pi|
+    max_scaled_deviation: Decimal  # max over d of g * |C(d) - 1/pi|
     seconds: float
 
 
@@ -59,14 +62,14 @@ def sweep_nesting(
 ) -> List[SweepReport]:
     """For each genus 2..g_max, scan every primitive class and report the
     extremes, whether they sit at (3g-2) and (2,...,2), and the worst
-    g*|C - 1/pi| to 50 digits."""
+    g*|C - 1/pi| to SWEEP_PRECISION digits."""
     if g_max < 2:
         raise ValueError("gmax must be at least 2")
     reports: List[SweepReport] = []
     work_prec = 60
     with localcontext() as ctx:
         ctx.prec = work_prec
-        inv_pi = 1 / pi_value(work_prec).value
+        inv_pi = 1 / pi_value(work_prec)
     for g in range(2, g_max + 1):
         t0 = time.perf_counter()
         vectors = primitive_vectors(g)
@@ -87,7 +90,7 @@ def sweep_nesting(
         with localcontext() as ctx:
             ctx.prec = work_prec
             ends = (min_value, max_value)
-            worst = max(abs(to_decimal(v, work_prec).value - inv_pi) * g for v in ends)
+            worst = max(abs(to_decimal(v, work_prec) - inv_pi) * g for v in ends)
         expect_min = (3 * g - 2,)
         expect_max = (2,) * (3 * g - 3)
         reports.append(
@@ -103,7 +106,7 @@ def sweep_nesting(
                     and max_vector == expect_max
                     and len(vectors) == partition_count(3 * g - 3)
                 ),
-                max_scaled_deviation=rounded(worst, 50),
+                max_scaled_deviation=rounded(worst, SWEEP_PRECISION),
                 seconds=time.perf_counter() - t0,
             )
         )
@@ -218,7 +221,7 @@ def check_omega11_identity(d: Sequence[int]) -> bool:
     non-integer X are skipped (their C vanishes).
     """
     t = tuple(d)
-    if genus_of(t) is None:
+    if genus_of(t) is None or any(v < 0 for v in t):
         raise ValueError("check_omega11_identity needs a geometric vector")
     X = x_int(t)
     assert X is not None

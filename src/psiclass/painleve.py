@@ -45,19 +45,13 @@ from math import factorial
 from typing import Dict, List
 
 from .dvv import c_value
-from .exact import (
-    HPDecimal,
-    ONE,
-    PI_PRECISION_CAP,
-    Q,
-    ZERO,
-    pi_value,
-    rounded,
-    to_decimal,
-)
+from .exact import ONE, PI_PRECISION_CAP, Q, ZERO, pi_value, rounded, to_decimal
 from .series import SeriesInvX, reindex_coeff
 
 _CG: List[int] = [-1, 2, 98]
+
+# The largest order K of the b_j correction series.
+SERIES_CAP = 12
 
 # The block size of painleve_coeff's convolution: of 4, 8, 16 and 32, 16
 # ran fastest at g = 300.
@@ -186,8 +180,8 @@ def cg_asymptotic_series(K: int) -> List:
     >>> cg_asymptotic_series(3)[2] == Q(-49, 3750)
     True
     """
-    if not 1 <= K <= 12:
-        raise ValueError("cg_asymptotic_series supports 1 <= K <= 12")
+    if not 1 <= K <= SERIES_CAP:
+        raise ValueError(f"cg_asymptotic_series supports 1 <= K <= {SERIES_CAP}")
     N = K + 1
     b = [ONE] + [ZERO] * K
     H = (K + 1) // 2
@@ -211,7 +205,7 @@ def cg_asymptotic_series(K: int) -> List:
     return b[1:]
 
 
-def theorem_a_constant(precision: int = 30) -> HPDecimal:
+def theorem_a_constant(precision: int = 30) -> Decimal:
     """A = sqrt(3/5) / (2 pi^2) to the requested number of digits, 1 to 90:
     the work adds 10 guard digits to pi, which is stored to 100."""
     if not 1 <= precision <= PI_PRECISION_CAP - 10:
@@ -221,13 +215,13 @@ def theorem_a_constant(precision: int = 30) -> HPDecimal:
     pi = pi_value(precision + 10)
     with localcontext() as ctx:
         ctx.prec = precision + 10
-        val = Decimal(3).sqrt() / Decimal(5).sqrt() / (2 * pi.value**2)
+        val = Decimal(3).sqrt() / Decimal(5).sqrt() / (2 * pi**2)
     return rounded(val, precision)
 
 
 def theorem_a_estimate(
     g: int, precision: int = 30, correction_order: int = 0
-) -> HPDecimal:
+) -> Decimal:
     """A estimated from c_g: c_g / (50^g Gamma(g)^2 (1 + sum_{j<=J} b_j g^-j)).
 
     With correction_order 0 the deviation from A is of order g^-3 (the
@@ -237,8 +231,10 @@ def theorem_a_estimate(
         raise ValueError("theorem_a_estimate needs g >= 1")
     if precision < 1:
         raise ValueError("theorem_a_estimate needs precision >= 1")
-    if not 0 <= correction_order <= 12:
-        raise ValueError("theorem_a_estimate needs 0 <= correction_order <= 12")
+    if not 0 <= correction_order <= SERIES_CAP:
+        raise ValueError(
+            f"theorem_a_estimate needs 0 <= correction_order <= {SERIES_CAP}"
+        )
     ratio = painleve_coeff(g) / Q(50**g * factorial(g - 1) ** 2)
     if correction_order:
         corr = ONE

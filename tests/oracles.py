@@ -72,7 +72,6 @@ from psiclass.dvv import (
     x_int,
 )
 from psiclass.exact import (
-    HPDecimal,
     ONE,
     Q,
     ZERO,
@@ -649,7 +648,7 @@ def theorem2_deviation_sweep(
     g_max: int = 5,
     max_zeros: int = 6,
     digits: int = 50,
-) -> Tuple[HPDecimal, Tuple[int, ...]]:
+) -> Tuple[Decimal, Tuple[int, ...]]:
     """max over the family of g * |pi C(d) / product(d) - 1| plus argmax."""
     work = digits + 10
     pi = pi_value(work)
@@ -662,10 +661,7 @@ def theorem2_deviation_sweep(
                 prod = theorem2_product(d)
                 c = c_value(d)
                 dev = abs(
-                    pi.value
-                    * to_decimal(c, work).value
-                    / to_decimal(prod, work).value
-                    - 1
+                    pi * to_decimal(c, work) / to_decimal(prod, work) - 1
                 ) * g
                 if dev > worst:
                     worst, arg = dev, d

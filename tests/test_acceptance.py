@@ -243,8 +243,8 @@ def test_criterion_07_painleve_bridge():
     # The truncated series solves the equation to truncation order iff the
     # quadratic residual vanishes termwise.
     residual_ok = all(p1_residual(g) == 0 for g in range(1, 13))
-    ref = theorem_a_constant(25).value
-    est = theorem_a_estimate(40, 25, 6).value
+    ref = theorem_a_constant(25)
+    est = theorem_a_estimate(40, 25, 6)
     digits_ok = abs(est - ref) / ref < Decimal("5e-7")
     dt = time.monotonic() - t0
     ok = bridge_ok and residual_ok and digits_ok and dt < 600.0
@@ -290,7 +290,7 @@ def test_criterion_08_nesting(sweep7):
 def test_criterion_09_uniform_deviation(sweep7):
     reports, dt = sweep7
     worst = max(
-        (r.max_scaled_deviation.value for r in reports if r.genus >= 3),
+        (r.max_scaled_deviation for r in reports if r.genus >= 3),
     )
     good = worst <= Decimal("0.5")
     ok = good and dt < 900.0
@@ -314,10 +314,10 @@ RECORDED_PRODUCT_CONSTANT = Decimal("0.473")
 def test_criterion_10_product_law():
     t0 = time.monotonic()
     dev, arg = theorem2_deviation_sweep(2, 5, max_zeros=6, digits=50)
-    within = dev.value <= RECORDED_PRODUCT_CONSTANT
+    within = dev <= RECORDED_PRODUCT_CONSTANT
     decreasing = True
     for k in range(0, 4):
-        vals = [corollary1_deviation(g, k, 30).value for g in (4, 5, 6)]
+        vals = [corollary1_deviation(g, k, 30) for g in (4, 5, 6)]
         decreasing = decreasing and vals[0] > vals[1] > vals[2]
     # Spot value the product law is anchored on.
     anchor = theorem2_product((0, 5)) == Q(11, 9)
@@ -326,7 +326,7 @@ def test_criterion_10_product_law():
     _report(
         10,
         ok,
-        f"g|pi C/product - 1| max {str(dev.value)[:10]} (at {arg}) <= "
+        f"g|pi C/product - 1| max {str(dev)[:10]} (at {arg}) <= "
         f"{RECORDED_PRODUCT_CONSTANT}, corollary deviations decreasing, "
         f"in {dt:.1f}s (budget 1200s)",
     )

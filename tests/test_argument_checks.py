@@ -1,10 +1,10 @@
 """The argument checks that no other test reaches: each names its message,
 or returns ZERO where a formula has no class to count.
 
-Left out are the branches that only a broken invariant or another platform
-reaches: lemma6_check's and lemma7_check's failure branches, table2_fit's
-surplus-row check, dvv's odd-separable ArithmeticError and the big-endian
-byteswap in dvv._counts.
+The branches that only a broken invariant reaches are planted in
+test_failure_branches.py: lemma6_check's and lemma7_check's failure
+branches and dvv's odd-separable ArithmeticError.  Left out are
+table2_fit's surplus-row check and the big-endian byteswap in dvv._counts.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from psiclass.closed import (
     three_point_terms,
 )
 from psiclass.exact import ONE, Q, ZERO, pi_interval, to_decimal
-from psiclass.harness import check_c4_inequalities
+from psiclass.harness import check_c4_inequalities, check_omega11_identity
 from psiclass.painleve import (
     cg_asymptotic_series,
     painleve_coeff,
@@ -65,6 +65,11 @@ _CASES = {
     "c4_non_geometric": (
         lambda: check_c4_inequalities((2, 2)),
         "check_c4_inequalities needs a geometric vector",
+    ),
+    # genus_of((-1, 1, 3)) is 1: the sign is what makes it non-geometric.
+    "omega11_negative_entry": (
+        lambda: check_omega11_identity((-1, 1, 3)),
+        "check_omega11_identity needs a geometric vector",
     ),
     "painleve_coeff_neg": (lambda: painleve_coeff(-1), "painleve_coeff needs g >= 0"),
     "cg_series_13": (

@@ -130,7 +130,7 @@ def test_one_point_series_numeric_probe():
             Decimal(int(c.numerator)) / Decimal(int(c.denominator)) / Decimal(g) ** i
             for i, c in enumerate(s.coeffs)
         )
-        exact = pi_value(40).value * to_decimal(one_point_c(3 * g - 2), 40).value
+        exact = pi_value(40) * to_decimal(one_point_c(3 * g - 2), 40)
         assert abs(approx - exact) < Decimal("1e-19")
 
 
@@ -151,7 +151,7 @@ def test_pi_gamma_series_probe():
             Decimal(int(c.numerator)) / Decimal(int(c.denominator)) / Decimal(x) ** i
             for i, c in enumerate(s.coeffs)
         )
-        exact = pi_value(40).value * to_decimal(one_point_c(3 * g - 2), 40).value
+        exact = pi_value(40) * to_decimal(one_point_c(3 * g - 2), 40)
         assert abs(approx - exact) < Decimal("1e-13")
 
 
@@ -433,7 +433,7 @@ def test_theorem2_product_values():
 
 def test_corollary1_deviation_decreasing_in_g():
     for k in range(0, 3):
-        vals = [corollary1_deviation(g, k, 30).value for g in (4, 5, 6)]
+        vals = [corollary1_deviation(g, k, 30) for g in (4, 5, 6)]
         assert vals[0] > vals[1] > vals[2], (k, vals)
 
 

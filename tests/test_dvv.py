@@ -573,7 +573,7 @@ def test_multiset_splits():
     """For k = 2, 3: each split is listed once with sorted parts, the ways
     sum to k**n, and each split's ways equals the number of the k**n
     labelings of the indices that produce it."""
-    for entries in _SPLIT_INPUTS + [(-2, 1, -2)]:
+    for entries in _SPLIT_INPUTS:
         for k in (2, 3):
             splits = multiset_splits(entries, k)
             ways = dict(splits)

@@ -107,7 +107,7 @@ def test_sweep_nesting_small():
     r3 = reports[1]
     assert r3.min_value == Q(25025, 93312)
     assert r3.max_value == Q(546875, 1889568)
-    assert r3.max_scaled_deviation.precision == 50
+    assert len(r3.max_scaled_deviation.as_tuple().digits) <= 50
 
 
 def test_sweep_deviation_is_the_maximum_over_every_class():
@@ -127,13 +127,13 @@ def test_sweep_deviation_is_the_maximum_over_every_class():
 
     with localcontext() as ctx:
         ctx.prec = 60
-        inv_pi = 1 / pi_value(60).value
+        inv_pi = 1 / pi_value(60)
         for r in sweep_nesting(7):
             devs = [
-                abs(to_decimal(c_value(d), 60).value - inv_pi) * r.genus
+                abs(to_decimal(c_value(d), 60) - inv_pi) * r.genus
                 for d in primitive_vectors(r.genus)
             ]
-            assert str(r.max_scaled_deviation.value) == str(rounded(max(devs), 50).value)
+            assert str(r.max_scaled_deviation) == str(rounded(max(devs), 50))
             assert reported(r) == extremes(r.genus)
     # No two classes of genus <= 8 share a C, so ties come from forged memo
     # entries: (2,3) tied with (4) or with (2,2,2), which hold other entry
@@ -268,8 +268,8 @@ def test_theorem2_family_membership():
 
 def test_theorem2_deviation_sweep_small():
     dev, arg = theorem2_deviation_sweep(2, 2, digits=30)
-    assert dev.precision == 30
-    assert dev.value > 0
+    assert len(dev.as_tuple().digits) <= 30
+    assert dev > 0
     assert arg in list(theorem2_family(2))
 
 

@@ -147,15 +147,15 @@ def test_correction_series_matches_full_series_loop():
 
 def test_theorem_a_constant_digits():
     hp = theorem_a_constant(25)
-    assert str(hp.value) == "0.03924152568647975336226696"
+    assert str(hp) == "0.03924152568647975336226696"
 
 
 def test_estimate_converges_order_by_order():
     """Each extra correction must shrink the gap to the constant."""
-    ref = theorem_a_constant(30).value
+    ref = theorem_a_constant(30)
     gaps = []
     for order in (0, 3, 4, 5, 6):
-        est = theorem_a_estimate(60, 30, order).value
+        est = theorem_a_estimate(60, 30, order)
         gaps.append(abs(est - ref))
     for a, b in zip(gaps, gaps[1:]):
         assert b < a, gaps
@@ -164,6 +164,6 @@ def test_estimate_converges_order_by_order():
 def test_estimate_six_digits_at_g40():
     from decimal import Decimal
 
-    ref = theorem_a_constant(25).value
-    est = theorem_a_estimate(40, 25, 6).value
+    ref = theorem_a_constant(25)
+    est = theorem_a_estimate(40, 25, 6)
     assert abs(est - ref) / ref < Decimal("5e-7")
